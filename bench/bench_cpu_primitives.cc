@@ -367,6 +367,43 @@ runDispatchBootstrap(benchmark::State &state, FftDispatchTier tier)
     resetFftDispatchTier();
 }
 
+constexpr unsigned kChunk = 16; //!< compiler::kGroupSize, one XPU.BR
+
+void
+runChunkBlindRotate(benchmark::State &state, FftDispatchTier tier,
+                    bool batched)
+{
+    // One set-I chunk's XPU.BR on one thread: iteration-major through
+    // blindRotateBatch, or (serial) one blindRotate per ciphertext.
+    forceFftDispatchTier(tier);
+    const auto &keys = keysFor("I");
+    Rng rng(14);
+    const auto lut = makePaddedLut(4, [](std::uint32_t m) {
+        return m;
+    });
+    const auto tp = buildTestPolynomial(keys.params.polyDegree, lut);
+    std::vector<std::vector<std::uint32_t>> switched(kChunk);
+    for (unsigned i = 0; i < kChunk; ++i)
+        switched[i] = modSwitch(encryptPadded(keys, i % 4, 4, rng),
+                                keys.params.polyDegree);
+    std::vector<GlweCiphertext> accs(kChunk);
+    BootstrapWorkspace ws;
+    for (auto _ : state) {
+        if (batched) {
+            blindRotateBatch(keys.bsk, tp, switched.data(), accs.data(),
+                             kChunk, ws);
+        } else {
+            for (unsigned i = 0; i < kChunk; ++i)
+                blindRotate(keys.bsk, tp, switched[i], accs[i], ws);
+        }
+        benchmark::DoNotOptimize(accs.back().body()[0]);
+    }
+    state.SetItemsProcessed(state.iterations() * kChunk);
+    state.SetLabel(std::string(fftDispatchTierName(tier)) +
+                   ", 16 LWE, set I");
+    resetFftDispatchTier();
+}
+
 void
 registerDispatchTierBenchmarks()
 {
@@ -389,6 +426,18 @@ registerDispatchTierBenchmarks()
         benchmark::RegisterBenchmark(
             ("BM_DispatchBootstrap/" + tn).c_str(),
             [tier](benchmark::State &s) { runDispatchBootstrap(s, tier); })
+            ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_ChunkBlindRotate/" + tn).c_str(),
+            [tier](benchmark::State &s) {
+                runChunkBlindRotate(s, tier, true);
+            })
+            ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_ChunkBlindRotate/" + tn + "/serial").c_str(),
+            [tier](benchmark::State &s) {
+                runChunkBlindRotate(s, tier, false);
+            })
             ->Unit(benchmark::kMillisecond);
     }
 }

@@ -4,13 +4,15 @@
 Run by the perf-smoke CI leg after `bench_cpu_primitives --json` with a
 filter covering the dispatch families. Checks:
 
-  1. BM_BatchFftForward, BM_BatchFftInverse and BM_DispatchBootstrap
-     entries exist, including the scalar tier (always registered).
-  2. When a vector tier ran on this host, the widest tier's batched
-     forward FFT at N=1024 beats scalar by a generous margin. The real
-     speedup is ~2x on AVX-512 hardware; the 1.15x gate only catches a
-     dispatch path that silently routes wide batches through the scalar
-     kernels (shared CI runners are too noisy for a tight threshold).
+  1. BM_BatchFftForward, BM_BatchFftInverse, BM_DispatchBootstrap and
+     BM_ChunkBlindRotate entries exist, including the scalar tier
+     (always registered).
+  2. When a vector tier ran on this host, the widest tier beats scalar
+     by a generous margin on the batched forward FFT at N=1024 and on
+     the iteration-major 16-LWE chunk rotation. The real speedups are
+     ~2x on AVX-512 hardware; the 1.15x gate only catches a dispatch
+     path that silently routes wide batches through the scalar kernels
+     (shared CI runners are too noisy for a tight threshold).
 
 Exits non-zero with a diagnostic on any failure.
 """
@@ -32,6 +34,18 @@ def fail(msg):
     sys.exit(1)
 
 
+def check_speedup(rows, scalar_name, wide_name, what):
+    scalar = rows.get(scalar_name)
+    wide = rows.get(wide_name)
+    if scalar is None or wide is None:
+        fail(f"missing {scalar_name} / {wide_name} rows")
+    speedup = scalar["real_time"] / wide["real_time"]
+    print(f"ok: {what}: {speedup:.2f}x")
+    if speedup < MIN_SPEEDUP:
+        fail(f"{what} is only {speedup:.2f}x "
+             f"(< {MIN_SPEEDUP}x): wide-kernel dispatch looks broken")
+
+
 def main():
     if len(sys.argv) != 2:
         fail(f"usage: {sys.argv[0]} BENCH_cpu_primitives.json")
@@ -41,7 +55,7 @@ def main():
     rows = {b["name"]: b for b in report.get("benchmarks", [])}
 
     for family in ("BM_BatchFftForward", "BM_BatchFftInverse",
-                   "BM_DispatchBootstrap"):
+                   "BM_DispatchBootstrap", "BM_ChunkBlindRotate"):
         names = [n for n in rows if n.startswith(family + "/")]
         if not names:
             fail(f"no {family} entries in report")
@@ -56,18 +70,14 @@ def main():
     widest = tiers[-1]
     if WIDTH.get(widest, 0) <= 1:
         print("ok: only the scalar tier is supported here; "
-              "skipping the speedup gate")
-        return
-
-    scalar = rows.get("BM_BatchFftForward/scalar/1024")
-    wide = rows.get("BM_BatchFftForward/%s/1024" % widest)
-    if scalar is None or wide is None:
-        fail("missing BM_BatchFftForward/{scalar,%s}/1024 rows" % widest)
-    speedup = scalar["real_time"] / wide["real_time"]
-    print(f"ok: forward FFT N=1024 {widest} vs scalar: {speedup:.2f}x")
-    if speedup < MIN_SPEEDUP:
-        fail(f"{widest} tier is only {speedup:.2f}x over scalar "
-             f"(< {MIN_SPEEDUP}x): wide-kernel dispatch looks broken")
+              "skipping the speedup gates")
+    else:
+        check_speedup(rows, "BM_BatchFftForward/scalar/1024",
+                      f"BM_BatchFftForward/{widest}/1024",
+                      f"forward FFT N=1024 {widest} vs scalar")
+        check_speedup(rows, "BM_ChunkBlindRotate/scalar",
+                      f"BM_ChunkBlindRotate/{widest}",
+                      f"16-LWE chunk blind rotation {widest} vs scalar")
 
     dispatch = report.get("context", {}).get("fft_dispatch")
     if not dispatch:

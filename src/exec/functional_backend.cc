@@ -304,10 +304,10 @@ FunctionalBackend::blindRotateChunk(Chunk &chunk,
 {
     chunk.accs.resize(chunk.count);
     if (config_.xpuEngine == XpuEngine::kWorkspace) {
-        for (unsigned i = 0; i < chunk.count; ++i) {
-            tfhe::blindRotate(bsk_, testPoly_, chunk.switched[i],
-                              chunk.accs[i], ws);
-        }
+        // Iteration-major over the whole chunk: each BSK_i serves every
+        // ciphertext, the CPU counterpart of the datapath waves below.
+        tfhe::blindRotateBatch(bsk_, testPoly_, chunk.switched.data(),
+                               chunk.accs.data(), chunk.count, ws);
         return;
     }
     // Datapath engine: waves of up to `rows` ciphertexts share each

@@ -38,10 +38,11 @@ namespace morphling::exec {
 /** Which engine executes XpuBlindRotate instructions. */
 enum class XpuEngine
 {
-    /** The zero-allocation workspace blind rotation
-     *  (tfhe::blindRotate through a BootstrapWorkspace): bit-exact vs.
-     *  tfhe::bootstrapInto. The default, and the only engine the
-     *  bit-exactness co-sim check admits. */
+    /** The zero-allocation workspace blind rotation, iteration-major
+     *  over the chunk (tfhe::blindRotateBatch through a
+     *  BootstrapWorkspace): bit-exact vs. tfhe::bootstrapInto. The
+     *  default, and the only engine the bit-exactness co-sim check
+     *  admits. */
     kWorkspace,
 
     /** The merge-split FFT datapath model

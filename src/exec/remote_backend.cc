@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <random>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -185,10 +184,8 @@ RemoteBackend::ensureConnected(remote::Deadline deadline)
 void
 RemoteBackend::enroll(remote::Deadline deadline)
 {
-    std::ostringstream os;
-    tfhe::saveEvaluationKeys(os, *keys_);
-    const std::string blob = os.str();
-    const std::vector<std::uint8_t> payload(blob.begin(), blob.end());
+    const std::vector<std::uint8_t> payload =
+        remote::encodeEvaluationKeys(*keys_);
     remote::sendFrame(socket_, FrameType::kEnrollKeys, payload,
                       deadline);
     bytesSent_ += payload.size() + kFrameOverhead;

@@ -2,6 +2,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <istream>
+#include <ostream>
+#include <streambuf>
 
 #include <fcntl.h>
 #include <netdb.h>
@@ -345,6 +348,70 @@ readWordVector(WireReader &r)
     std::vector<std::uint64_t> words(count);
     r.bytes(words.data(), words.size() * sizeof(std::uint64_t));
     return words;
+}
+
+namespace {
+
+/** Output stream buffer appending to a byte vector. */
+class PayloadWriteBuf final : public std::streambuf
+{
+  public:
+    explicit PayloadWriteBuf(std::vector<std::uint8_t> &out) : out_(out) {}
+
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        if (ch != traits_type::eof())
+            out_.push_back(static_cast<std::uint8_t>(ch));
+        return ch;
+    }
+
+    std::streamsize
+    xsputn(const char *data, std::streamsize n) override
+    {
+        out_.insert(out_.end(), data, data + n);
+        return n;
+    }
+
+  private:
+    std::vector<std::uint8_t> &out_;
+};
+
+/** Input stream buffer reading a byte vector in place. The get area is
+ *  never written through: the default pbackfail refuses a putback of a
+ *  different character. */
+class PayloadReadBuf final : public std::streambuf
+{
+  public:
+    explicit PayloadReadBuf(const std::vector<std::uint8_t> &payload)
+    {
+        char *begin = const_cast<char *>(
+            reinterpret_cast<const char *>(payload.data()));
+        setg(begin, begin, begin + payload.size());
+    }
+};
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeEvaluationKeys(const tfhe::EvaluationKeys &keys)
+{
+    std::vector<std::uint8_t> payload;
+    payload.reserve(tfhe::evaluationKeysWireBytes(keys));
+    PayloadWriteBuf buf(payload);
+    std::ostream os(&buf);
+    tfhe::saveEvaluationKeys(os, keys);
+    return payload;
+}
+
+std::optional<tfhe::EvaluationKeys>
+decodeEvaluationKeys(const std::vector<std::uint8_t> &payload,
+                     std::string *error)
+{
+    PayloadReadBuf buf(payload);
+    std::istream is(&buf);
+    return tfhe::tryLoadEvaluationKeys(is, error);
 }
 
 Deadline

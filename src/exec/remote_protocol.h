@@ -26,11 +26,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "tfhe/lwe.h"
+#include "tfhe/serialize.h"
 
 namespace morphling::exec::remote {
 
@@ -172,6 +174,20 @@ std::vector<tfhe::Torus32> readTorusVector(WireReader &r);
 void writeWordVector(WireWriter &w,
                      const std::vector<std::uint64_t> &words);
 std::vector<std::uint64_t> readWordVector(WireReader &r);
+
+/** A kEnrollKeys payload: the keys serialized straight into one
+ *  exactly-sized buffer. The blob runs to megabytes, so every extra
+ *  copy on either side of an enrollment raises the process's peak
+ *  memory. */
+std::vector<std::uint8_t>
+encodeEvaluationKeys(const tfhe::EvaluationKeys &keys);
+
+/** Parse a kEnrollKeys payload in place (tfhe::tryLoadEvaluationKeys
+ *  over the payload bytes, no copy); nullopt with `error` set when the
+ *  blob is malformed. */
+std::optional<tfhe::EvaluationKeys>
+decodeEvaluationKeys(const std::vector<std::uint8_t> &payload,
+                     std::string *error);
 /** @} */
 
 /** Deadline type used across the transport: every blocking socket

@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -166,8 +165,8 @@ RemoteServerStats RemoteServer::stats() const
 std::uint64_t RemoteServer::executionsFor(std::uint64_t requestId) const
 {
     std::lock_guard<std::mutex> lock(cacheMu_);
-    auto it = executionCounts_.find(requestId);
-    return it == executionCounts_.end() ? 0 : it->second;
+    auto it = cache_.find(requestId);
+    return it == cache_.end() ? 0 : it->second.executions;
 }
 
 void RemoteServer::acceptLoop()
@@ -288,11 +287,9 @@ void RemoteServer::serveConnection(Connection *conn)
 void RemoteServer::handleEnroll(Connection *conn,
                                 const std::vector<std::uint8_t> &payload)
 {
-    std::string blob(payload.begin(), payload.end());
-    std::istringstream is(blob);
     std::string error;
     std::optional<tfhe::EvaluationKeys> keys =
-        tfhe::tryLoadEvaluationKeys(is, &error);
+        remote::decodeEvaluationKeys(payload, &error);
     if (!keys.has_value()) {
         sendErrorCounted(conn, WireErrorCode::kMalformedFrame,
                          morphling::detail::concat(
@@ -491,6 +488,26 @@ void RemoteServer::handleExecute(Connection *conn,
                          "request carries no LUT");
         return;
     }
+    const tfhe::TfheParams &params = keys->params;
+    if (!signLut && 2 * lut.size() > params.polyDegree) {
+        sendErrorCounted(conn, WireErrorCode::kBadProgram,
+                         morphling::detail::concat(
+                             "LUT of ", lut.size(),
+                             " entries does not fit N = ",
+                             params.polyDegree));
+        return;
+    }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        if (inputs[i].dimension() != params.lweDimension) {
+            sendErrorCounted(conn, WireErrorCode::kBadProgram,
+                             morphling::detail::concat(
+                                 "input ", i, " has dimension ",
+                                 inputs[i].dimension(),
+                                 " but the keys expect n = ",
+                                 params.lweDimension));
+            return;
+        }
+    }
 
     // Idempotency gate: a known id replays; an in-flight id waits for
     // the original execution, then replays.
@@ -522,8 +539,8 @@ void RemoteServer::handleExecute(Connection *conn,
         }
         CachedResult placeholder;
         placeholder.done = false;
+        placeholder.executions = 1;
         cacheInsertLocked(requestId, std::move(placeholder));
-        ++executionCounts_[requestId];
     }
     {
         std::lock_guard<std::mutex> lock(statsMu_);
@@ -617,9 +634,12 @@ void RemoteServer::handleExecute(Connection *conn,
     }
 
     {
+        // The in-flight placeholder is never evicted, so it still
+        // holds this request's execution count.
         std::lock_guard<std::mutex> lock(cacheMu_);
-        final.executions = executionCounts_[requestId];
-        cache_[requestId] = final; // keep a copy to stream from
+        CachedResult &entry = cache_[requestId];
+        final.executions = entry.executions;
+        entry = final; // keep a copy to stream from
     }
     cacheCv_.notify_all();
 

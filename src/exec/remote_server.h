@@ -141,9 +141,10 @@ class RemoteServer
 
     RemoteServerStats stats() const;
 
-    /** How many times the request id was actually executed (0 when
-     *  never seen, beyond-LRU entries forget). The double-execution
-     *  guard the retry tests assert on. */
+    /** How many times the request id was actually executed, read from
+     *  its result-cache entry (0 when never seen, beyond-LRU entries
+     *  forget). The double-execution guard the retry tests assert
+     *  on. */
     std::uint64_t executionsFor(std::uint64_t requestId) const;
 
   private:
@@ -214,8 +215,6 @@ class RemoteServer
     std::condition_variable cacheCv_; //!< retries await in-flight runs
     std::map<std::uint64_t, CachedResult> cache_;
     std::list<std::uint64_t> cacheOrder_; //!< LRU, oldest first
-    /** Execution counts survive LRU eviction (small, test hook). */
-    std::map<std::uint64_t, std::uint64_t> executionCounts_;
 
     mutable std::mutex statsMu_;
     RemoteServerStats stats_;

@@ -12,19 +12,6 @@ namespace morphling::tfhe {
 
 namespace {
 
-/** One bootstrap from evaluation material only (mirrors
- *  serverBootstrap; the KeySet path delegates here too). Runs through
- *  the calling thread's workspace, so each pool worker reuses its own
- *  scratch across the whole batch. */
-void
-bootstrapOne(const BootstrapKey &bsk, const KeySwitchKey &ksk,
-             const TorusPolynomial &test_poly, const LweCiphertext &ct,
-             LweCiphertext &out)
-{
-    bootstrapInto(bsk, ksk, test_poly, ct, out,
-                  BootstrapWorkspace::forThisThread());
-}
-
 std::vector<LweCiphertext>
 runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
          const TorusPolynomial &test_poly,
@@ -37,26 +24,41 @@ runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
     threads = std::min<unsigned>(
         threads, std::max<std::size_t>(1, inputs.size()));
 
+    // Workers claim a tile of inputs at a time and blind-rotate it as
+    // one batch (a smaller tile when that is what keeps every worker
+    // busy). Outputs do not depend on the claim order.
+    const std::size_t tile = std::min<std::size_t>(
+        blindRotateTile(bsk.entry(0).numCols() - 1),
+        (inputs.size() + threads - 1) / threads);
     std::vector<LweCiphertext> out(inputs.size());
-    if (threads == 1 || inputs.size() <= 1) {
-        for (std::size_t i = 0; i < inputs.size(); ++i)
-            bootstrapOne(bsk, ksk, test_poly, inputs[i], out[i]);
-        return out;
-    }
-
-    // Work stealing over an atomic index: bootstraps are uniform in
-    // cost, so a simple counter balances well.
     std::atomic<std::size_t> next{0};
     auto worker = [&]() {
+        auto &ws = BootstrapWorkspace::forThisThread();
+        std::vector<std::vector<std::uint32_t>> switched(tile);
+        std::vector<GlweCiphertext> accs(tile);
         for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= inputs.size())
+            const std::size_t begin =
+                next.fetch_add(tile, std::memory_order_relaxed);
+            if (begin >= inputs.size())
                 return;
-            bootstrapOne(bsk, ksk, test_poly, inputs[i], out[i]);
+            const auto count = static_cast<unsigned>(
+                std::min(tile, inputs.size() - begin));
+            for (unsigned t = 0; t < count; ++t)
+                modSwitchInto(inputs[begin + t], test_poly.degree(),
+                              switched[t]);
+            blindRotateBatch(bsk, test_poly, switched.data(), accs.data(),
+                             count, ws);
+            for (unsigned t = 0; t < count; ++t) {
+                accs[t].sampleExtractAtInto(0, ws.extracted);
+                ksk.applyInto(ws.extracted, out[begin + t]);
+            }
         }
     };
 
+    if (threads == 1) {
+        worker();
+        return out;
+    }
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)

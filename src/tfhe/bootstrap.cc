@@ -1,8 +1,12 @@
 #include "bootstrap.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
+#include "tfhe/fft_dispatch.h"
+#include "tfhe/fft_kernels.h"
 
 namespace morphling::tfhe {
 
@@ -66,35 +70,71 @@ constantTestPolynomial(unsigned poly_degree, Torus32 mu)
     return tp;
 }
 
+unsigned
+blindRotateTile(unsigned glwe_dim)
+{
+    const unsigned lanes = detail::activeBatchKernels().width;
+    return (lanes + glwe_dim) / (glwe_dim + 1);
+}
+
+void
+blindRotateBatch(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
+                 const std::vector<std::uint32_t> *switched,
+                 GlweCiphertext *accs, unsigned count,
+                 BootstrapWorkspace &ws)
+{
+    const unsigned n = bsk.size();
+    const unsigned poly_degree = test_poly.degree();
+    const unsigned two_n = 2 * poly_degree;
+    const unsigned k = bsk.entry(0).numCols() - 1;
+    // At most kMaxFftLanes: the tile never exceeds the lane width.
+    const unsigned tile = std::min(count, blindRotateTile(k));
+
+    // ACC_0 = X^(-b~) * (0,..,0,TP). Negative powers fold into
+    // [0, 2N) because X^(2N) = 1; the test polynomial is rotated
+    // straight into the accumulator body (rotate-on-construct).
+    for (unsigned j = 0; j < count; ++j) {
+        panic_if(switched[j].size() != n + 1, "BSK has ", n,
+                 " entries, need ", switched[j].size() - 1);
+        GlweCiphertext &acc = accs[j];
+        if (acc.dimension() != k || acc.polyDegree() != poly_degree)
+            acc = GlweCiphertext(k, poly_degree);
+        for (unsigned c = 0; c < k; ++c)
+            acc.component(c).clear();
+        const unsigned b_tilde = switched[j][n] % two_n;
+        test_poly.mulByXPowerInto((two_n - b_tilde) % two_n, acc.body());
+    }
+
+    GlweCiphertext *members[detail::kMaxFftLanes];
+    unsigned powers[detail::kMaxFftLanes];
+    const auto runTile = [&](const FourierGgsw &bsk_i, unsigned filled) {
+        MORPHLING_SPAN_FINE("tfhe", "cmux");
+        cmuxRotateTileInPlace(bsk_i, members, powers, filled, ws);
+    };
+    for (unsigned i = 0; i < n; ++i) {
+        unsigned filled = 0;
+        for (unsigned j = 0; j < count; ++j) {
+            const unsigned a_tilde = switched[j][i] % two_n;
+            if (a_tilde == 0)
+                continue; // X^0 rotation: CMux output equals its input.
+            members[filled] = &accs[j];
+            powers[filled] = a_tilde;
+            if (++filled == tile) {
+                runTile(bsk.entry(i), filled);
+                filled = 0;
+            }
+        }
+        if (filled > 0)
+            runTile(bsk.entry(i), filled);
+    }
+}
+
 void
 blindRotate(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
             const std::vector<std::uint32_t> &switched,
             GlweCiphertext &acc, BootstrapWorkspace &ws)
 {
-    const unsigned n = static_cast<unsigned>(switched.size()) - 1;
-    panic_if(bsk.size() != n, "BSK has ", bsk.size(), " entries, need ",
-             n);
-    const unsigned poly_degree = test_poly.degree();
-    const unsigned two_n = 2 * poly_degree;
-    const unsigned k = bsk.entry(0).numCols() - 1;
-
-    // ACC_0 = X^(-b~) * (0,..,0,TP). Negative powers fold into
-    // [0, 2N) because X^(2N) = 1; the test polynomial is rotated
-    // straight into the accumulator body (rotate-on-construct).
-    if (acc.dimension() != k || acc.polyDegree() != poly_degree)
-        acc = GlweCiphertext(k, poly_degree);
-    for (unsigned c = 0; c < k; ++c)
-        acc.component(c).clear();
-    const unsigned b_tilde = switched[n] % two_n;
-    test_poly.mulByXPowerInto((two_n - b_tilde) % two_n, acc.body());
-
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned a_tilde = switched[i] % two_n;
-        if (a_tilde == 0)
-            continue; // X^0 rotation: CMux output equals its input.
-        MORPHLING_SPAN_FINE("tfhe", "cmux");
-        cmuxRotateInPlace(bsk.entry(i), acc, a_tilde, ws);
-    }
+    blindRotateBatch(bsk, test_poly, &switched, &acc, 1, ws);
 }
 
 GlweCiphertext

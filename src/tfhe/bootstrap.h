@@ -70,12 +70,40 @@ GlweCiphertext blindRotate(const BootstrapKey &bsk,
  * Workspace blind rotation: the accumulator is (re)built inside `acc`
  * (rotate-on-construct: the test polynomial is rotated directly into
  * the accumulator body, no trivial-then-rotate copy) and every CMux
- * runs in place through `ws`. Allocation-free when warm.
+ * runs in place through `ws`. Allocation-free when warm. The count-1
+ * call of blindRotateBatch.
  */
 void blindRotate(const BootstrapKey &bsk,
                  const TorusPolynomial &test_poly,
                  const std::vector<std::uint32_t> &switched,
                  GlweCiphertext &acc, BootstrapWorkspace &ws);
+
+/**
+ * Ciphertexts per tile of blindRotateBatch: T = ceil(W / (k+1)) for the
+ * active FFT tier's lane width W, the fewest whose T*(k+1) inverse
+ * transforms fill one W-lane kernel call (4 at set I on AVX-512, 1 on
+ * the scalar tier).
+ */
+unsigned blindRotateTile(unsigned glwe_dim);
+
+/**
+ * Iteration-major blind rotation of `count` ciphertexts: accs[j] gets
+ * the rotation of switched[j] (each as in blindRotate). For each
+ * i < n, every accumulator whose a~_i is nonzero goes through one CMux
+ * against BSK_i before BSK_{i+1} is touched, in tiles of
+ * blindRotateTile(k) accumulators (cmuxRotateTileInPlace). So BSK_i is
+ * brought into cache once per call rather than once per ciphertext, and
+ * each tile's transforms fill the FFT kernel's lanes: the CPU form of
+ * the transform-domain reuse across a VPE row. Outputs are byte-equal
+ * to `count` blindRotate calls on every SIMD tier. `ws` grows to one
+ * tile's depth for count > 1 and keeps its single-ciphertext shape for
+ * count == 1; allocation-free when warm.
+ */
+void blindRotateBatch(const BootstrapKey &bsk,
+                      const TorusPolynomial &test_poly,
+                      const std::vector<std::uint32_t> *switched,
+                      GlweCiphertext *accs, unsigned count,
+                      BootstrapWorkspace &ws);
 
 /**
  * Full workspace bootstrap from evaluation material: mod-switch, blind

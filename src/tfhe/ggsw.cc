@@ -190,45 +190,59 @@ externalProductSchoolbook(const GgswCiphertext &ggsw,
 
 namespace {
 
-/**
- * Stage (1) of the Fourier external product: decompose all components
- * of `input` and transform each digit polynomial into ws.digitsF.
- * These (k+1)*l_b forward transforms are the ones the hardware shares
- * across a VPE row (input transform-domain reuse); on the CPU substrate
- * they go through BatchFft as a single batched call, so the SIMD tiers
- * transform several digit polynomials per pass.
- */
+/** Check a GGSW against GLWE dimension k and shape `ws` for `depth`
+ *  ciphertexts of ring degree n. */
 void
-decomposeAndTransform(const FourierGgsw &ggsw, const GlweCiphertext &input,
-                      BootstrapWorkspace &ws)
+prepareWorkspace(const FourierGgsw &ggsw, unsigned k, unsigned n,
+                 unsigned depth, BootstrapWorkspace &ws)
 {
-    const unsigned k = input.dimension();
-    const unsigned n = input.polyDegree();
-    const unsigned levels = ggsw.levels();
-    panic_if(ggsw.numRows() != (k + 1) * levels,
+    panic_if(ggsw.numRows() != (k + 1) * ggsw.levels(),
              "GGSW/GLWE shape mismatch");
     panic_if(ggsw.numCols() != k + 1, "GGSW column count mismatch");
-
-    ws.ensure(k, n, levels, ggsw.baseBits());
-    for (unsigned u = 0; u <= k; ++u)
-        gadgetDecomposePlannedInto(input.component(u), ws.plan,
-                                   ws.digits.data() + u * levels);
-    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
-                                   ws.batchDigitsF.data(),
-                                   (k + 1) * levels);
+    ws.ensure(k, n, ggsw.levels(), ggsw.baseBits(), depth);
 }
 
-/** Stage (2): the (k+1) transform-domain dot products of equation (2),
- *  one per output component, accumulated into ws.accF. */
+/**
+ * Stage (1) of the Fourier external product: decompose all components
+ * of `input` into the digit rows of tile slot `slot`. Their forward
+ * transforms, (k+1)*l_b per ciphertext, are the ones the hardware
+ * shares across a VPE row (input transform-domain reuse); callers run
+ * a whole tile's worth through BatchFft as one batched call, so the
+ * SIMD tiers transform several digit polynomials per pass.
+ */
+void
+decomposeInto(const GlweCiphertext &input, unsigned slot,
+              BootstrapWorkspace &ws)
+{
+    const unsigned k = input.dimension();
+    const unsigned levels = ws.plan.levels;
+    IntPolynomial *rows = ws.digits.data() + slot * (k + 1) * levels;
+    for (unsigned u = 0; u <= k; ++u)
+        gadgetDecomposePlannedInto(input.component(u), ws.plan,
+                                   rows + u * levels);
+}
+
+/**
+ * Stage (2): the (k+1) transform-domain dot products of equation (2),
+ * one per output component and tile slot, accumulated into ws.accF.
+ * Each key polynomial is read once for the whole tile while it is in
+ * cache; every slot still accumulates its rows in order, so a slot's
+ * arithmetic does not depend on the depth.
+ */
 void
 accumulateColumns(const FourierGgsw &ggsw, BootstrapWorkspace &ws,
-                  unsigned k)
+                  unsigned k, unsigned depth)
 {
     const unsigned rows = ggsw.numRows();
     for (unsigned c = 0; c <= k; ++c) {
-        ws.accF[c].clear();
-        for (unsigned r = 0; r < rows; ++r)
-            ws.accF[c].mulAddAssign(ws.digitsF[r], ggsw.at(r, c));
+        for (unsigned t = 0; t < depth; ++t)
+            ws.accF[t * (k + 1) + c].clear();
+        for (unsigned r = 0; r < rows; ++r) {
+            const FourierPolynomial &key = ggsw.at(r, c);
+            for (unsigned t = 0; t < depth; ++t)
+                ws.accF[t * (k + 1) + c].mulAddAssign(
+                    ws.digitsF[t * rows + r], key);
+        }
     }
 }
 
@@ -240,7 +254,10 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
 {
     const unsigned k = input.dimension();
     const unsigned n = input.polyDegree();
-    decomposeAndTransform(ggsw, input, ws);
+    prepareWorkspace(ggsw, k, n, 1, ws);
+    decomposeInto(input, 0, ws);
+    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
+                                   ws.batchDigitsF.data(), ggsw.numRows());
     if (result.dimension() != k || result.polyDegree() != n)
         result = GlweCiphertext(k, n);
 
@@ -248,7 +265,7 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
     // in the transform domain (output transform-domain reuse: a single
     // inverse FFT per component, not per product). The k+1 inverse
     // transforms run as one batched call straight into `result`.
-    accumulateColumns(ggsw, ws, k);
+    accumulateColumns(ggsw, ws, k, 1);
     for (unsigned c = 0; c <= k; ++c)
         ws.batchTorus[c] = &result.component(c);
     BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
@@ -270,7 +287,7 @@ cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
 {
     const unsigned k = acc.dimension();
     const unsigned n = acc.polyDegree();
-    ws.ensure(k, n, ggsw.levels(), ggsw.baseBits());
+    prepareWorkspace(ggsw, k, n, 1, ws);
 
     // Lambda = X^power * ACC - ACC ...
     for (unsigned c = 0; c <= k; ++c)
@@ -279,14 +296,51 @@ cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
     // ... then ACC += BSK [.] Lambda, the external product's k+1
     // inverse FFTs batched into ws.prods and accumulated straight into
     // the rotating accumulator (no result/copy ciphertexts).
-    decomposeAndTransform(ggsw, ws.diff, ws);
-    accumulateColumns(ggsw, ws, k);
+    decomposeInto(ws.diff, 0, ws);
+    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
+                                   ws.batchDigitsF.data(), ggsw.numRows());
+    accumulateColumns(ggsw, ws, k, 1);
     for (unsigned c = 0; c <= k; ++c)
         ws.batchTorus[c] = &ws.prods[c];
     BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
                                           ws.batchTorus.data(), k + 1);
     for (unsigned c = 0; c <= k; ++c)
         acc.component(c).addAssign(ws.prods[c]);
+}
+
+void
+cmuxRotateTileInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
+                      const unsigned *powers, unsigned count,
+                      BootstrapWorkspace &ws)
+{
+    const unsigned k = accs[0]->dimension();
+    const unsigned n = accs[0]->polyDegree();
+    const unsigned rows = ggsw.numRows();
+    const unsigned cols = count * (k + 1);
+    prepareWorkspace(ggsw, k, n, count, ws);
+
+    // Lambda_t = X^power_t * ACC_t - ACC_t, each decomposed into its
+    // own slot's digit rows; then one forward call for the whole tile.
+    for (unsigned t = 0; t < count; ++t) {
+        for (unsigned c = 0; c <= k; ++c)
+            accs[t]->component(c).rotateDiffInto(powers[t],
+                                                 ws.diff.component(c));
+        decomposeInto(ws.diff, t, ws);
+    }
+    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
+                                   ws.batchDigitsF.data(), count * rows);
+
+    // ACC_t += BSK [.] Lambda_t: one pass over the key for the tile,
+    // one batched inverse for all count*(k+1) components.
+    accumulateColumns(ggsw, ws, k, count);
+    for (unsigned i = 0; i < cols; ++i)
+        ws.batchTorus[i] = &ws.prods[i];
+    BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
+                                          ws.batchTorus.data(), cols);
+    for (unsigned t = 0; t < count; ++t) {
+        for (unsigned c = 0; c <= k; ++c)
+            accs[t]->component(c).addAssign(ws.prods[t * (k + 1) + c]);
+    }
 }
 
 GlweCiphertext

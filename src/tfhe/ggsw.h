@@ -197,6 +197,20 @@ GlweCiphertext cmuxRotate(const FourierGgsw &ggsw,
 void cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
                        unsigned power, BootstrapWorkspace &ws);
 
+/**
+ * Tile CMux: *accs[t] += ggsw [.] (X^powers[t] * *accs[t] - *accs[t])
+ * for t < count. The tile's count*(k+1)*l_b forward transforms run as
+ * one BatchFft call, each key polynomial is multiplied into every slot
+ * while it is in cache, and the count*(k+1) inverses run as one call.
+ * Every accumulator gets exactly cmuxRotateInPlace's arithmetic, so the
+ * results are byte-equal to count separate calls. Grows `ws` to depth
+ * `count`; allocation-free once warm.
+ */
+void cmuxRotateTileInPlace(const FourierGgsw &ggsw,
+                           GlweCiphertext *const *accs,
+                           const unsigned *powers, unsigned count,
+                           BootstrapWorkspace &ws);
+
 } // namespace morphling::tfhe
 
 #endif // MORPHLING_TFHE_GGSW_H

@@ -4,21 +4,23 @@ namespace morphling::tfhe {
 
 void
 BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
-                           unsigned levels, unsigned base_bits)
+                           unsigned levels, unsigned base_bits,
+                           unsigned depth)
 {
     if (plan.baseBits != base_bits || plan.levels != levels)
         plan = makeGadgetPlan(base_bits, levels);
 
-    const std::size_t rows =
-        static_cast<std::size_t>(glwe_dim + 1) * levels;
     const bool same_ring =
         glweDim_ == glwe_dim && polyDegree_ == poly_degree;
-    if (same_ring && digits.size() == rows)
+    if (same_ring && levels_ == levels && depth <= depth_)
         return;
 
-    // One digit polynomial and one transform per GGSW row, so a whole
-    // external product's (k+1)*l_b forward FFTs can run as one batched
-    // call over them.
+    // One digit polynomial and one transform per GGSW row and tile
+    // slot, so a whole tile's depth*(k+1)*l_b forward FFTs can run as
+    // one batched call over them.
+    const std::size_t rows =
+        static_cast<std::size_t>(glwe_dim + 1) * levels * depth;
+    const std::size_t cols = static_cast<std::size_t>(glwe_dim + 1) * depth;
     digits.resize(rows);
     for (auto &p : digits) {
         if (p.degree() != poly_degree)
@@ -30,16 +32,16 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
             fp = FourierPolynomial(poly_degree);
     }
 
-    // One accumulator and one inverse output per GLWE component, so the
-    // k+1 inverse FFTs batch the same way.
-    accF.resize(glwe_dim + 1);
+    // One accumulator and one inverse output per GLWE component and
+    // tile slot, so the inverse FFTs batch the same way.
+    accF.resize(cols);
     for (auto &fp : accF) {
         if (fp.ringDegree() != poly_degree)
             fp = FourierPolynomial(poly_degree);
     }
     if (diff.dimension() != glwe_dim || !same_ring)
         diff = GlweCiphertext(glwe_dim, poly_degree);
-    prods.resize(glwe_dim + 1);
+    prods.resize(cols);
     for (auto &p : prods) {
         if (p.degree() != poly_degree)
             p = TorusPolynomial(poly_degree);
@@ -53,13 +55,15 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
         batchDigits[r] = &digits[r];
         batchDigitsF[r] = &digitsF[r];
     }
-    batchAccF.resize(glwe_dim + 1);
-    for (unsigned c = 0; c <= glwe_dim; ++c)
+    batchAccF.resize(cols);
+    for (std::size_t c = 0; c < cols; ++c)
         batchAccF[c] = &accF[c];
-    batchTorus.resize(glwe_dim + 1);
+    batchTorus.resize(cols);
 
     glweDim_ = glwe_dim;
     polyDegree_ = poly_degree;
+    levels_ = levels;
+    depth_ = depth;
 }
 
 BootstrapWorkspace &

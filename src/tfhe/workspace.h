@@ -11,10 +11,11 @@
  * POLY-ACC-REG) that every blind-rotation iteration reuses.
  *
  * BootstrapWorkspace owns every intermediate buffer of the pipeline.
- * ensure() (re)shapes them for one parameter geometry and is a no-op
- * when the shapes already match, so a warmed-up bootstrap through the
- * workspace entry points performs zero heap allocations (asserted by
- * tests/test_workspace.cc). A workspace is single-thread-only;
+ * ensure() (re)shapes them for one parameter geometry and tile depth
+ * (the ciphertexts blindRotateBatch runs through one CMux call) and is
+ * a no-op when the shapes already cover the request, so a warmed-up
+ * bootstrap or batched rotation through the workspace entry points
+ * performs zero heap allocations (asserted by tests/test_workspace.cc). A workspace is single-thread-only;
  * forThisThread() hands out one instance per thread, which the legacy
  * (workspace-free) entry points use transparently.
  */
@@ -49,33 +50,39 @@ class BootstrapWorkspace
 
     /**
      * (Re)shape the external-product scratch for GLWE dimension k, ring
-     * degree N and the given gadget. No-op (and allocation-free) when
-     * the shapes already match.
+     * degree N, the given gadget and `depth` ciphertexts per CMux call
+     * (the tile of blindRotateBatch; 1 for every single-ciphertext
+     * entry point). For a fixed geometry the depth only grows, so the
+     * call is a no-op (and allocation-free) once the buffers cover it;
+     * a new geometry reshapes to exactly `depth`.
      */
     void ensure(unsigned glwe_dim, unsigned poly_degree, unsigned levels,
-                unsigned base_bits);
+                unsigned base_bits, unsigned depth = 1);
 
     /** The calling thread's workspace. Entry points that take no
      *  explicit workspace route through this instance. */
     static BootstrapWorkspace &forThisThread();
 
     // --- external product / CMux scratch -----------------------------
+    // Ciphertext t of a tile owns digit rows [t*(k+1)*l_b, (t+1)*(k+1)*l_b)
+    // and accumulator/output slots [t*(k+1), (t+1)*(k+1)); depth 1 is
+    // the single-ciphertext shape.
     GadgetPlan plan;                   //!< hoisted decomposition consts
-    std::vector<IntPolynomial> digits; //!< (k+1)*l_b digit polynomials
-    std::vector<FourierPolynomial> digitsF; //!< (k+1)*l_b transforms
-    std::vector<FourierPolynomial> accF; //!< k+1 transform accumulators
+    std::vector<IntPolynomial> digits; //!< depth*(k+1)*l_b digit polys
+    std::vector<FourierPolynomial> digitsF; //!< depth*(k+1)*l_b transforms
+    std::vector<FourierPolynomial> accF; //!< depth*(k+1) accumulators
     GlweCiphertext diff;               //!< X^a * ACC - ACC
-    std::vector<TorusPolynomial> prods; //!< k+1 inverse-FFT outputs
+    std::vector<TorusPolynomial> prods; //!< depth*(k+1) inverse outputs
 
     // Stable pointer views over the buffers above, preshaped by
     // ensure() so the batched FFT entry points (BatchFft) can be fed
     // without per-call allocation. batchTorus is filled per call (its
-    // targets live in the caller's ciphertext); the rest point at the
-    // workspace's own buffers.
+    // targets may live in the caller's ciphertext); the rest point at
+    // the workspace's own buffers.
     std::vector<const IntPolynomial *> batchDigits;  //!< -> digits
     std::vector<FourierPolynomial *> batchDigitsF;   //!< -> digitsF
     std::vector<FourierPolynomial *> batchAccF;      //!< -> accF
-    std::vector<TorusPolynomial *> batchTorus;       //!< k+1 slots
+    std::vector<TorusPolynomial *> batchTorus;       //!< depth*(k+1)
 
     // --- bootstrap pipeline scratch ----------------------------------
     GlweCiphertext acc;                 //!< blind-rotation accumulator
@@ -86,6 +93,8 @@ class BootstrapWorkspace
   private:
     unsigned glweDim_ = 0;
     unsigned polyDegree_ = 0;
+    unsigned levels_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace morphling::tfhe

@@ -128,6 +128,58 @@ class RemoteFixture : public ::testing::Test
         return config;
     }
 
+    /** Send one hand-built kExecute frame (a batch job under the
+     *  suite's keys) on a fresh raw connection, bypassing the client's
+     *  own checks, and return the server's reply. */
+    remote::Frame
+    sendRawExecute(std::uint16_t port, std::uint64_t requestId,
+                   const std::vector<tfhe::Torus32> &lut,
+                   const compiler::Program &program,
+                   const std::vector<tfhe::LweCiphertext> &inputs)
+    {
+        const auto deadline =
+            remote::deadlineAfter(std::chrono::seconds(10));
+        remote::Socket raw = remote::connectTcp(
+            "127.0.0.1", port, std::chrono::seconds(5));
+        remote::sendHello(raw, FrameType::kHello, deadline);
+        remote::checkHello(remote::recvFrame(raw, deadline),
+                           FrameType::kHelloAck);
+
+        remote::WireWriter w;
+        w.u64(requestId);
+        w.u64(tfhe::fingerprintEvaluationKeys(evalKeys()));
+        w.u8(0);   // signLut
+        w.u32(1);  // threads
+        w.u8(0);   // checkNoise
+        w.f64(4.0); // minSlotSigmas
+        remote::writeTorusVector(w, lut);
+        remote::writeWordVector(w, program.serializeFramed());
+        w.u32(static_cast<std::uint32_t>(inputs.size()));
+        for (const auto &ct : inputs)
+            remote::writeCiphertext(w, ct);
+        remote::sendFrame(raw, FrameType::kExecute, w.take(), deadline);
+        return remote::recvFrame(raw, deadline);
+    }
+
+    /** A well-formed request from a real client still succeeds. */
+    void
+    expectStillServes(const RemoteServer &server)
+    {
+        const auto inputs = encryptBatch(4);
+        const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+            return m;
+        });
+        const auto program =
+            compiler::SwScheduler(keys().params).scheduleBootstrapBatch(4);
+        RemoteBackend remote(evalKeys(), clientConfig(server.port()));
+        const auto result = remote.run(program, Job::batch(inputs, lut));
+        ASSERT_TRUE(result.hasOutputs);
+        ASSERT_EQ(result.outputs.size(), inputs.size());
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            EXPECT_EQ(tfhe::decryptPadded(keys(), result.outputs[i], 4),
+                      i % 4);
+    }
+
     /** Full bit-identity of two execution results: outputs and the
      *  complete retirement log (index, instruction, seq, tick). */
     static void
@@ -356,6 +408,99 @@ TEST_F(RemoteFixture, BadProgramRejectedTyped)
         << remote::decodeError(reply).what();
     // The rejection must not poison the idempotency cache.
     EXPECT_EQ(server->executionsFor(2), 0u);
+}
+
+TEST_F(RemoteFixture, WrongDimensionInputRejectedTyped)
+{
+    // An input of dimension n+1 would reach the interpreter's dimension
+    // check and abort the server; it must be a typed rejection instead.
+    auto server = startServer();
+    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+        return m;
+    });
+    const auto program =
+        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(2);
+    auto inputs = encryptBatch(2);
+    inputs[1] = tfhe::LweCiphertext(keys().params.lweDimension + 1);
+
+    const auto reply =
+        sendRawExecute(server->port(), 3, lut, program, inputs);
+    ASSERT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(remote::decodeError(reply).kind(),
+              RemoteErrorKind::kBadProgram)
+        << remote::decodeError(reply).what();
+    EXPECT_EQ(server->executionsFor(3), 0u);
+    expectStillServes(*server);
+}
+
+TEST_F(RemoteFixture, OversizedLutRejectedTyped)
+{
+    // A LUT with 2 * |lut| > N has no test polynomial; building one
+    // would abort the server.
+    auto server = startServer();
+    const std::vector<tfhe::Torus32> lut(keys().params.polyDegree / 2 + 1,
+                                         0x12345678);
+    const auto program =
+        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(2);
+
+    const auto reply =
+        sendRawExecute(server->port(), 4, lut, program, encryptBatch(2));
+    ASSERT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(remote::decodeError(reply).kind(),
+              RemoteErrorKind::kBadProgram)
+        << remote::decodeError(reply).what();
+    EXPECT_EQ(server->executionsFor(4), 0u);
+    expectStillServes(*server);
+}
+
+TEST_F(RemoteFixture, TruncatedKeyEnrollmentRejectedTyped)
+{
+    // The server parses enrollment payloads in place; a blob cut in
+    // half must be a typed rejection, not a read past its end.
+    auto server = startServer();
+    const auto deadline =
+        remote::deadlineAfter(std::chrono::seconds(10));
+    remote::Socket raw = remote::connectTcp(
+        "127.0.0.1", server->port(), std::chrono::seconds(5));
+    remote::sendHello(raw, FrameType::kHello, deadline);
+    remote::checkHello(remote::recvFrame(raw, deadline),
+                       FrameType::kHelloAck);
+
+    auto blob = remote::encodeEvaluationKeys(evalKeys());
+    blob.resize(blob.size() / 2);
+    remote::sendFrame(raw, FrameType::kEnrollKeys, blob, deadline);
+    const auto reply = remote::recvFrame(raw, deadline);
+    ASSERT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(remote::decodeError(reply).kind(),
+              RemoteErrorKind::kMalformedFrame);
+    EXPECT_EQ(server->stats().enrollments, 0u);
+    expectStillServes(*server);
+}
+
+TEST_F(RemoteFixture, ExecutionCountsForgetBeyondTheResultCache)
+{
+    // Execution counts live in the bounded result cache, so a
+    // long-lived server keeps no per-request state past the LRU:
+    // maxCachedResults + 1 newer requests make the first one forgotten.
+    RemoteServerConfig sconfig;
+    sconfig.maxCachedResults = 2;
+    auto server = startServer(sconfig);
+    const auto inputs = encryptBatch(1);
+    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+        return m;
+    });
+    const auto program =
+        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(1);
+    const Job job = Job::batch(inputs, lut);
+
+    RemoteBackend remote(evalKeys(), clientConfig(server->port()));
+    remote.run(program, job);
+    const std::uint64_t first = remote.lastRequestId();
+    EXPECT_EQ(server->executionsFor(first), 1u);
+    for (std::size_t i = 0; i <= sconfig.maxCachedResults; ++i)
+        remote.run(program, job);
+    EXPECT_EQ(server->executionsFor(first), 0u);
+    EXPECT_EQ(server->executionsFor(remote.lastRequestId()), 1u);
 }
 
 TEST_F(RemoteFixture, VersionMismatchRejectedAtHandshake)

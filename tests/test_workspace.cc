@@ -4,7 +4,9 @@
  * legacy entry-point equivalence (exact integer equality), the radix-4
  * FFT engine against the radix-2 reference, the planned gadget
  * decomposition and in-place rotations against their scalar originals,
- * and an operator-new hook asserting that a warmed-up bootstrap through
+ * the iteration-major batched blind rotation against the
+ * per-ciphertext CMux loop on every SIMD tier, and an operator-new hook
+ * asserting that a warmed-up bootstrap (and batched rotation) through
  * the workspace performs zero heap allocations.
  */
 
@@ -755,6 +757,154 @@ TEST(BatchFftTiers, ExternalProductBitIdenticalAcrossTiers)
             EXPECT_EQ(result.component(c), scalarResult.component(c))
                 << fftDispatchTierName(tier) << " component " << c;
     }
+}
+
+// ---------------------------------------------------------------------
+// Iteration-major batched blind rotation against the per-ciphertext
+// cmuxRotateInPlace loop (exact integer equality), its workspace shape
+// and its allocation behaviour.
+// ---------------------------------------------------------------------
+
+/** A bootstrapping key of `entries` GGSWs at `params`' ring geometry:
+ *  the rotation arithmetic of the full key at a fraction of its cost. */
+BootstrapKey
+shortBsk(const TfheParams &params, unsigned entries, Rng &rng)
+{
+    std::vector<std::int32_t> bits(entries);
+    for (auto &b : bits)
+        b = static_cast<std::int32_t>(rng.nextU32() & 1);
+    return BootstrapKey::generate(LweKey(params, bits),
+                                  GlweKey::generate(params, rng), rng);
+}
+
+/** `count` mod-switched ciphertexts for an n-entry key, uniform in
+ *  [0, 2N), with every third mask zero (staggered per ciphertext) so
+ *  the CMux skip path runs inside tiles. */
+std::vector<std::vector<std::uint32_t>>
+randomSwitched(unsigned count, unsigned n, unsigned poly_degree, Rng &rng)
+{
+    std::vector<std::vector<std::uint32_t>> out(
+        count, std::vector<std::uint32_t>(n + 1));
+    for (unsigned j = 0; j < count; ++j) {
+        for (unsigned i = 0; i <= n; ++i) {
+            out[j][i] = (i < n && (i + j) % 3 == 0)
+                            ? 0
+                            : rng.nextU32() % (2 * poly_degree);
+        }
+    }
+    return out;
+}
+
+/** The reference rotation: ACC_0 = X^(-b~) * (0,..,0,TP), then one
+ *  cmuxRotateInPlace per nonzero mask. */
+GlweCiphertext
+cmuxLoopRotation(const BootstrapKey &bsk, const TorusPolynomial &tp,
+                 const std::vector<std::uint32_t> &switched)
+{
+    const unsigned n = bsk.size();
+    const unsigned two_n = 2 * tp.degree();
+    const unsigned k = bsk.entry(0).numCols() - 1;
+    GlweCiphertext acc = GlweCiphertext::trivial(
+        k, tp.mulByXPower((two_n - switched[n]) % two_n));
+    BootstrapWorkspace ws;
+    for (unsigned i = 0; i < n; ++i) {
+        if (switched[i] != 0)
+            cmuxRotateInPlace(bsk.entry(i), acc, switched[i], ws);
+    }
+    return acc;
+}
+
+TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
+{
+    // TEST (k = 1) and set B (k = 2: tiles of ceil(W/3) ciphertexts
+    // leave partial tiles at every tier). One workspace per tier serves
+    // every count, and stale accumulators from the previous count must
+    // be rebuilt.
+    for (const char *name : {"TEST", "B"}) {
+        const auto &params = paramsByName(name);
+        Rng rng(0xBA7C4);
+        const auto bsk = shortBsk(params, 24, rng);
+        const auto tp = randomTorusPoly(params.polyDegree, rng);
+        const auto switched =
+            randomSwitched(16, bsk.size(), params.polyDegree, rng);
+        std::vector<GlweCiphertext> want;
+        {
+            DispatchGuard guard(FftDispatchTier::kScalar);
+            for (const auto &sw : switched)
+                want.push_back(cmuxLoopRotation(bsk, tp, sw));
+        }
+        for (const auto tier : supportedFftDispatchTiers()) {
+            DispatchGuard guard(tier);
+            BootstrapWorkspace ws;
+            std::vector<GlweCiphertext> accs(switched.size());
+            for (const unsigned count : {1u, 2u, 3u, 5u, 16u}) {
+                blindRotateBatch(bsk, tp, switched.data(), accs.data(),
+                                 count, ws);
+                for (unsigned j = 0; j < count; ++j) {
+                    for (unsigned c = 0; c <= params.glweDimension; ++c)
+                        EXPECT_EQ(accs[j].component(c),
+                                  want[j].component(c))
+                            << "set " << name << ' '
+                            << fftDispatchTierName(tier) << " count "
+                            << count << " ciphertext " << j
+                            << " component " << c;
+                }
+            }
+        }
+    }
+}
+
+TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
+{
+    const auto &params = paramsTest();
+    Rng rng(0x711E);
+    const auto bsk = shortBsk(params, 8, rng);
+    const auto tp = randomTorusPoly(params.polyDegree, rng);
+    const auto switched =
+        randomSwitched(16, bsk.size(), params.polyDegree, rng);
+    const std::size_t cols = params.glweDimension + 1;
+    const std::size_t rows = cols * params.bskLevels;
+
+    // A one-ciphertext rotation keeps the single-ciphertext shape:
+    // (k+1)*l_b digit spectra and k+1 accumulators.
+    BootstrapWorkspace ws;
+    GlweCiphertext acc;
+    blindRotate(bsk, tp, switched[0], acc, ws);
+    EXPECT_EQ(ws.digits.size(), rows);
+    EXPECT_EQ(ws.digitsF.size(), rows);
+    EXPECT_EQ(ws.accF.size(), cols);
+    EXPECT_EQ(ws.prods.size(), cols);
+
+    // A 16-ciphertext rotation grows it to one tile, not to the batch.
+    const std::size_t tile = blindRotateTile(params.glweDimension);
+    std::vector<GlweCiphertext> accs(switched.size());
+    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+    EXPECT_EQ(ws.digitsF.size(), tile * rows);
+    EXPECT_EQ(ws.accF.size(), tile * cols);
+    EXPECT_EQ(ws.prods.size(), tile * cols);
+}
+
+TEST(AllocationGuard, WarmedUpBatchedRotationPerformsZeroAllocations)
+{
+    const auto &params = paramsTest();
+    Rng rng(0xA110D);
+    const auto bsk = shortBsk(params, 24, rng);
+    const auto tp = randomTorusPoly(params.polyDegree, rng);
+    const auto switched =
+        randomSwitched(16, bsk.size(), params.polyDegree, rng);
+
+    BootstrapWorkspace ws;
+    std::vector<GlweCiphertext> accs(switched.size());
+    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+
+    g_allocs.store(0);
+    g_track.store(true);
+    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+    g_track.store(false);
+
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "warmed-up batched rotation must not touch the heap";
 }
 
 } // namespace
