@@ -138,24 +138,6 @@ BM_WorkspaceExternalProduct(benchmark::State &state)
 BENCHMARK(BM_WorkspaceExternalProduct);
 
 void
-BM_KeySwitch(benchmark::State &state)
-{
-    const auto &keys = keysFor("I");
-    Rng rng(4);
-    const auto glwe_ct = GlweCiphertext::encrypt(
-        keys.glweKey,
-        constantTestPolynomial(keys.params.polyDegree, 0),
-        keys.params.glweNoiseStd, rng);
-    const auto extracted = glwe_ct.sampleExtract();
-    for (auto _ : state) {
-        auto out = keys.ksk.apply(extracted);
-        benchmark::DoNotOptimize(out.body());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KeySwitch);
-
-void
 BM_ProgrammableBootstrap(benchmark::State &state)
 {
     // Per-set full bootstrap: these are the Table V "CPU" equivalents
@@ -405,6 +387,29 @@ runChunkBlindRotate(benchmark::State &state, FftDispatchTier tier,
 }
 
 void
+runKeySwitch(benchmark::State &state, FftDispatchTier tier)
+{
+    // One set-I key switch (kN = 1024 masks, l_k = 2, rows of n+1 =
+    // 501 words) through the tier's row kernel.
+    forceFftDispatchTier(tier);
+    const auto &keys = keysFor("I");
+    Rng rng(4);
+    const auto glwe_ct = GlweCiphertext::encrypt(
+        keys.glweKey,
+        constantTestPolynomial(keys.params.polyDegree, 0),
+        keys.params.glweNoiseStd, rng);
+    const auto extracted = glwe_ct.sampleExtract();
+    LweCiphertext out;
+    for (auto _ : state) {
+        keys.ksk.applyInto(extracted, out);
+        benchmark::DoNotOptimize(out.body());
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(std::string(fftDispatchTierName(tier)) + ", set I");
+    resetFftDispatchTier();
+}
+
+void
 registerDispatchTierBenchmarks()
 {
     for (const auto tier : supportedFftDispatchTiers()) {
@@ -439,6 +444,10 @@ registerDispatchTierBenchmarks()
                 runChunkBlindRotate(s, tier, false);
             })
             ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_KeySwitch/" + tn).c_str(),
+            [tier](benchmark::State &s) { runKeySwitch(s, tier); })
+            ->Unit(benchmark::kMicrosecond);
     }
 }
 

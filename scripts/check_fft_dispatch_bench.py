@@ -4,14 +4,16 @@
 Run by the perf-smoke CI leg after `bench_cpu_primitives --json` with a
 filter covering the dispatch families. Checks:
 
-  1. BM_BatchFftForward, BM_BatchFftInverse, BM_DispatchBootstrap and
-     BM_ChunkBlindRotate entries exist, including the scalar tier
-     (always registered).
+  1. BM_BatchFftForward, BM_BatchFftInverse, BM_DispatchBootstrap,
+     BM_ChunkBlindRotate and BM_KeySwitch entries exist, including the
+     scalar tier (always registered).
   2. When a vector tier ran on this host, the widest tier beats scalar
-     by a generous margin on the batched forward FFT at N=1024 and on
-     the iteration-major 16-LWE chunk rotation. The real speedups are
-     ~2x on AVX-512 hardware; the 1.15x gate only catches a dispatch
-     path that silently routes wide batches through the scalar kernels
+     by a generous margin on the batched forward FFT at N=1024, on the
+     iteration-major 16-LWE chunk rotation and on the set-I key switch.
+     The real speedups are ~2x (FFT, rotation) and ~4x (key switch) on
+     AVX-512 hardware; the 1.15x gate only catches a dispatch path that
+     silently routes wide batches through the scalar kernels, or a
+     kernel translation unit whose integer loops stopped vectorizing
      (shared CI runners are too noisy for a tight threshold).
 
 Exits non-zero with a diagnostic on any failure.
@@ -55,7 +57,8 @@ def main():
     rows = {b["name"]: b for b in report.get("benchmarks", [])}
 
     for family in ("BM_BatchFftForward", "BM_BatchFftInverse",
-                   "BM_DispatchBootstrap", "BM_ChunkBlindRotate"):
+                   "BM_DispatchBootstrap", "BM_ChunkBlindRotate",
+                   "BM_KeySwitch"):
         names = [n for n in rows if n.startswith(family + "/")]
         if not names:
             fail(f"no {family} entries in report")
@@ -78,6 +81,9 @@ def main():
         check_speedup(rows, "BM_ChunkBlindRotate/scalar",
                       f"BM_ChunkBlindRotate/{widest}",
                       f"16-LWE chunk blind rotation {widest} vs scalar")
+        check_speedup(rows, "BM_KeySwitch/scalar",
+                      f"BM_KeySwitch/{widest}",
+                      f"set-I key switch {widest} vs scalar")
 
     dispatch = report.get("context", {}).get("fft_dispatch")
     if not dispatch:

@@ -13,10 +13,10 @@ namespace morphling::tfhe {
 
 namespace {
 
-// Rounding onto the discretized torus is shared with the SIMD kernel
-// tiers (fft_kernels.h) so every tier wraps identically: llrint + the
-// exact int64 -> uint32 wrap, with the slow remainder() reduction only
-// beyond 2^62 (far outside any parameter set here).
+// Rounding onto the discretized torus is the definition every SIMD
+// kernel tier reproduces (fft_kernels.h): llrint + the exact int64 ->
+// uint32 wrap, with the slow remainder() reduction only beyond 2^62
+// (far outside any parameter set here).
 using detail::roundToTorus;
 
 } // namespace
@@ -409,8 +409,8 @@ NegacyclicFft::inverseCore(double *re, double *im,
     const auto store = [&](unsigned p, double xr, double xi) {
         const double zr = xr * scale;
         const double zi = xi * scale;
-        o[p] = roundToTorus(zr * tr[p] + zi * ti[p]);
-        o[p + half_] = roundToTorus(zi * tr[p] - zr * ti[p]);
+        o[p] += roundToTorus(zr * tr[p] + zi * ti[p]);
+        o[p + half_] += roundToTorus(zi * tr[p] - zr * ti[p]);
     };
 
     if (half_ >= 4) {
@@ -458,6 +458,7 @@ NegacyclicFft::inverse(const FourierPolynomial &in,
     auto &im = scratchIm_;
     std::copy(in.reData(), in.reData() + half_, re.data());
     std::copy(in.imData(), in.imData() + half_, im.data());
+    out.clear();
     inverseCore(re.data(), im.data(), out);
 }
 
@@ -617,7 +618,7 @@ BatchFft::inverseInPlace(FourierPolynomial *const *in,
         }
         // Idle lanes re-read the first spectrum (the vector kernel
         // copies inputs to scratch before writing any output, so the
-        // aliasing is read-then-write safe) and round into the shared
+        // aliasing is read-then-write safe) and add into the shared
         // throwaway torus buffer.
         for (unsigned w = real; w < k->width; ++w) {
             re_w[w] = in[i]->reData();

@@ -253,12 +253,14 @@ class NegacyclicFft
                  FourierPolynomial &out) const;
 
     /** Inverse transform with rounding back onto the discretized torus
-     *  (reduction mod 2^32). Preserves `in`; uses the engine's mutable
-     *  scratch, which is why an engine is single-thread-only. */
+     *  (reduction mod 2^32), overwriting `out`. Preserves `in`; uses the
+     *  engine's mutable scratch, which is why an engine is
+     *  single-thread-only. */
     void inverse(const FourierPolynomial &in, TorusPolynomial &out) const;
 
     /** Inverse transform that runs in place inside `in`, destroying its
-     *  contents. The hot-path variant: no scratch copy at all. */
+     *  contents, and *adds* the rounded result into `out` (the batched
+     *  inverse's contract). The hot-path variant: no scratch copy. */
     void inverseInPlace(FourierPolynomial &in, TorusPolynomial &out) const;
 
     /** Per-thread cached engine for ring degree N. */
@@ -270,9 +272,9 @@ class NegacyclicFft
     void forwardFromInt(const std::int32_t *input,
                         FourierPolynomial &out) const;
 
-    /** Last inverse butterfly stage + untwist + scale + round in one
-     *  pass; consumes re/im (digit-reversed spectrum, later stages
-     *  already applied). */
+    /** The inverse stages, the last one fused with untwist + scale +
+     *  round, adding the rounded coefficients into `out`; consumes
+     *  re/im (digit-reversed spectrum). */
     void inverseCore(double *re, double *im, TorusPolynomial &out) const;
 
     unsigned n_;    //!< ring degree N
@@ -335,9 +337,11 @@ class BatchFft
     void forward(const IntPolynomial *const *in,
                  FourierPolynomial *const *out, unsigned count) const;
 
-    /** Batched inverse + round of `count` spectra into `count` torus
-     *  polynomials, destroying the spectra (hot-path contract of
-     *  NegacyclicFft::inverseInPlace). */
+    /** Batched inverse + round of `count` spectra, *added* into
+     *  `count` torus polynomials (*out[i] += round(inverse(*in[i]))), so
+     *  products land straight in their accumulators; clear the outputs
+     *  first for a plain inverse. Destroys the spectra (hot-path
+     *  contract of NegacyclicFft::inverseInPlace). */
     void inverseInPlace(FourierPolynomial *const *in,
                         TorusPolynomial *const *out, unsigned count) const;
 

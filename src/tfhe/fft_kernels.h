@@ -15,6 +15,14 @@
  * batched output is bit-identical to the scalar path for every tier
  * (asserted in tests/test_workspace.cc).
  *
+ * The same tables carry the integer loops around the transforms: the
+ * blind rotation's fused rotate-and-decompose and the key switch's row
+ * update. They are written as plain loops, which the AVX2 and AVX-512
+ * translation units compile with -fvect-cost-model=dynamic so GCC
+ * vectorizes them at full register width (its -O2 default model leaves
+ * any loop that needs a remainder pass scalar); integer arithmetic is
+ * exact, so every tier agrees with the scalar one bit for bit.
+ *
  * Each kernel translation unit is compiled with its own ISA flags plus
  * -ffp-contract=off (no FMA contraction: contraction would change
  * rounding and break bit-identity with the baseline scalar build).
@@ -26,6 +34,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "tfhe/gadget.h"
 #include "tfhe/torus.h"
 
 namespace morphling::tfhe::detail {
@@ -72,9 +81,11 @@ struct BatchKernels
                      double *scratch_re, double *scratch_im) = nullptr;
 
     /**
-     * Unscaled-inverse + untwist + scale + round of W spectra into W
-     * torus polynomials. Consumes (clobbers) nothing of the inputs:
-     * spectra are copied into the interleaved scratch first.
+     * Unscaled-inverse + untwist + scale + round of W spectra, *added*
+     * into W torus polynomials: out[w][j] += roundToTorus(x_w[j]), so a
+     * CMux's products land straight in its accumulator. Consumes
+     * (clobbers) nothing of the inputs: spectra are copied into the
+     * interleaved scratch first.
      */
     void (*inverseW)(const NegacyclicView &t,
                      const double *const *in_re,
@@ -91,13 +102,31 @@ struct BatchKernels
     /** Pointwise complex accumulate: p += a. Any count. */
     void (*add)(unsigned count, const double *ar, const double *ai,
                 double *pr, double *pi) = nullptr;
+
+    /**
+     * The CMux input stage in one pass, as the Private-A1 rotator feeds
+     * the decomposer: digits[l][j] = the l-th signed gadget digit of
+     * (X^power * acc - acc)[j] for j < n, power in [0, 2n). Reads acc at
+     * j and j - power (terms wrapped past X^n negated); writes the
+     * plan.levels digit rows, each n long.
+     */
+    void (*rotateDiffDecompose)(unsigned n, const Torus32 *acc,
+                                unsigned power, const GadgetPlan &plan,
+                                std::int32_t *const *digits) = nullptr;
+
+    /** Key-switch row update: out[w] -= scale * row[w] (mod 2^32) for
+     *  w < count, the VPU.KS multiply-accumulate. */
+    void (*subScaledRow)(unsigned count, std::uint32_t scale,
+                         const Torus32 *row, Torus32 *out) = nullptr;
 };
 
 /**
- * Round a double onto the discretized 32-bit torus. Shared by the
- * scalar inverse path and every vector kernel's store stage so the
- * rounding behaviour (llrint + wrap-around cast, guarded exact range
- * reduction beyond 2^62) is one definition across tiers.
+ * Round a double onto the discretized 32-bit torus: round to nearest
+ * (ties to even), then reduce mod 2^32 (llrint + wrap-around cast, with
+ * a guarded exact range reduction beyond 2^62). The definition every
+ * tier's inverse store reproduces: the scalar engine and the scalar and
+ * NEON kernels call it per coefficient; the AVX2 and AVX-512 kernels
+ * round with vector instructions bit-identical to it.
  */
 inline Torus32
 roundToTorus(double v)

@@ -7,7 +7,9 @@
  *
  * No FMA intrinsics on purpose: separate mul/add keeps each lane's
  * rounding identical to the scalar path (the bit-identity contract of
- * fft_kernels_impl.h).
+ * fft_kernels_impl.h). The TU is also compiled with
+ * -fvect-cost-model=dynamic, which vectorizes the plain integer loops
+ * of fft_kernels_impl.h at 32-byte width.
  */
 
 #include "tfhe/fft_kernels.h"
@@ -50,6 +52,27 @@ struct Avx2Traits
         r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
         r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
         r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+    }
+
+    /**
+     * p[0..4) += roundToTorus(v), bit for bit. Round to nearest even
+     * first, then reduce: m = r - floor(r * 2^-32) * 2^32 is exact and
+     * lies in [0, 2^32), and m - 2^31 converts exactly to int32; the
+     * sign-bit flip adds the 2^31 back mod 2^32. (Reducing before
+     * rounding would round twice: -(1.5 - 2^-30) + 2^32 is not
+     * representable and rounds to a tie.)
+     */
+    static void addRounded(Torus32 *p, Vec v)
+    {
+        const Vec r = _mm256_round_pd(
+            v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        const Vec q = _mm256_floor_pd(_mm256_mul_pd(r, splat(0x1p-32)));
+        const Vec m = _mm256_sub_pd(r, _mm256_mul_pd(q, splat(0x1p32)));
+        const __m128i u = _mm_xor_si128(
+            _mm256_cvtpd_epi32(_mm256_sub_pd(m, splat(0x1p31))),
+            _mm_set1_epi32(INT32_MIN));
+        __m128i *dst = reinterpret_cast<__m128i *>(p);
+        _mm_storeu_si128(dst, _mm_add_epi32(_mm_loadu_si128(dst), u));
     }
 };
 

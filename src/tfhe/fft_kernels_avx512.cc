@@ -7,7 +7,9 @@
  * runs on every AVX-512 part from Skylake-SP on.
  *
  * No FMA intrinsics — see the bit-identity contract in
- * fft_kernels_impl.h.
+ * fft_kernels_impl.h. The TU is also compiled with
+ * -fvect-cost-model=dynamic, which vectorizes the plain integer loops
+ * of fft_kernels_impl.h at 64-byte width.
  */
 
 #include "tfhe/fft_kernels.h"
@@ -72,6 +74,31 @@ struct Avx512Traits
         r[5] = _mm512_shuffle_f64x2(u1, u5, 0xDD);
         r[6] = _mm512_shuffle_f64x2(u2, u6, 0xDD);
         r[7] = _mm512_shuffle_f64x2(u3, u7, 0xDD);
+    }
+
+    /**
+     * p[0..8) += roundToTorus(v), bit for bit: the AVX2 tier's
+     * round-then-reduce sequence (see Avx2Traits::addRounded) at eight
+     * lanes. The zero-masking forms with all lanes selected compile to
+     * the plain instructions; the unmasked intrinsics pass an undefined
+     * vector that GCC 12 flags with -Wmaybe-uninitialized.
+     */
+    static void addRounded(Torus32 *p, Vec v)
+    {
+        constexpr __mmask8 kAll = 0xFF;
+        const Vec r = _mm512_maskz_roundscale_pd(
+            kAll, v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        const Vec q = _mm512_maskz_roundscale_pd(
+            kAll, _mm512_mul_pd(r, splat(0x1p-32)),
+            _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+        const Vec m = _mm512_sub_pd(r, _mm512_mul_pd(q, splat(0x1p32)));
+        const __m256i u = _mm256_xor_si256(
+            _mm512_maskz_cvtpd_epi32(kAll,
+                                     _mm512_sub_pd(m, splat(0x1p31))),
+            _mm256_set1_epi32(INT32_MIN));
+        __m256i *dst = reinterpret_cast<__m256i *>(p);
+        _mm256_storeu_si256(dst,
+                            _mm256_add_epi32(_mm256_loadu_si256(dst), u));
     }
 };
 

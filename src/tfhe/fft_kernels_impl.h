@@ -10,6 +10,7 @@
  *   - load/store (unaligned-tolerant), splat, add, sub, mul
  *   - cvtInt32: widen kWidth int32 coefficients to doubles
  *   - transpose: in-place kWidth x kWidth tile transpose of Vec rows
+ *   - addRounded: p[0..kWidth) += roundToTorus(each lane)
  *
  * Data layout: W polynomials are processed per call with coefficients
  * lane-interleaved — element j of lane (polynomial) w lives at
@@ -22,10 +23,16 @@
  *
  * Bit-identity contract: each lane executes exactly the operation
  * sequence of the scalar path per element (multiplies and adds in the
- * same order, no FMA contraction, shared roundToTorus), so outputs are
- * bit-identical to NegacyclicFft's scalar transforms. Keep any change
- * here in lockstep with fft.cc and compile kernel TUs with
- * -ffp-contract=off.
+ * same order, no FMA contraction, rounding identical to roundToTorus),
+ * so outputs are bit-identical to NegacyclicFft's scalar transforms.
+ * Keep any change here in lockstep with fft.cc and compile kernel TUs
+ * with -ffp-contract=off.
+ *
+ * The integer kernels at the end (rotate-and-decompose, key-switch row
+ * update) use no traits: they are plain loops that each ISA
+ * translation unit's compiler flags vectorize. They are still
+ * templates over V so that every tier gets its own instantiation, with
+ * internal linkage, compiled for its own ISA.
  */
 
 #ifndef MORPHLING_TFHE_FFT_KERNELS_IMPL_H
@@ -252,13 +259,14 @@ spectraTransposeIn(const NegacyclicView &t, const double *const *in_re,
     }
 }
 
-/** Untwist + scale + round the inverse output into W torus polynomials,
- *  fused with the de-interleaving transpose. Rounding goes through the
- *  shared scalar roundToTorus so every tier wraps identically. */
+/** Untwist + scale + round the inverse output and add it into W torus
+ *  polynomials, fused with the de-interleaving transpose. V::addRounded
+ *  rounds exactly as roundToTorus does, so every tier wraps
+ *  identically. */
 template <class V>
 void
-untwistRoundOut(const NegacyclicView &t, const double *s_re,
-                const double *s_im, Torus32 *const *out)
+untwistRoundAddOut(const NegacyclicView &t, const double *s_re,
+                   const double *s_im, Torus32 *const *out)
 {
     constexpr unsigned W = V::kWidth;
     using Vec = typename V::Vec;
@@ -277,13 +285,10 @@ untwistRoundOut(const NegacyclicView &t, const double *s_re,
         for (unsigned w = 0; w < W; ++w) {
             const Vec zr = V::mul(row_re[w], sc);
             const Vec zi = V::mul(row_im[w], sc);
-            alignas(64) double lo[W], hi[W];
-            V::store(lo, V::add(V::mul(zr, tr), V::mul(zi, ti)));
-            V::store(hi, V::sub(V::mul(zi, tr), V::mul(zr, ti)));
-            for (unsigned e = 0; e < W; ++e) {
-                out[w][j0 + e] = roundToTorus(lo[e]);
-                out[w][j0 + e + half] = roundToTorus(hi[e]);
-            }
+            V::addRounded(out[w] + j0,
+                          V::add(V::mul(zr, tr), V::mul(zi, ti)));
+            V::addRounded(out[w] + j0 + half,
+                          V::sub(V::mul(zi, tr), V::mul(zr, ti)));
         }
     }
 }
@@ -307,7 +312,7 @@ inverseWImpl(const NegacyclicView &t, const double *const *in_re,
 {
     spectraTransposeIn<V>(t, in_re, in_im, s_re, s_im);
     inverseStages<V>(t, s_re, s_im);
-    untwistRoundOut<V>(t, s_re, s_im, out);
+    untwistRoundAddOut<V>(t, s_re, s_im, out);
 }
 
 template <class V>
@@ -351,6 +356,72 @@ addImpl(unsigned count, const double *ar, const double *ai, double *pr,
     }
 }
 
+/**
+ * Digits of one run of the rotated difference: for i < count,
+ * r = (rot[i] negated when neg is all ones) - self[i], and digit row l
+ * gets digit l of r at index first + i. The run is walked in blocks:
+ * the offset differences of a block go to a stack buffer (which stays
+ * in L1), then each level is one shift/mask/subtract loop over it, so
+ * acc is read once and every digit written once.
+ */
+template <class V>
+void
+decomposeRotatedRun(const Torus32 *rot, std::uint32_t neg,
+                    const Torus32 *self, unsigned count,
+                    unsigned first, const GadgetPlan &plan,
+                    std::int32_t *const *digits)
+{
+    constexpr unsigned kBlock = 256;
+    const std::uint32_t offset = plan.offset;
+    const std::uint32_t mask = plan.mask;
+    const std::int32_t half = plan.half;
+    const unsigned levels = plan.levels;
+    const unsigned base_bits = plan.baseBits;
+    std::uint32_t shifted[kBlock];
+    for (unsigned b = 0; b < count; b += kBlock) {
+        const unsigned m = count - b < kBlock ? count - b : kBlock;
+        // Block-relative pointers: indexing with b + i would let the
+        // unsigned sum wrap as far as the compiler knows, and it would
+        // gather element by element instead of loading vectors.
+        const Torus32 *r = rot + b;
+        const Torus32 *x = self + b;
+        // (y ^ neg) - neg is y for neg = 0 and -y for neg = ~0.
+        for (unsigned i = 0; i < m; ++i)
+            shifted[i] = ((r[i] ^ neg) - neg) - x[i] + offset;
+        for (unsigned l = 0; l < levels; ++l) {
+            const unsigned shift = 32 - (l + 1) * base_bits;
+            std::int32_t *__restrict d = digits[l] + first + b;
+            for (unsigned i = 0; i < m; ++i)
+                d[i] = static_cast<std::int32_t>((shifted[i] >> shift) &
+                                                 mask) -
+                       half;
+        }
+    }
+}
+
+template <class V>
+void
+rotateDiffDecomposeImpl(unsigned n, const Torus32 *acc, unsigned power,
+                        const GadgetPlan &plan, std::int32_t *const *digits)
+{
+    // X^(a+N) = -X^a: fold the power into [0, N) and a sign. Output
+    // j < a reads acc[j + N - a], wrapped past X^N and so negated once
+    // more; output j >= a reads acc[j - a].
+    const unsigned a = power < n ? power : power - n;
+    const std::uint32_t flip = power < n ? 0u : ~0u;
+    decomposeRotatedRun<V>(acc + n - a, ~flip, acc, a, 0, plan, digits);
+    decomposeRotatedRun<V>(acc, flip, acc + a, n - a, a, plan, digits);
+}
+
+template <class V>
+void
+subScaledRowImpl(unsigned count, std::uint32_t scale,
+                 const Torus32 *__restrict row, Torus32 *__restrict out)
+{
+    for (unsigned w = 0; w < count; ++w)
+        out[w] -= scale * row[w];
+}
+
 /** Assemble one tier's kernel table from a traits type. */
 template <class V>
 BatchKernels
@@ -363,6 +434,8 @@ makeBatchKernels(const char *name)
     k.inverseW = &inverseWImpl<V>;
     k.mulAdd = &mulAddImpl<V>;
     k.add = &addImpl<V>;
+    k.rotateDiffDecompose = &rotateDiffDecomposeImpl<V>;
+    k.subScaledRow = &subScaledRowImpl<V>;
     return k;
 }
 

@@ -46,6 +46,13 @@ struct NeonTraits
         r[0] = t0;
         r[1] = t1;
     }
+
+    /** Per-lane roundToTorus: the reference rounding, not vectorized. */
+    static void addRounded(Torus32 *p, Vec v)
+    {
+        p[0] += roundToTorus(vgetq_lane_f64(v, 0));
+        p[1] += roundToTorus(vgetq_lane_f64(v, 1));
+    }
 };
 
 } // namespace

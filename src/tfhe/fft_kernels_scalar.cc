@@ -29,6 +29,7 @@ struct ScalarTraits
         return static_cast<double>(*p);
     }
     static void transpose(Vec *) {} // 1x1 tile
+    static void addRounded(Torus32 *p, Vec v) { *p += roundToTorus(v); }
 };
 
 } // namespace

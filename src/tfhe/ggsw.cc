@@ -1,6 +1,7 @@
 #include "ggsw.h"
 
 #include "common/logging.h"
+#include "tfhe/fft_dispatch.h"
 #include "tfhe/workspace.h"
 
 namespace morphling::tfhe {
@@ -204,22 +205,21 @@ prepareWorkspace(const FourierGgsw &ggsw, unsigned k, unsigned n,
 
 /**
  * Stage (1) of the Fourier external product: decompose all components
- * of `input` into the digit rows of tile slot `slot`. Their forward
+ * of `input` into the digit rows of the workspace. Their forward
  * transforms, (k+1)*l_b per ciphertext, are the ones the hardware
- * shares across a VPE row (input transform-domain reuse); callers run
- * a whole tile's worth through BatchFft as one batched call, so the
- * SIMD tiers transform several digit polynomials per pass.
+ * shares across a VPE row (input transform-domain reuse); they run
+ * through BatchFft as one batched call, so the SIMD tiers transform
+ * several digit polynomials per pass. (The tile CMux decomposes with
+ * the dispatched rotateDiffDecompose kernel instead.)
  */
 void
-decomposeInto(const GlweCiphertext &input, unsigned slot,
-              BootstrapWorkspace &ws)
+decomposeInto(const GlweCiphertext &input, BootstrapWorkspace &ws)
 {
     const unsigned k = input.dimension();
     const unsigned levels = ws.plan.levels;
-    IntPolynomial *rows = ws.digits.data() + slot * (k + 1) * levels;
     for (unsigned u = 0; u <= k; ++u)
         gadgetDecomposePlannedInto(input.component(u), ws.plan,
-                                   rows + u * levels);
+                                   ws.digits.data() + u * levels);
 }
 
 /**
@@ -255,7 +255,7 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
     const unsigned k = input.dimension();
     const unsigned n = input.polyDegree();
     prepareWorkspace(ggsw, k, n, 1, ws);
-    decomposeInto(input, 0, ws);
+    decomposeInto(input, ws);
     BatchFft::forDegree(n).forward(ws.batchDigits.data(),
                                    ws.batchDigitsF.data(), ggsw.numRows());
     if (result.dimension() != k || result.polyDegree() != n)
@@ -264,10 +264,13 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
     // (2): one dot product per output component, accumulated entirely
     // in the transform domain (output transform-domain reuse: a single
     // inverse FFT per component, not per product). The k+1 inverse
-    // transforms run as one batched call straight into `result`.
+    // transforms run as one batched call that adds into `result`, so
+    // it starts from zero.
     accumulateColumns(ggsw, ws, k, 1);
-    for (unsigned c = 0; c <= k; ++c)
+    for (unsigned c = 0; c <= k; ++c) {
+        result.component(c).clear();
         ws.batchTorus[c] = &result.component(c);
+    }
     BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
                                           ws.batchTorus.data(), k + 1);
 }
@@ -289,23 +292,23 @@ cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
     const unsigned n = acc.polyDegree();
     prepareWorkspace(ggsw, k, n, 1, ws);
 
-    // Lambda = X^power * ACC - ACC ...
+    // Lambda = X^power * ACC - ACC, rotated and decomposed as separate
+    // passes: this is the reference the tile CMux's fused kernel is
+    // tested against ...
     for (unsigned c = 0; c <= k; ++c)
         acc.component(c).rotateDiffInto(power, ws.diff.component(c));
 
     // ... then ACC += BSK [.] Lambda, the external product's k+1
-    // inverse FFTs batched into ws.prods and accumulated straight into
-    // the rotating accumulator (no result/copy ciphertexts).
-    decomposeInto(ws.diff, 0, ws);
+    // inverse FFTs batched into one call that adds straight into the
+    // rotating accumulator (no result/copy ciphertexts).
+    decomposeInto(ws.diff, ws);
     BatchFft::forDegree(n).forward(ws.batchDigits.data(),
                                    ws.batchDigitsF.data(), ggsw.numRows());
     accumulateColumns(ggsw, ws, k, 1);
     for (unsigned c = 0; c <= k; ++c)
-        ws.batchTorus[c] = &ws.prods[c];
+        ws.batchTorus[c] = &acc.component(c);
     BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
                                           ws.batchTorus.data(), k + 1);
-    for (unsigned c = 0; c <= k; ++c)
-        acc.component(c).addAssign(ws.prods[c]);
 }
 
 void
@@ -315,32 +318,33 @@ cmuxRotateTileInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
 {
     const unsigned k = accs[0]->dimension();
     const unsigned n = accs[0]->polyDegree();
+    const unsigned levels = ggsw.levels();
     const unsigned rows = ggsw.numRows();
-    const unsigned cols = count * (k + 1);
     prepareWorkspace(ggsw, k, n, count, ws);
 
-    // Lambda_t = X^power_t * ACC_t - ACC_t, each decomposed into its
-    // own slot's digit rows; then one forward call for the whole tile.
+    // Lambda_t = X^power_t * ACC_t - ACC_t, rotated and decomposed in
+    // one pass per component into its own slot's digit rows; then one
+    // forward call for the whole tile.
+    const detail::BatchKernels &kernels = detail::activeBatchKernels();
     for (unsigned t = 0; t < count; ++t) {
-        for (unsigned c = 0; c <= k; ++c)
-            accs[t]->component(c).rotateDiffInto(powers[t],
-                                                 ws.diff.component(c));
-        decomposeInto(ws.diff, t, ws);
+        panic_if(powers[t] >= 2 * n, "rotation power ", powers[t],
+                 " out of range [0, 2N)");
+        for (unsigned c = 0; c <= k; ++c) {
+            kernels.rotateDiffDecompose(
+                n, accs[t]->component(c).data(), powers[t], ws.plan,
+                ws.batchDigits.data() + (t * (k + 1) + c) * levels);
+            ws.batchTorus[t * (k + 1) + c] = &accs[t]->component(c);
+        }
     }
     BatchFft::forDegree(n).forward(ws.batchDigits.data(),
                                    ws.batchDigitsF.data(), count * rows);
 
     // ACC_t += BSK [.] Lambda_t: one pass over the key for the tile,
-    // one batched inverse for all count*(k+1) components.
+    // one batched inverse for all count*(k+1) components that adds
+    // straight into the accumulators.
     accumulateColumns(ggsw, ws, k, count);
-    for (unsigned i = 0; i < cols; ++i)
-        ws.batchTorus[i] = &ws.prods[i];
-    BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
-                                          ws.batchTorus.data(), cols);
-    for (unsigned t = 0; t < count; ++t) {
-        for (unsigned c = 0; c <= k; ++c)
-            accs[t]->component(c).addAssign(ws.prods[t * (k + 1) + c]);
-    }
+    BatchFft::forDegree(n).inverseInPlace(
+        ws.batchAccF.data(), ws.batchTorus.data(), count * (k + 1));
 }
 
 GlweCiphertext

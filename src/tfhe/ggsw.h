@@ -18,29 +18,13 @@
 
 #include "common/rng.h"
 #include "tfhe/fft.h"
+#include "tfhe/gadget.h"
 #include "tfhe/glwe.h"
 #include "tfhe/params.h"
 
 namespace morphling::tfhe {
 
 class BootstrapWorkspace;
-
-/**
- * Precomputed constants of one signed gadget decomposition: the digit
- * mask, the centering half-base, and the combined centering + rounding
- * offset that the scalar path used to rebuild per coefficient.
- */
-struct GadgetPlan
-{
-    unsigned baseBits = 0;
-    unsigned levels = 0;
-    std::uint32_t mask = 0;   //!< beta - 1
-    std::uint32_t offset = 0; //!< centering + rounding offset
-    std::int32_t half = 0;    //!< beta / 2
-};
-
-/** Build the plan for digits in base 2^base_bits over `levels` levels. */
-GadgetPlan makeGadgetPlan(unsigned base_bits, unsigned levels);
 
 /**
  * Signed gadget decomposition of one torus polynomial.
@@ -199,12 +183,15 @@ void cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
 
 /**
  * Tile CMux: *accs[t] += ggsw [.] (X^powers[t] * *accs[t] - *accs[t])
- * for t < count. The tile's count*(k+1)*l_b forward transforms run as
- * one BatchFft call, each key polynomial is multiplied into every slot
- * while it is in cache, and the count*(k+1) inverses run as one call.
- * Every accumulator gets exactly cmuxRotateInPlace's arithmetic, so the
- * results are byte-equal to count separate calls. Grows `ws` to depth
- * `count`; allocation-free once warm.
+ * for t < count. Each accumulator component is rotated, differenced and
+ * decomposed in one pass (the dispatched tier's rotateDiffDecompose),
+ * the tile's count*(k+1)*l_b forward transforms run as one BatchFft
+ * call, each key polynomial is multiplied into every slot while it is
+ * in cache, and the count*(k+1) inverses run as one call that rounds
+ * straight into the accumulators. Every accumulator gets exactly
+ * cmuxRotateInPlace's arithmetic, so the results are byte-equal to
+ * count separate calls. Grows `ws` to depth `count`; allocation-free
+ * once warm.
  */
 void cmuxRotateTileInPlace(const FourierGgsw &ggsw,
                            GlweCiphertext *const *accs,

@@ -1,6 +1,7 @@
 #include "keyset.h"
 
 #include "common/logging.h"
+#include "tfhe/fft_dispatch.h"
 
 namespace morphling::tfhe {
 
@@ -86,13 +87,15 @@ KeySwitchKey::applyInto(const LweCiphertext &ct, LweCiphertext &out) const
 
     // c'' = (0..0, b') - sum_{i,j} digit_{i,j} * KSK_(i,j), with each
     // extracted mask a'_i decomposed into l_k unsigned digits (with a
-    // rounding offset on the discarded tail).
+    // rounding offset on the discarded tail). The row updates run on
+    // the dispatched SIMD tier, as VPU.KS runs on the VPU's lanes.
     out.raw().assign(static_cast<std::size_t>(targetDim_) + 1, 0);
     out.body() = ct.body();
     const std::uint32_t mask = (1u << baseBits_) - 1;
     const unsigned tail_bits = 32 - levels_ * baseBits_;
     const Torus32 round_offset =
         tail_bits > 0 ? (Torus32{1} << (tail_bits - 1)) : 0;
+    const detail::BatchKernels &kernels = detail::activeBatchKernels();
 
     for (unsigned i = 0; i < sourceDim_; ++i) {
         const Torus32 a = ct.mask(i) + round_offset;
@@ -101,11 +104,8 @@ KeySwitchKey::applyInto(const LweCiphertext &ct, LweCiphertext &out) const
                 (a >> (32 - (j + 1) * baseBits_)) & mask;
             if (digit == 0)
                 continue;
-            const auto &ksk = at(i, j);
-            const Torus32 *__restrict kw = ksk.raw().data();
-            Torus32 *__restrict ow = out.raw().data();
-            for (unsigned w = 0; w <= targetDim_; ++w)
-                ow[w] -= digit * kw[w];
+            kernels.subScaledRow(targetDim_ + 1, digit,
+                                 at(i, j).raw().data(), out.raw().data());
         }
     }
 }

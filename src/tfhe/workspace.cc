@@ -32,8 +32,8 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
             fp = FourierPolynomial(poly_degree);
     }
 
-    // One accumulator and one inverse output per GLWE component and
-    // tile slot, so the inverse FFTs batch the same way.
+    // One Fourier accumulator per GLWE component and tile slot, so the
+    // inverse FFTs batch the same way.
     accF.resize(cols);
     for (auto &fp : accF) {
         if (fp.ringDegree() != poly_degree)
@@ -41,18 +41,13 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
     }
     if (diff.dimension() != glwe_dim || !same_ring)
         diff = GlweCiphertext(glwe_dim, poly_degree);
-    prods.resize(cols);
-    for (auto &p : prods) {
-        if (p.degree() != poly_degree)
-            p = TorusPolynomial(poly_degree);
-    }
 
     // Pointer views for the batched FFT calls: targets are stable until
     // the next reshaping ensure().
     batchDigits.resize(rows);
     batchDigitsF.resize(rows);
     for (std::size_t r = 0; r < rows; ++r) {
-        batchDigits[r] = &digits[r];
+        batchDigits[r] = digits[r].data();
         batchDigitsF[r] = &digitsF[r];
     }
     batchAccF.resize(cols);

@@ -65,24 +65,25 @@ class BootstrapWorkspace
 
     // --- external product / CMux scratch -----------------------------
     // Ciphertext t of a tile owns digit rows [t*(k+1)*l_b, (t+1)*(k+1)*l_b)
-    // and accumulator/output slots [t*(k+1), (t+1)*(k+1)); depth 1 is
-    // the single-ciphertext shape.
+    // and accumulator slots [t*(k+1), (t+1)*(k+1)); depth 1 is the
+    // single-ciphertext shape. The inverse transforms add straight into
+    // the caller's ciphertexts.
     GadgetPlan plan;                   //!< hoisted decomposition consts
     std::vector<IntPolynomial> digits; //!< depth*(k+1)*l_b digit polys
     std::vector<FourierPolynomial> digitsF; //!< depth*(k+1)*l_b transforms
     std::vector<FourierPolynomial> accF; //!< depth*(k+1) accumulators
-    GlweCiphertext diff;               //!< X^a * ACC - ACC
-    std::vector<TorusPolynomial> prods; //!< depth*(k+1) inverse outputs
+    GlweCiphertext diff;               //!< X^a * ACC - ACC (reference CMux)
 
     // Stable pointer views over the buffers above, preshaped by
-    // ensure() so the batched FFT entry points (BatchFft) can be fed
-    // without per-call allocation. batchTorus is filled per call (its
-    // targets may live in the caller's ciphertext); the rest point at
-    // the workspace's own buffers.
-    std::vector<const IntPolynomial *> batchDigits;  //!< -> digits
-    std::vector<FourierPolynomial *> batchDigitsF;   //!< -> digitsF
-    std::vector<FourierPolynomial *> batchAccF;      //!< -> accF
-    std::vector<TorusPolynomial *> batchTorus;       //!< depth*(k+1)
+    // ensure() so the batched FFT entry points (BatchFft) and the
+    // rotate-and-decompose kernel can be fed without per-call
+    // allocation. batchTorus is filled per call (its targets live in
+    // the caller's ciphertexts); the rest point at the workspace's own
+    // buffers.
+    std::vector<std::int32_t *> batchDigits;       //!< -> digits' data
+    std::vector<FourierPolynomial *> batchDigitsF; //!< -> digitsF
+    std::vector<FourierPolynomial *> batchAccF;    //!< -> accF
+    std::vector<TorusPolynomial *> batchTorus;     //!< depth*(k+1)
 
     // --- bootstrap pipeline scratch ----------------------------------
     GlweCiphertext acc;                 //!< blind-rotation accumulator

@@ -4,14 +4,17 @@
  * legacy entry-point equivalence (exact integer equality), the radix-4
  * FFT engine against the radix-2 reference, the planned gadget
  * decomposition and in-place rotations against their scalar originals,
- * the iteration-major batched blind rotation against the
- * per-ciphertext CMux loop on every SIMD tier, and an operator-new hook
- * asserting that a warmed-up bootstrap (and batched rotation) through
- * the workspace performs zero heap allocations.
+ * every SIMD tier's batched transforms, rounding store and integer
+ * kernels against the scalar references, the iteration-major batched
+ * blind rotation against the per-ciphertext CMux loop on every tier,
+ * and an operator-new hook asserting that a warmed-up bootstrap (and
+ * batched rotation) through the workspace performs zero heap
+ * allocations on every tier.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -25,6 +28,7 @@
 #include "tfhe/fft.h"
 #include "tfhe/fft_dispatch.h"
 #include "tfhe/ggsw.h"
+#include "tfhe/keyset.h"
 #include "tfhe/workspace.h"
 
 // ---------------------------------------------------------------------
@@ -119,6 +123,13 @@ operator delete[](void *p, std::align_val_t) noexcept
 
 namespace morphling::tfhe {
 namespace {
+
+/** Force a tier for one scope, then drop back to the env/auto choice. */
+struct DispatchGuard
+{
+    explicit DispatchGuard(FftDispatchTier t) { forceFftDispatchTier(t); }
+    ~DispatchGuard() { resetFftDispatchTier(); }
+};
 
 TorusPolynomial
 randomTorusPoly(unsigned n, Rng &rng)
@@ -402,21 +413,28 @@ TEST(AllocationGuard, WarmedUpBootstrapPerformsZeroAllocations)
     const auto tp = buildTestPolynomial(params.polyDegree, lut);
     const auto ct = encryptPadded(keys, 2, 4, rng);
 
-    BootstrapWorkspace ws;
-    LweCiphertext out;
-    // Two warm-up rounds: the first shapes the workspace and `out`, the
-    // second confirms steady state before counting.
-    bootstrapInto(keys.bsk, keys.ksk, tp, ct, out, ws);
-    bootstrapInto(keys.bsk, keys.ksk, tp, ct, out, ws);
+    // Every tier: the forced-scalar one takes the single-polynomial
+    // inverse fallback for every transform.
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        BootstrapWorkspace ws;
+        LweCiphertext out;
+        // Two warm-up rounds: the first shapes the workspace and `out`,
+        // the second confirms steady state before counting.
+        bootstrapInto(keys.bsk, keys.ksk, tp, ct, out, ws);
+        bootstrapInto(keys.bsk, keys.ksk, tp, ct, out, ws);
 
-    g_allocs.store(0);
-    g_track.store(true);
-    bootstrapInto(keys.bsk, keys.ksk, tp, ct, out, ws);
-    g_track.store(false);
+        g_allocs.store(0);
+        g_track.store(true);
+        bootstrapInto(keys.bsk, keys.ksk, tp, ct, out, ws);
+        g_track.store(false);
 
-    EXPECT_EQ(g_allocs.load(), 0u)
-        << "warmed-up workspace bootstrap must not touch the heap";
-    EXPECT_EQ(decryptPadded(keys, out, 4), 2u);
+        EXPECT_EQ(g_allocs.load(), 0u)
+            << fftDispatchTierName(tier)
+            << ": warmed-up workspace bootstrap must not touch the heap";
+        EXPECT_EQ(decryptPadded(keys, out, 4), 2u)
+            << fftDispatchTierName(tier);
+    }
 }
 
 TEST(AllocationGuard, HookCountsAllocations)
@@ -478,13 +496,6 @@ TEST(Alignment, WorkspaceScratchBuffersAreAligned)
 // ---------------------------------------------------------------------
 // Runtime dispatch: tier names, the supported set and the force hook.
 // ---------------------------------------------------------------------
-
-/** Force a tier for one scope, then drop back to the env/auto choice. */
-struct DispatchGuard
-{
-    explicit DispatchGuard(FftDispatchTier t) { forceFftDispatchTier(t); }
-    ~DispatchGuard() { resetFftDispatchTier(); }
-};
 
 TEST(FftDispatch, TierNames)
 {
@@ -608,6 +619,71 @@ TEST(BatchFftTiers, InverseBitIdenticalToScalarEngine)
                     EXPECT_EQ(got[i], ref[i])
                         << fftDispatchTierName(tier) << " N " << n
                         << " count " << count << " poly " << i;
+            }
+        }
+    }
+}
+
+TEST(BatchFftTiers, InverseRoundsLikeRoundToTorus)
+{
+    // Spectra whose only nonzero bin is DC, with real part v*N/2: the
+    // inverse is then v times the untwist factor e^{-i*pi*j/N} at every
+    // coefficient, and exactly v at coefficient 0. That puts chosen
+    // values through each tier's rounding store: ties of both parities,
+    // near-ties just inside them, the 2^31/2^32 wrap points, the 2^53
+    // precision edge, the 2^62 guard of roundToTorus, and random values
+    // of every magnitude up to 2^91. Coefficient 0 must be exactly
+    // roundToTorus(v), the rest must match the scalar engine, and both
+    // must be added into outputs that start nonzero.
+    std::vector<double> values = {
+        0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1048576.5,
+        -1048577.5, 1.5 - 0x1p-30, -(1.5 - 0x1p-30), 0.5 - 0x1p-30,
+        -(0.5 - 0x1p-30), 0x1p31 + 0.5, 0x1p31 - 0.5, 0x1p32, -0x1p32,
+        4294967295.5, -4294967295.5, 0x1p52 + 1, -(0x1p52 + 1),
+        0x1p53 + 2, 0x1p62, -0x1p62, 0x1p62 - 512, 0x1p63, -0x1p63,
+        3 * 0x1p70, -5 * 0x1p80};
+    Rng vrng(0x0DD5);
+    for (unsigned i = 0; i < 4000; ++i) {
+        const double v = std::ldexp(1.0 + vrng.nextDouble(),
+                                    static_cast<int>(vrng.nextU32() % 91));
+        values.push_back(vrng.nextBit() ? -v : v);
+    }
+
+    // Groups of 9 fill the 8- or 4-lane kernels and leave one spectrum
+    // for the single-polynomial fallback.
+    const unsigned n = 64, group = 9;
+    const BatchFft bfft(n);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(0x4D0 + static_cast<unsigned>(tier));
+        for (std::size_t b = 0; b < values.size(); b += group) {
+            const auto count = static_cast<unsigned>(
+                std::min<std::size_t>(group, values.size() - b));
+            std::vector<FourierPolynomial> spectra(count,
+                                                   FourierPolynomial(n));
+            std::vector<TorusPolynomial> ref(count, TorusPolynomial(n));
+            std::vector<TorusPolynomial> start, got;
+            std::vector<FourierPolynomial *> in;
+            std::vector<TorusPolynomial *> out;
+            for (unsigned i = 0; i < count; ++i) {
+                spectra[i].re(0) = values[b + i] * (n / 2);
+                bfft.engine().inverse(spectra[i], ref[i]);
+                start.push_back(randomTorusPoly(n, rng));
+            }
+            got = start;
+            for (unsigned i = 0; i < count; ++i) {
+                in.push_back(&spectra[i]);
+                out.push_back(&got[i]);
+            }
+            bfft.inverseInPlace(in.data(), out.data(), count);
+            for (unsigned i = 0; i < count; ++i) {
+                const double v = values[b + i];
+                ASSERT_EQ(got[i][0] - start[i][0], detail::roundToTorus(v))
+                    << fftDispatchTierName(tier) << " v = " << v;
+                for (unsigned j = 0; j < n; ++j)
+                    ASSERT_EQ(got[i][j] - start[i][j], ref[i][j])
+                        << fftDispatchTierName(tier) << " v = " << v
+                        << " coefficient " << j;
             }
         }
     }
@@ -760,6 +836,84 @@ TEST(BatchFftTiers, ExternalProductBitIdenticalAcrossTiers)
 }
 
 // ---------------------------------------------------------------------
+// The integer kernels of each tier: the tile CMux's fused
+// rotate-and-decompose against the reference CMux's two passes, and the
+// key switch's row update across tiers (exact integer equality).
+// ---------------------------------------------------------------------
+
+TEST(IntegerKernelTiers, RotateDiffDecomposeMatchesTwoPassReference)
+{
+    // Every power in [0, 2N), at the blind-rotation gadget and ring
+    // degree of sets I (2^10, 2), B (2^8, 2), C (2^6, 3), F128 (2^6, 4)
+    // and TEST (2^7, 3).
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        const detail::BatchKernels &kernels = detail::activeBatchKernels();
+        for (const char *name : {"I", "B", "C", "F128", "TEST"}) {
+            const auto &params = paramsByName(name);
+            const unsigned n = params.polyDegree;
+            const auto plan =
+                makeGadgetPlan(params.bskBaseBits, params.bskLevels);
+            Rng rng(0xD1FF);
+            const auto acc = randomTorusPoly(n, rng);
+            TorusPolynomial diff(n);
+            std::vector<IntPolynomial> want(plan.levels, IntPolynomial(n));
+            std::vector<IntPolynomial> got(plan.levels, IntPolynomial(n));
+            std::vector<std::int32_t *> rows;
+            for (auto &p : got)
+                rows.push_back(p.data());
+            for (unsigned power = 0; power < 2 * n; ++power) {
+                acc.rotateDiffInto(power, diff);
+                gadgetDecomposePlannedInto(diff, plan, want.data());
+                kernels.rotateDiffDecompose(n, acc.data(), power, plan,
+                                            rows.data());
+                for (unsigned l = 0; l < plan.levels; ++l)
+                    ASSERT_EQ(got[l], want[l])
+                        << fftDispatchTierName(tier) << " set " << name
+                        << " power " << power << " level " << l;
+            }
+        }
+    }
+}
+
+TEST(IntegerKernelTiers, KeySwitchByteEqualAcrossTiers)
+{
+    // KeySwitchKey::applyInto on every tier against the scalar tier, at
+    // TEST (l_k = 6, base 2^2) and set I (l_k = 2, base 2^8).
+    for (const char *name : {"TEST", "I"}) {
+        const auto &params = paramsByName(name);
+        Rng rng(0x5C5C);
+        const auto source = GlweKey::generate(params, rng).extractLweKey();
+        const auto target = LweKey::generate(params, rng);
+        const auto ksk = KeySwitchKey::generate(source, target, rng);
+        std::vector<LweCiphertext> inputs;
+        for (std::uint32_t m = 0; m < 4; ++m)
+            inputs.push_back(LweCiphertext::encrypt(
+                source, encodeMessage(m, 4), params.lweNoiseStd, rng));
+
+        std::vector<LweCiphertext> want(inputs.size());
+        {
+            DispatchGuard guard(FftDispatchTier::kScalar);
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                ksk.applyInto(inputs[i], want[i]);
+                EXPECT_EQ(lweDecrypt(target, want[i], 4), i)
+                    << "set " << name;
+            }
+        }
+        for (const auto tier : supportedFftDispatchTiers()) {
+            DispatchGuard guard(tier);
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                LweCiphertext got;
+                ksk.applyInto(inputs[i], got);
+                EXPECT_EQ(got.raw(), want[i].raw())
+                    << "set " << name << ' ' << fftDispatchTierName(tier)
+                    << " message " << i;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Iteration-major batched blind rotation against the per-ciphertext
 // cmuxRotateInPlace loop (exact integer equality), its workspace shape
 // and its allocation behaviour.
@@ -873,7 +1027,6 @@ TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
     EXPECT_EQ(ws.digits.size(), rows);
     EXPECT_EQ(ws.digitsF.size(), rows);
     EXPECT_EQ(ws.accF.size(), cols);
-    EXPECT_EQ(ws.prods.size(), cols);
 
     // A 16-ciphertext rotation grows it to one tile, not to the batch.
     const std::size_t tile = blindRotateTile(params.glweDimension);
@@ -881,7 +1034,6 @@ TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
     blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
     EXPECT_EQ(ws.digitsF.size(), tile * rows);
     EXPECT_EQ(ws.accF.size(), tile * cols);
-    EXPECT_EQ(ws.prods.size(), tile * cols);
 }
 
 TEST(AllocationGuard, WarmedUpBatchedRotationPerformsZeroAllocations)
@@ -893,18 +1045,22 @@ TEST(AllocationGuard, WarmedUpBatchedRotationPerformsZeroAllocations)
     const auto switched =
         randomSwitched(16, bsk.size(), params.polyDegree, rng);
 
-    BootstrapWorkspace ws;
-    std::vector<GlweCiphertext> accs(switched.size());
-    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
-    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        BootstrapWorkspace ws;
+        std::vector<GlweCiphertext> accs(switched.size());
+        blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+        blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
 
-    g_allocs.store(0);
-    g_track.store(true);
-    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
-    g_track.store(false);
+        g_allocs.store(0);
+        g_track.store(true);
+        blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+        g_track.store(false);
 
-    EXPECT_EQ(g_allocs.load(), 0u)
-        << "warmed-up batched rotation must not touch the heap";
+        EXPECT_EQ(g_allocs.load(), 0u)
+            << fftDispatchTierName(tier)
+            << ": warmed-up batched rotation must not touch the heap";
+    }
 }
 
 } // namespace
