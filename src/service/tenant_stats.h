@@ -42,8 +42,9 @@ struct TenantQuota
      *  rate before the bucket must refill. */
     double burst = 128;
 
-    /** Dedicated worker threads of this tenant's service (>= 1): the
-     *  per-tenant share of execution capacity. */
+    /** Deficit-round-robin weight of the tenant's lane (>= 1):
+     *  backlogged tenants share the worker pool by weight, and a
+     *  tenant alone uses all of it. */
     unsigned weight = 1;
 
     /** Request-latency objective in microseconds; completions slower
@@ -67,8 +68,8 @@ struct TenantStats
     double p50LatencyUs = 0; //!< log-bucket estimate (upper bound)
     double p99LatencyUs = 0; //!< log-bucket estimate (upper bound)
 
-    /** True while the tenant holds a live BootstrapService (keys
-     *  materialized); false after an idle eviction. */
+    /** True while the registry holds the tenant's keys materialized
+     *  (TenantRegistry::resident); queued work keeps its own pin. */
     bool resident = false;
 };
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -436,41 +435,44 @@ TEST(ServiceConfigValidate, NullSharedKeysThrow)
                  std::invalid_argument);
 }
 
-TEST_F(ServiceFixture, CompletionObserverSeesEveryRequest)
+TEST_F(ServiceFixture, RejectsUnusableLutsAndUnknownLutIds)
 {
-    std::atomic<std::uint64_t> completions{0};
-    std::atomic<std::uint64_t> weight{0};
-    std::atomic<bool> saw_circuit{false};
-    std::atomic<bool> saw_negative_latency{false};
-
     ServiceConfig config;
     config.superbatchSize = 4;
     config.numWorkers = 1;
-    config.onComplete = [&](const CompletionInfo &info) {
-        completions.fetch_add(1);
-        weight.fetch_add(info.bootstraps);
-        if (info.circuit)
-            saw_circuit = true;
-        if (info.latencyUs < 0)
-            saw_negative_latency = true;
-    };
+    config.maxWait = 2ms;
     BootstrapService service(keys(), config);
+    const unsigned n = keys().params.polyDegree;
+
+    // An empty table, and one whose padded test polynomial needs more
+    // than N coefficients, are refused at registration — not by a
+    // worker panicking on their first batch.
+    EXPECT_THROW(service.registerLut({}), std::invalid_argument);
+    EXPECT_THROW(service.registerLut(std::vector<tfhe::Torus32>(n)),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        service.registerLut(std::vector<tfhe::Torus32>(n / 2 + 1)),
+        std::invalid_argument);
+
+    // A refused table takes no id; the largest table that fits is
+    // accepted.
     const LutId lut = service.registerLut(
         tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
             return (m + 1) % kSpace;
         }));
+    EXPECT_EQ(lut, 0u);
+    EXPECT_NO_THROW(
+        service.registerLut(std::vector<tfhe::Torus32>(n / 2)));
 
-    std::vector<std::future<LweCiphertext>> futures;
-    for (std::uint32_t m = 0; m < 4; ++m)
-        futures.push_back(service.submit(encrypt(m), lut));
-    for (auto &future : futures)
-        expectReady(future);
-    service.shutdown();
+    EXPECT_THROW((void)service.submit(encrypt(1), lut + 2),
+                 std::out_of_range);
+    EXPECT_THROW((void)service.trySubmit(encrypt(1), lut + 2),
+                 std::out_of_range);
 
-    EXPECT_EQ(completions.load(), 4u);
-    EXPECT_EQ(weight.load(), 4u); // single-LUT requests weigh 1 each
-    EXPECT_FALSE(saw_circuit.load());
-    EXPECT_FALSE(saw_negative_latency.load());
+    auto future = service.submit(encrypt(1), lut);
+    expectReady(future);
+    EXPECT_EQ(decrypt(future.get()), 2u);
+    EXPECT_EQ(service.stats().accepted, 1u);
 }
 
 TEST_F(ServiceFixture, ProgramDiskCacheSurvivesRestartAndCorruption)
