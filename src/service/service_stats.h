@@ -41,6 +41,7 @@ struct ServiceStats
     // --- instantaneous state ------------------------------------------
     std::uint64_t pending = 0;     //!< accepted, not yet in a batch
     std::uint64_t outstanding = 0; //!< accepted, not yet completed
+    std::uint64_t luts = 0;        //!< LUT ids registered, not reclaimed
     double elapsedSeconds = 0;     //!< service lifetime so far
 
     // --- distributions (sim/stats histograms) -------------------------
