@@ -71,10 +71,9 @@ constantTestPolynomial(unsigned poly_degree, Torus32 mu)
 }
 
 unsigned
-blindRotateTile(unsigned glwe_dim)
+blindRotateTile(unsigned /*glwe_dim*/)
 {
-    const unsigned lanes = detail::activeBatchKernels().width;
-    return (lanes + glwe_dim) / (glwe_dim + 1);
+    return detail::activeBatchKernels().width;
 }
 
 void

@@ -79,10 +79,9 @@ void blindRotate(const BootstrapKey &bsk,
                  GlweCiphertext &acc, BootstrapWorkspace &ws);
 
 /**
- * Ciphertexts per tile of blindRotateBatch: T = ceil(W / (k+1)) for the
- * active FFT tier's lane width W, the fewest whose T*(k+1) inverse
- * transforms fill one W-lane kernel call (4 at set I on AVX-512, 1 on
- * the scalar tier).
+ * Ciphertexts per tile of blindRotateBatch: the active FFT tier's lane
+ * width W, one ciphertext per lane, for every GLWE dimension (8 on
+ * AVX-512, 1 on the scalar tier).
  */
 unsigned blindRotateTile(unsigned glwe_dim);
 
@@ -91,13 +90,16 @@ unsigned blindRotateTile(unsigned glwe_dim);
  * the rotation of switched[j] (each as in blindRotate). For each
  * i < n, every accumulator whose a~_i is nonzero goes through one CMux
  * against BSK_i before BSK_{i+1} is touched, in tiles of
- * blindRotateTile(k) accumulators (cmuxRotateTileInPlace). So BSK_i is
- * brought into cache once per call rather than once per ciphertext, and
- * each tile's transforms fill the FFT kernel's lanes: the CPU form of
- * the transform-domain reuse across a VPE row. Outputs are byte-equal
- * to `count` blindRotate calls on every SIMD tier. `ws` grows to one
- * tile's depth for count > 1 and keeps its single-ciphertext shape for
- * count == 1; allocation-free when warm.
+ * blindRotateTile(k) = W accumulators (cmuxRotateTileInPlace). So BSK_i
+ * is brought into cache once per call rather than once per ciphertext,
+ * and each key coefficient serves all W lanes of a tile: the CPU form
+ * of the transform-domain reuse across a VPE row. A full tile runs one
+ * ciphertext per lane; a shorter tile (count 1 included) and every
+ * tile on the scalar tier keep the row-lane batching. Outputs are
+ * byte-equal to `count` blindRotate calls on every SIMD tier. `ws`
+ * grows to one W-slot tile's planes plus the row-lane depth of the
+ * longest short tile, never to the batch, and keeps its
+ * single-ciphertext shape for count == 1; allocation-free when warm.
  */
 void blindRotateBatch(const BootstrapKey &bsk,
                       const TorusPolynomial &test_poly,

@@ -15,6 +15,15 @@
  * batched output is bit-identical to the scalar path for every tier
  * (asserted in tests/test_workspace.cc).
  *
+ * Two layouts feed those lanes in a blind rotation. A full tile of W
+ * ciphertexts runs slot-lane (slotTileProduct): lane w carries
+ * ciphertext w from its digit rows, through the MAC, to its
+ * accumulator, so no spectrum is transposed between the forward and
+ * the inverse. A shorter tile, a lone bootstrap among them, runs
+ * row-lane: its (k+1)*l_b digit rows fill the lanes of forwardW, the
+ * spectra are transposed out for the MAC (mulAdd), and the k+1
+ * accumulators are transposed back in for inverseW.
+ *
  * The same tables carry the integer loops around the transforms: the
  * blind rotation's fused rotate-and-decompose and the key switch's row
  * update. They are written as plain loops, which the AVX2 and AVX-512
@@ -92,6 +101,31 @@ struct BatchKernels
                      const double *const *in_im,
                      Torus32 *const *out,
                      double *scratch_re, double *scratch_im) = nullptr;
+
+    /**
+     * Slot-lane tile external product: W ciphertexts, one per lane,
+     * from the digits to the accumulators without leaving the
+     * interleaved layout.
+     *  1. Forward: the W slots' digit row r (digits[w * rows + r]) is
+     *     folded, twisted and transformed into interleaved plane r.
+     *  2. MAC: output column c is sum over r of plane r times key
+     *     polynomial (r, c) (key_re/key_im[r * cols + c]), each key
+     *     coefficient broadcast across the lanes. A block of positions
+     *     keeps its accumulators in registers across all rows, starting
+     *     from +0.0 and adding rows in order with mulAdd's expressions,
+     *     so every slot matches the row-lane MAC bit for bit.
+     *  3. Inverse: the inverse stages run on accumulator plane c, then
+     *     the untwist-round store adds slot w into out[w * cols + c].
+     * digit_plane holds 2 * rows * W * N/2 doubles and acc_plane
+     * 2 * cols * W * N/2 (each a real block, then an imaginary block),
+     * 64-byte aligned; N/2 must be a multiple of W and of 4.
+     */
+    void (*slotTileProduct)(const NegacyclicView &t,
+                            const std::int32_t *const *digits,
+                            unsigned rows, const double *const *key_re,
+                            const double *const *key_im, unsigned cols,
+                            Torus32 *const *out, double *digit_plane,
+                            double *acc_plane) = nullptr;
 
     /** Pointwise complex multiply-accumulate over flat SoA arrays:
      *  p += a * b (the VPE inner loop). Any count. */

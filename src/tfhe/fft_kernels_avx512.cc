@@ -34,10 +34,17 @@ struct Avx512Traits
     static Vec add(Vec a, Vec b) { return _mm512_add_pd(a, b); }
     static Vec sub(Vec a, Vec b) { return _mm512_sub_pd(a, b); }
     static Vec mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
+
+    // GCC 12 implements the unmasked unpack, shuffle_f64x2, convert and
+    // roundscale intrinsics with _mm512_undefined_pd(), which
+    // -Wmaybe-uninitialized flags. Their zero-masking forms with every
+    // lane selected compile to the same unmasked instructions.
+    static constexpr __mmask8 kAll = 0xFF;
+
     static Vec cvtInt32(const std::int32_t *p)
     {
-        return _mm512_cvtepi32_pd(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)));
+        return _mm512_maskz_cvtepi32_pd(
+            kAll, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)));
     }
 
     /**
@@ -48,44 +55,41 @@ struct Avx512Traits
      */
     static void transpose(Vec *r)
     {
-        const __m512d t0 = _mm512_unpacklo_pd(r[0], r[1]);
-        const __m512d t1 = _mm512_unpackhi_pd(r[0], r[1]);
-        const __m512d t2 = _mm512_unpacklo_pd(r[2], r[3]);
-        const __m512d t3 = _mm512_unpackhi_pd(r[2], r[3]);
-        const __m512d t4 = _mm512_unpacklo_pd(r[4], r[5]);
-        const __m512d t5 = _mm512_unpackhi_pd(r[4], r[5]);
-        const __m512d t6 = _mm512_unpacklo_pd(r[6], r[7]);
-        const __m512d t7 = _mm512_unpackhi_pd(r[6], r[7]);
+        const Vec t0 = _mm512_maskz_unpacklo_pd(kAll, r[0], r[1]);
+        const Vec t1 = _mm512_maskz_unpackhi_pd(kAll, r[0], r[1]);
+        const Vec t2 = _mm512_maskz_unpacklo_pd(kAll, r[2], r[3]);
+        const Vec t3 = _mm512_maskz_unpackhi_pd(kAll, r[2], r[3]);
+        const Vec t4 = _mm512_maskz_unpacklo_pd(kAll, r[4], r[5]);
+        const Vec t5 = _mm512_maskz_unpackhi_pd(kAll, r[4], r[5]);
+        const Vec t6 = _mm512_maskz_unpacklo_pd(kAll, r[6], r[7]);
+        const Vec t7 = _mm512_maskz_unpackhi_pd(kAll, r[6], r[7]);
 
-        const __m512d u0 = _mm512_shuffle_f64x2(t0, t2, 0x88);
-        const __m512d u1 = _mm512_shuffle_f64x2(t1, t3, 0x88);
-        const __m512d u2 = _mm512_shuffle_f64x2(t0, t2, 0xDD);
-        const __m512d u3 = _mm512_shuffle_f64x2(t1, t3, 0xDD);
-        const __m512d u4 = _mm512_shuffle_f64x2(t4, t6, 0x88);
-        const __m512d u5 = _mm512_shuffle_f64x2(t5, t7, 0x88);
-        const __m512d u6 = _mm512_shuffle_f64x2(t4, t6, 0xDD);
-        const __m512d u7 = _mm512_shuffle_f64x2(t5, t7, 0xDD);
+        const Vec u0 = _mm512_maskz_shuffle_f64x2(kAll, t0, t2, 0x88);
+        const Vec u1 = _mm512_maskz_shuffle_f64x2(kAll, t1, t3, 0x88);
+        const Vec u2 = _mm512_maskz_shuffle_f64x2(kAll, t0, t2, 0xDD);
+        const Vec u3 = _mm512_maskz_shuffle_f64x2(kAll, t1, t3, 0xDD);
+        const Vec u4 = _mm512_maskz_shuffle_f64x2(kAll, t4, t6, 0x88);
+        const Vec u5 = _mm512_maskz_shuffle_f64x2(kAll, t5, t7, 0x88);
+        const Vec u6 = _mm512_maskz_shuffle_f64x2(kAll, t4, t6, 0xDD);
+        const Vec u7 = _mm512_maskz_shuffle_f64x2(kAll, t5, t7, 0xDD);
 
-        r[0] = _mm512_shuffle_f64x2(u0, u4, 0x88);
-        r[1] = _mm512_shuffle_f64x2(u1, u5, 0x88);
-        r[2] = _mm512_shuffle_f64x2(u2, u6, 0x88);
-        r[3] = _mm512_shuffle_f64x2(u3, u7, 0x88);
-        r[4] = _mm512_shuffle_f64x2(u0, u4, 0xDD);
-        r[5] = _mm512_shuffle_f64x2(u1, u5, 0xDD);
-        r[6] = _mm512_shuffle_f64x2(u2, u6, 0xDD);
-        r[7] = _mm512_shuffle_f64x2(u3, u7, 0xDD);
+        r[0] = _mm512_maskz_shuffle_f64x2(kAll, u0, u4, 0x88);
+        r[1] = _mm512_maskz_shuffle_f64x2(kAll, u1, u5, 0x88);
+        r[2] = _mm512_maskz_shuffle_f64x2(kAll, u2, u6, 0x88);
+        r[3] = _mm512_maskz_shuffle_f64x2(kAll, u3, u7, 0x88);
+        r[4] = _mm512_maskz_shuffle_f64x2(kAll, u0, u4, 0xDD);
+        r[5] = _mm512_maskz_shuffle_f64x2(kAll, u1, u5, 0xDD);
+        r[6] = _mm512_maskz_shuffle_f64x2(kAll, u2, u6, 0xDD);
+        r[7] = _mm512_maskz_shuffle_f64x2(kAll, u3, u7, 0xDD);
     }
 
     /**
      * p[0..8) += roundToTorus(v), bit for bit: the AVX2 tier's
      * round-then-reduce sequence (see Avx2Traits::addRounded) at eight
-     * lanes. The zero-masking forms with all lanes selected compile to
-     * the plain instructions; the unmasked intrinsics pass an undefined
-     * vector that GCC 12 flags with -Wmaybe-uninitialized.
+     * lanes.
      */
     static void addRounded(Torus32 *p, Vec v)
     {
-        constexpr __mmask8 kAll = 0xFF;
         const Vec r = _mm512_maskz_roundscale_pd(
             kAll, v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
         const Vec q = _mm512_maskz_roundscale_pd(

@@ -315,6 +315,76 @@ inverseWImpl(const NegacyclicView &t, const double *const *in_re,
     untwistRoundAddOut<V>(t, s_re, s_im, out);
 }
 
+/**
+ * The slot-lane tile external product (BatchKernels::slotTileProduct).
+ * Lane w carries ciphertext w of the tile through all three steps, so
+ * no spectrum is transposed out of the interleaved layout or back in.
+ */
+template <class V>
+void
+slotTileProductImpl(const NegacyclicView &t,
+                    const std::int32_t *const *digits, unsigned rows,
+                    const double *const *key_re,
+                    const double *const *key_im, unsigned cols,
+                    Torus32 *const *out, double *digit_plane,
+                    double *acc_plane)
+{
+    constexpr unsigned W = V::kWidth;
+    using Vec = typename V::Vec;
+    const std::size_t plane = std::size_t{t.half} * W;
+    double *const d_re = digit_plane;
+    double *const d_im = digit_plane + rows * plane;
+    double *const a_re = acc_plane;
+    double *const a_im = acc_plane + cols * plane;
+
+    for (unsigned r = 0; r < rows; ++r) {
+        const std::int32_t *in[W];
+        for (unsigned w = 0; w < W; ++w)
+            in[w] = digits[w * rows + r];
+        foldTwistTransposeIn<V>(t, in, d_re + r * plane, d_im + r * plane);
+        forwardStages<V>(t, d_re + r * plane, d_im + r * plane);
+    }
+
+    // Four positions per block give eight independent accumulator
+    // chains; each digit vector is reloaded from L1 for every column.
+    constexpr unsigned kBlock = 4;
+    for (unsigned j0 = 0; j0 < t.half; j0 += kBlock) {
+        for (unsigned c = 0; c < cols; ++c) {
+            Vec pr[kBlock], pi[kBlock];
+            for (unsigned b = 0; b < kBlock; ++b)
+                pr[b] = pi[b] = V::splat(0.0);
+            for (unsigned r = 0; r < rows; ++r) {
+                const double *br = key_re[r * cols + c] + j0;
+                const double *bi = key_im[r * cols + c] + j0;
+                const double *ar = d_re + r * plane + j0 * W;
+                const double *ai = d_im + r * plane + j0 * W;
+                for (unsigned b = 0; b < kBlock; ++b) {
+                    const Vec va_r = V::load(ar + b * W);
+                    const Vec va_i = V::load(ai + b * W);
+                    const Vec vb_r = V::splat(br[b]);
+                    const Vec vb_i = V::splat(bi[b]);
+                    pr[b] = V::add(pr[b], V::sub(V::mul(va_r, vb_r),
+                                                 V::mul(va_i, vb_i)));
+                    pi[b] = V::add(pi[b], V::add(V::mul(va_r, vb_i),
+                                                 V::mul(va_i, vb_r)));
+                }
+            }
+            for (unsigned b = 0; b < kBlock; ++b) {
+                V::store(a_re + c * plane + (j0 + b) * W, pr[b]);
+                V::store(a_im + c * plane + (j0 + b) * W, pi[b]);
+            }
+        }
+    }
+
+    for (unsigned c = 0; c < cols; ++c) {
+        Torus32 *dst[W];
+        for (unsigned w = 0; w < W; ++w)
+            dst[w] = out[w * cols + c];
+        inverseStages<V>(t, a_re + c * plane, a_im + c * plane);
+        untwistRoundAddOut<V>(t, a_re + c * plane, a_im + c * plane, dst);
+    }
+}
+
 template <class V>
 void
 mulAddImpl(unsigned count, const double *ar, const double *ai,
@@ -432,6 +502,7 @@ makeBatchKernels(const char *name)
     k.name = name;
     k.forwardW = &forwardWImpl<V>;
     k.inverseW = &inverseWImpl<V>;
+    k.slotTileProduct = &slotTileProductImpl<V>;
     k.mulAdd = &mulAddImpl<V>;
     k.add = &addImpl<V>;
     k.rotateDiffDecompose = &rotateDiffDecomposeImpl<V>;

@@ -77,20 +77,6 @@ readU32(std::istream &is)
 }
 
 void
-writeU64(std::ostream &os, std::uint64_t v)
-{
-    writeBytes(os, &v, sizeof(v));
-}
-
-std::uint64_t
-readU64(std::istream &is)
-{
-    std::uint64_t v = 0;
-    readBytes(is, &v, sizeof(v));
-    return v;
-}
-
-void
 writeDouble(std::ostream &os, double v)
 {
     writeBytes(os, &v, sizeof(v));

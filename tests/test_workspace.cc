@@ -482,7 +482,8 @@ TEST(Alignment, WorkspaceScratchBuffersAreAligned)
 {
     BootstrapWorkspace ws;
     ws.ensure(/*glwe_dim=*/2, /*poly_degree=*/512, /*levels=*/3,
-              /*base_bits=*/6);
+              /*base_bits=*/6, /*depth=*/1,
+              /*slots=*/tfhe::detail::kMaxFftLanes);
     for (const auto &fp : ws.digitsF) {
         EXPECT_TRUE(isSimdAligned(fp.reData()));
         EXPECT_TRUE(isSimdAligned(fp.imData()));
@@ -490,6 +491,12 @@ TEST(Alignment, WorkspaceScratchBuffersAreAligned)
     for (const auto &fp : ws.accF) {
         EXPECT_TRUE(isSimdAligned(fp.reData()));
         EXPECT_TRUE(isSimdAligned(fp.imData()));
+    }
+    // Each interleaved plane: its real block, then its imaginary block.
+    for (const auto *planes : {&ws.digitPlanes, &ws.accPlanes}) {
+        ASSERT_FALSE(planes->empty());
+        EXPECT_TRUE(isSimdAligned(planes->data()));
+        EXPECT_TRUE(isSimdAligned(planes->data() + planes->size() / 2));
     }
 }
 
@@ -932,8 +939,9 @@ shortBsk(const TfheParams &params, unsigned entries, Rng &rng)
 }
 
 /** `count` mod-switched ciphertexts for an n-entry key, uniform in
- *  [0, 2N), with every third mask zero (staggered per ciphertext) so
- *  the CMux skip path runs inside tiles. */
+ *  [0, 2N). On even iterations every third mask is zero (staggered per
+ *  ciphertext), so the CMux skip path leaves short tiles; odd
+ *  iterations keep whole tiles whole. */
 std::vector<std::vector<std::uint32_t>>
 randomSwitched(unsigned count, unsigned n, unsigned poly_degree, Rng &rng)
 {
@@ -941,7 +949,7 @@ randomSwitched(unsigned count, unsigned n, unsigned poly_degree, Rng &rng)
         count, std::vector<std::uint32_t>(n + 1));
     for (unsigned j = 0; j < count; ++j) {
         for (unsigned i = 0; i <= n; ++i) {
-            out[j][i] = (i < n && (i + j) % 3 == 0)
+            out[j][i] = (i < n && i % 2 == 0 && (i + j) % 3 == 0)
                             ? 0
                             : rng.nextU32() % (2 * poly_degree);
         }
@@ -970,11 +978,13 @@ cmuxLoopRotation(const BootstrapKey &bsk, const TorusPolynomial &tp,
 
 TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
 {
-    // TEST (k = 1) and set B (k = 2: tiles of ceil(W/3) ciphertexts
-    // leave partial tiles at every tier). One workspace per tier serves
-    // every count, and stale accumulators from the previous count must
-    // be rebuilt.
-    for (const char *name : {"TEST", "B"}) {
+    // TEST (k = 1, l_b = 3), set B (k = 2) and set I (k = 1, l_b = 2,
+    // the number of record). Per tier of width W the counts give a
+    // short row-lane tile alone (1, W-1), a full slot-lane tile (W),
+    // and calls that mix both (W+1, 2W, 16 with the skipped masks). One
+    // workspace per tier serves every count, and stale accumulators
+    // from the previous count must be rebuilt.
+    for (const char *name : {"TEST", "B", "I"}) {
         const auto &params = paramsByName(name);
         Rng rng(0xBA7C4);
         const auto bsk = shortBsk(params, 24, rng);
@@ -991,7 +1001,10 @@ TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
             DispatchGuard guard(tier);
             BootstrapWorkspace ws;
             std::vector<GlweCiphertext> accs(switched.size());
-            for (const unsigned count : {1u, 2u, 3u, 5u, 16u}) {
+            const unsigned w = blindRotateTile(params.glweDimension);
+            for (const unsigned count : {1u, w - 1, w, w + 1, 2 * w, 16u}) {
+                if (count == 0)
+                    continue;
                 blindRotateBatch(bsk, tp, switched.data(), accs.data(),
                                  count, ws);
                 for (unsigned j = 0; j < count; ++j) {
@@ -1014,26 +1027,46 @@ TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
     Rng rng(0x711E);
     const auto bsk = shortBsk(params, 8, rng);
     const auto tp = randomTorusPoly(params.polyDegree, rng);
-    const auto switched =
-        randomSwitched(16, bsk.size(), params.polyDegree, rng);
+    // Every mask odd, so nonzero: 16 ciphertexts make whole tiles only.
+    auto switched = randomSwitched(16, bsk.size(), params.polyDegree, rng);
+    for (auto &sw : switched)
+        for (auto &a : sw)
+            a |= 1;
     const std::size_t cols = params.glweDimension + 1;
     const std::size_t rows = cols * params.bskLevels;
+    const std::size_t half = params.polyDegree / 2;
 
-    // A one-ciphertext rotation keeps the single-ciphertext shape:
-    // (k+1)*l_b digit spectra and k+1 accumulators.
-    BootstrapWorkspace ws;
-    GlweCiphertext acc;
-    blindRotate(bsk, tp, switched[0], acc, ws);
-    EXPECT_EQ(ws.digits.size(), rows);
-    EXPECT_EQ(ws.digitsF.size(), rows);
-    EXPECT_EQ(ws.accF.size(), cols);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        const std::size_t w = blindRotateTile(params.glweDimension);
+        const std::size_t slots = w > 1 ? w : 0;
 
-    // A 16-ciphertext rotation grows it to one tile, not to the batch.
-    const std::size_t tile = blindRotateTile(params.glweDimension);
-    std::vector<GlweCiphertext> accs(switched.size());
-    blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
-    EXPECT_EQ(ws.digitsF.size(), tile * rows);
-    EXPECT_EQ(ws.accF.size(), tile * cols);
+        // A one-ciphertext rotation keeps the single-ciphertext shape:
+        // (k+1)*l_b digit spectra, k+1 accumulators and no planes.
+        BootstrapWorkspace ws;
+        GlweCiphertext acc;
+        blindRotate(bsk, tp, switched[0], acc, ws);
+        EXPECT_EQ(ws.digits.size(), rows);
+        EXPECT_EQ(ws.digitsF.size(), rows);
+        EXPECT_EQ(ws.accF.size(), cols);
+        EXPECT_TRUE(ws.digitPlanes.empty());
+        EXPECT_TRUE(ws.accPlanes.empty());
+
+        // A 16-ciphertext rotation grows it to one W-slot tile, not to
+        // the batch: digit rows for W slots and the two interleaved
+        // planes, while the row-lane buffers keep their depth of 1. On
+        // the scalar tier (W = 1) every tile stays row-lane.
+        std::vector<GlweCiphertext> accs(switched.size());
+        blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
+        const char *tier_name = fftDispatchTierName(tier);
+        EXPECT_EQ(ws.digits.size(), w * rows) << tier_name;
+        EXPECT_EQ(ws.digitsF.size(), rows) << tier_name;
+        EXPECT_EQ(ws.accF.size(), cols) << tier_name;
+        EXPECT_EQ(ws.digitPlanes.size(), 2 * rows * slots * half)
+            << tier_name;
+        EXPECT_EQ(ws.accPlanes.size(), 2 * cols * slots * half)
+            << tier_name;
+    }
 }
 
 TEST(AllocationGuard, WarmedUpBatchedRotationPerformsZeroAllocations)
