@@ -28,8 +28,7 @@ runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
     // one batch (a smaller tile when that is what keeps every worker
     // busy). Outputs do not depend on the claim order.
     const std::size_t tile = std::min<std::size_t>(
-        blindRotateTile(bsk.entry(0).numCols() - 1),
-        (inputs.size() + threads - 1) / threads);
+        blindRotateTile(), (inputs.size() + threads - 1) / threads);
     std::vector<LweCiphertext> out(inputs.size());
     std::atomic<std::size_t> next{0};
     auto worker = [&]() {

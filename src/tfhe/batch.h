@@ -11,9 +11,11 @@
  * grounds the CPU cost model's efficiency constant in reality instead
  * of a guess.
  *
- * Thread safety: key material is read-only during bootstrapping and
- * the FFT engines are per-thread (NegacyclicFft::forDegree), so the
- * parallel path needs no locking.
+ * Thread safety: key material is read-only during bootstrapping, and
+ * each worker thread has its own FFT engine with its lane scratch
+ * (NegacyclicFft::forDegree) and its own workspace
+ * (BootstrapWorkspace::forThisThread), so the parallel path needs no
+ * locking.
  */
 
 #ifndef MORPHLING_TFHE_BATCH_H

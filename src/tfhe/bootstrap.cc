@@ -71,7 +71,7 @@ constantTestPolynomial(unsigned poly_degree, Torus32 mu)
 }
 
 unsigned
-blindRotateTile(unsigned /*glwe_dim*/)
+blindRotateTile()
 {
     return detail::activeBatchKernels().width;
 }
@@ -87,7 +87,7 @@ blindRotateBatch(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
     const unsigned two_n = 2 * poly_degree;
     const unsigned k = bsk.entry(0).numCols() - 1;
     // At most kMaxFftLanes: the tile never exceeds the lane width.
-    const unsigned tile = std::min(count, blindRotateTile(k));
+    const unsigned tile = std::min(count, blindRotateTile());
 
     // ACC_0 = X^(-b~) * (0,..,0,TP). Negative powers fold into
     // [0, 2N) because X^(2N) = 1; the test polynomial is rotated

@@ -80,17 +80,17 @@ void blindRotate(const BootstrapKey &bsk,
 
 /**
  * Ciphertexts per tile of blindRotateBatch: the active FFT tier's lane
- * width W, one ciphertext per lane, for every GLWE dimension (8 on
- * AVX-512, 1 on the scalar tier).
+ * width W, one ciphertext per lane (8 on AVX-512, 1 on the scalar
+ * tier).
  */
-unsigned blindRotateTile(unsigned glwe_dim);
+unsigned blindRotateTile();
 
 /**
  * Iteration-major blind rotation of `count` ciphertexts: accs[j] gets
  * the rotation of switched[j] (each as in blindRotate). For each
  * i < n, every accumulator whose a~_i is nonzero goes through one CMux
  * against BSK_i before BSK_{i+1} is touched, in tiles of
- * blindRotateTile(k) = W accumulators (cmuxRotateTileInPlace). So BSK_i
+ * blindRotateTile() = W accumulators (cmuxRotateTileInPlace). So BSK_i
  * is brought into cache once per call rather than once per ciphertext,
  * and each key coefficient serves all W lanes of a tile: the CPU form
  * of the transform-domain reuse across a VPE row. A full tile runs one

@@ -17,27 +17,26 @@
  * is a hardware throughput optimization and is modelled in src/arch; it
  * does not change the math here.
  *
- * Two complex FFT cores live here:
- *  - ComplexFft: the plain strided radix-2 engine with an explicit
- *    bit-reversal pass. It keeps natural input/output ordering, is used
- *    by the merge-split hardware model (src/arch/functional/ms_fft) and
- *    serves as the reference the radix-4 engine is tested against.
- *  - Radix4Fft: the production core behind NegacyclicFft. Forward is
- *    decimation-in-frequency, inverse decimation-in-time, so no
- *    bit-reversal pass is ever executed; the spectrum lives in the
- *    engine's base-4 digit-reversed order. That order is an internal
- *    convention of the transform domain: every FourierPolynomial is
- *    produced and consumed with the same permutation, and pointwise
- *    multiply/accumulate commutes with any fixed permutation, so
- *    nothing outside the engine ever needs to undo it.
+ * NegacyclicFft is the one negacyclic engine. Its butterflies live in
+ * the kernel template of fft_kernels_impl.h, instantiated once per SIMD
+ * tier (W = 1, 2, 4, 8 lanes; see fft_dispatch.h): radix-4 stages with
+ * one trailing radix-2 stage when log2(N/2) is odd, forward
+ * decimation-in-frequency and inverse decimation-in-time, so no
+ * bit-reversal pass ever runs. The spectrum lives in the stages'
+ * base-4 digit-reversed order. That order is an internal convention of
+ * the transform domain: every FourierPolynomial is produced and
+ * consumed with the same permutation, and pointwise multiply/accumulate
+ * commutes with any fixed permutation, so nothing outside the engine
+ * ever needs to undo it. A batch of transforms runs W polynomials per
+ * kernel call with their coefficients interleaved across vector lanes,
+ * so every butterfly, including the small-span stages that defeat
+ * within-polynomial vectorization, runs at full vector width; a lone
+ * polynomial runs the W = 1 instantiation. Every tier is bit-identical
+ * to the W = 1 one.
  *
- * On top of NegacyclicFft sits BatchFft, the SIMD batch engine: it
- * transforms W polynomials per call (W = lane width of the dispatched
- * kernel tier, see fft_dispatch.h) with their coefficients interleaved
- * across vector lanes, so every butterfly — including the small-span
- * stages that defeat within-polynomial vectorization — runs at full
- * vector width. All tiers are bit-identical to the scalar engine; the
- * bootstrap pipeline routes all l*(k+1) per-CMux transforms through it.
+ * ComplexFft, a plain radix-2 FFT in natural order, is the independent
+ * reference the engine is tested against; the merge-split hardware
+ * model (src/arch/functional/ms_fft) also runs on it.
  *
  * Precision: coefficients are carried as doubles. For every parameter
  * set in params.h the accumulated products stay within (or their
@@ -59,8 +58,6 @@
 
 namespace morphling::tfhe {
 
-class BatchFft;
-
 namespace detail {
 struct KernelLadder;
 }
@@ -70,7 +67,7 @@ struct KernelLadder;
  * on split real/imaginary arrays, with natural input/output ordering.
  *
  * Used by the merge-split hardware model (size N, two real polynomials
- * per pass) and as the ground-truth reference for Radix4Fft. The
+ * per pass) and as the ground-truth reference for NegacyclicFft. The
  * inverse is unscaled; callers divide by size().
  */
 class ComplexFft
@@ -96,80 +93,9 @@ class ComplexFft
 };
 
 /**
- * The production complex FFT core: iterative radix-4 with one trailing
- * radix-2 stage when log2(size) is odd.
- *
- * Forward is decimation-in-frequency (natural input, digit-reversed
- * output), inverse is the exact algorithmic transpose
- * (decimation-in-time: digit-reversed input, natural output), so the
- * bit-reversal permutation pass of the classic radix-2 engine is gone
- * entirely. Twiddle factors are stored per stage as six contiguous
- * streams (re/im of w, w^2, w^3 indexed by butterfly position), which
- * turns every butterfly loop into straight-line code over unit-stride
- * arrays that the compiler auto-vectorizes.
- *
- * The inverse is unscaled: inversePermuted(forwardPermuted(x)) ==
- * size() * x.
- */
-class Radix4Fft
-{
-  public:
-    explicit Radix4Fft(unsigned size);
-
-    unsigned size() const { return size_; }
-
-    /** Number of radix-4 stages (stage 0 has span size()). */
-    unsigned numStages() const
-    {
-        return static_cast<unsigned>(stageLen_.size());
-    }
-
-    /** True when a final twiddle-free radix-2 stage follows the radix-4
-     *  stages (log2(size) odd). */
-    bool hasRadix2Tail() const { return radix2Tail_; }
-
-    /** In-place forward DIF transform; output digit-reversed. */
-    void forwardPermuted(double *re, double *im) const;
-
-    /** In-place unscaled inverse DIT transform; input digit-reversed,
-     *  output natural. */
-    void inversePermuted(double *re, double *im) const;
-
-    /** Run the forward stages starting at `first_stage` (used by
-     *  NegacyclicFft, which fuses stage 0 with the fold+twist load). */
-    void forwardStagesFrom(unsigned first_stage, double *re,
-                           double *im) const;
-
-    /** Run the inverse stages (radix-2 tail first, then radix-4 stages
-     *  from the smallest span) stopping before `stop_stage` (used by
-     *  NegacyclicFft, which fuses stage 0 with untwist+round). */
-    void inverseStagesDownTo(unsigned stop_stage, double *re,
-                             double *im) const;
-
-    /** Stage butterfly span (stageLen(0) == size()). */
-    unsigned stageLen(unsigned stage) const { return stageLen_[stage]; }
-
-    /** Stage twiddles: six blocks of stageLen(stage)/4 doubles each —
-     *  w re, w im, w^2 re, w^2 im, w^3 re, w^3 im. */
-    const double *stageTwiddles(unsigned stage) const
-    {
-        return stageTw_[stage].data();
-    }
-
-  private:
-    void radix4ForwardStage(unsigned stage, double *re, double *im) const;
-    void radix4InverseStage(unsigned stage, double *re, double *im) const;
-    void radix2Stage(double *re, double *im) const;
-
-    unsigned size_;
-    std::vector<unsigned> stageLen_;        //!< radix-4 spans, descending
-    std::vector<std::vector<double>> stageTw_; //!< per-stage twiddles
-    bool radix2Tail_ = false;
-};
-
-/**
  * A polynomial in the transform domain: N/2 complex evaluations, in the
- * digit-reversed order of the Radix4Fft engine for ring degree N.
+ * base-4 digit-reversed order NegacyclicFft's stages leave them in for
+ * ring degree N.
  *
  * Stored as separate real/imaginary arrays (structure-of-arrays), which
  * mirrors the hardware's packed 64-bit complex datapath and vectorizes
@@ -221,129 +147,69 @@ class FourierPolynomial
 };
 
 /**
- * Forward/inverse negacyclic transform engine for one ring degree N,
- * built on the radix-4 core.
+ * Forward/inverse negacyclic transform engine for one ring degree N.
  *
- * The fold+twist load is fused into the first forward butterfly stage
- * and the untwist+scale+round store into the last inverse stage, so a
- * transform makes exactly log4(N/2) + 1 passes over the data and
- * performs no heap allocation: forward writes straight into the
- * caller's FourierPolynomial and runs in place there.
+ * The constructor builds the tables once: the radix-4 stage twiddles
+ * and the twist factors e^{i*pi*j/N}, published to the kernels as a
+ * detail::NegacyclicView. Every transform runs the dispatched kernel
+ * template (fft_kernels.h), whose fold+twist load and
+ * untwist+scale+round store are fused into the lane transposes.
  *
- * An instance carries internal scratch buffers (used only by the
- * const-input inverse) and must not be shared between threads
- * concurrently; forDegree() returns a per-thread cached instance so
- * callers never pay table setup twice on the same thread.
+ * The batched entry points take up to detail::kMaxFftLanes polynomials
+ * per kernel call. The kernel tier (scalar / AVX2 / AVX-512 / NEON) is
+ * resolved by fft_dispatch.h at first use and acts as a width
+ * *ceiling*: whole groups of W = tier lane width go through the widest
+ * kernel, and a short group descends the dispatch ladder to the widest
+ * narrower kernel it can still fill (e.g. 4 transforms on an AVX-512
+ * host use the AVX2 kernel). A trailing group of >= 2 polynomials too
+ * small for even the narrowest vector kernel runs through it anyway,
+ * with idle lanes re-transforming the first polynomial into a shared
+ * throwaway buffer: cheaper than W = 1 calls. Lone polynomials, the
+ * scalar tier, and transforms too small to interleave (N/2 % W != 0)
+ * run the W = 1 kernel. All paths are bit-identical, so batching and
+ * ladder descent never change results. The single-polynomial forward
+ * and inverse are count-1 calls of the batched ones.
+ *
+ * Allocation-free after construction: the interleaved lane scratch is
+ * preallocated at the widest tier. An instance carries that mutable
+ * scratch and must not be shared between threads concurrently;
+ * forDegree() returns a per-thread cached instance, so callers never
+ * pay table setup twice on the same thread.
  */
 class NegacyclicFft
 {
   public:
     explicit NegacyclicFft(unsigned ring_degree);
 
-    unsigned ringDegree() const { return n_; }
+    NegacyclicFft(const NegacyclicFft &) = delete;
+    NegacyclicFft &operator=(const NegacyclicFft &) = delete;
+
+    unsigned ringDegree() const { return view_.n; }
 
     /** Forward transform of an integer polynomial (decomposition
-     *  digits). Allocation-free. */
+     *  digits). */
     void forward(const IntPolynomial &poly, FourierPolynomial &out) const;
 
     /** Forward transform of a torus polynomial (coefficients read as
-     *  signed 32-bit integers, the standard TFHE convention).
-     *  Allocation-free. */
+     *  signed 32-bit integers, the standard TFHE convention). */
     void forward(const TorusPolynomial &poly,
                  FourierPolynomial &out) const;
 
     /** Inverse transform with rounding back onto the discretized torus
-     *  (reduction mod 2^32), overwriting `out`. Preserves `in`; uses the
-     *  engine's mutable scratch, which is why an engine is
-     *  single-thread-only. */
+     *  (reduction mod 2^32), overwriting `out`. */
     void inverse(const FourierPolynomial &in, TorusPolynomial &out) const;
-
-    /** Inverse transform that runs in place inside `in`, destroying its
-     *  contents, and *adds* the rounded result into `out` (the batched
-     *  inverse's contract). The hot-path variant: no scratch copy. */
-    void inverseInPlace(FourierPolynomial &in, TorusPolynomial &out) const;
-
-    /** Per-thread cached engine for ring degree N. */
-    static const NegacyclicFft &forDegree(unsigned ring_degree);
-
-  private:
-    /** Fold + twist + first forward butterfly stage in one pass over
-     *  the input (read as signed 32-bit coefficients). */
-    void forwardFromInt(const std::int32_t *input,
-                        FourierPolynomial &out) const;
-
-    /** The inverse stages, the last one fused with untwist + scale +
-     *  round, adding the rounded coefficients into `out`; consumes
-     *  re/im (digit-reversed spectrum). */
-    void inverseCore(double *re, double *im, TorusPolynomial &out) const;
-
-    unsigned n_;    //!< ring degree N
-    unsigned half_; //!< transform size N/2
-
-    Radix4Fft fft_; //!< the N/2-point complex core
-    AlignedVector<double> twistRe_, twistIm_; //!< e^{i*pi*j/N}
-
-    // Scratch reused by the const-preserving inverse (mutable:
-    // transforms are logically const). This is why an engine is
-    // single-thread-only; forDegree() hands out one engine per thread.
-    mutable AlignedVector<double> scratchRe_, scratchIm_;
-
-    friend class BatchFft; //!< shares the tables for batched transforms
-};
-
-/**
- * SIMD batch front end over NegacyclicFft: transforms up to
- * detail::kMaxFftLanes polynomials per kernel call by interleaving
- * their coefficients across vector lanes (see fft_kernels.h).
- *
- * The kernel tier (scalar / AVX2 / AVX-512 / NEON) is resolved by
- * fft_dispatch.h at first use and acts as a width *ceiling*: whole
- * groups of W = tier lane width go through the widest kernel, and a
- * short group descends the dispatch ladder to the widest narrower
- * kernel it can still fill (e.g. 4 transforms on an AVX-512 host use
- * the AVX2 kernel rather than falling back to scalar). A trailing
- * group of >= 2 polynomials too small for even the narrowest vector
- * kernel runs through it anyway with idle lanes re-transforming the
- * first polynomial into a shared throwaway buffer — cheaper than
- * per-polynomial scalar calls. Lone polynomials, the scalar tier, and
- * transforms too small to interleave (N/2 % W != 0) take the scalar
- * engine. All paths are bit-identical, so batching and ladder descent
- * never change results.
- *
- * Allocation-free after construction: the interleaved lane scratch is
- * preallocated at the widest tier. Instances carry mutable scratch and
- * are single-thread-only, like NegacyclicFft; forDegree() returns a
- * per-thread cached instance.
- */
-class BatchFft
-{
-  public:
-    explicit BatchFft(unsigned ring_degree);
-
-    BatchFft(const BatchFft &) = delete;
-    BatchFft &operator=(const BatchFft &) = delete;
-
-    unsigned ringDegree() const { return fft_.ringDegree(); }
-
-    /** The wrapped single-polynomial engine (scalar fallback path). */
-    const NegacyclicFft &engine() const { return fft_; }
 
     /** Batched forward transform of `count` coefficient arrays (read as
      *  signed 32-bit integers) into `count` spectra. */
     void forward(const std::int32_t *const *in,
                  FourierPolynomial *const *out, unsigned count) const;
 
-    /** Batched forward transform of `count` integer polynomials. */
-    void forward(const IntPolynomial *const *in,
-                 FourierPolynomial *const *out, unsigned count) const;
-
     /** Batched inverse + round of `count` spectra, *added* into
      *  `count` torus polynomials (*out[i] += round(inverse(*in[i]))), so
      *  products land straight in their accumulators; clear the outputs
-     *  first for a plain inverse. Destroys the spectra (hot-path
-     *  contract of NegacyclicFft::inverseInPlace). */
-    void inverseInPlace(FourierPolynomial *const *in,
-                        TorusPolynomial *const *out, unsigned count) const;
+     *  first for a plain inverse. The spectra are left unchanged. */
+    void inverseAdd(const FourierPolynomial *const *in,
+                    TorusPolynomial *const *out, unsigned count) const;
 
     /**
      * Slot-lane tile external product of one full tile of W
@@ -360,22 +226,23 @@ class BatchFft
                          double *acc_plane) const;
 
     /** Per-thread cached engine for ring degree N. */
-    static const BatchFft &forDegree(unsigned ring_degree);
+    static const NegacyclicFft &forDegree(unsigned ring_degree);
 
   private:
-    /** Widest ladder rung usable for a group of `remaining` transforms,
-     *  or nullptr when the scalar engine is the right path. */
-    const detail::BatchKernels *
+    /** Ladder rung for a group of `remaining` transforms. */
+    const detail::BatchKernels &
     pickKernel(const detail::KernelLadder &ladder,
                unsigned remaining) const;
 
-    NegacyclicFft fft_;                 //!< owns all transform tables
-    std::vector<unsigned> stageLen_;    //!< radix-4 spans (view backing)
-    std::vector<const double *> stageTw_; //!< per-stage twiddle blocks
-    detail::NegacyclicView view_;       //!< borrowed view for kernels
+    std::vector<unsigned> stageLen_;      //!< radix-4 spans, descending
+    std::vector<double> twiddles_;        //!< all stages' twiddle blocks
+    std::vector<const double *> stageTw_; //!< each stage's block
+    AlignedVector<double> twistRe_, twistIm_; //!< e^{i*pi*j/N}
+    detail::NegacyclicView view_;         //!< the tables, for kernels
 
-    // Interleaved lane scratch, sized for the widest tier; mutable for
-    // the same logically-const reason as NegacyclicFft's scratch.
+    // Interleaved lane scratch, sized for the widest tier so a later
+    // dispatch override never reallocates; mutable because transforms
+    // are logically const. This is why an engine is single-thread-only.
     mutable AlignedVector<double> laneRe_, laneIm_;
     // Shared throwaway outputs for idle padded lanes of a short group.
     mutable AlignedVector<double> padRe_, padIm_;

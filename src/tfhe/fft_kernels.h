@@ -2,18 +2,20 @@
  * @file
  * Internal interface between the negacyclic FFT front end (fft.cc,
  * fft_dispatch.cc) and the ISA-specific batched butterfly kernels
- * (fft_kernels_{scalar,avx2,avx512,neon}.cc).
+ * (fft_kernels_{scalar,avx2,avx512,neon}.cc). These kernels are the
+ * only negacyclic transform: a lone polynomial runs the scalar tier's
+ * W = 1 instantiation.
  *
- * The batched engine vectorizes across the *batch axis*: W polynomials
- * are transformed simultaneously with their coefficients interleaved
+ * The kernels vectorize across the *batch axis*: W polynomials are
+ * transformed simultaneously with their coefficients interleaved
  * lane-wise (element j of lane w lives at scratch[j*W + w]). Every
  * butterfly position then maps to exactly one W-wide vector with the
  * twiddle broadcast across lanes, so all stages — including the
  * smallest spans and the radix-2 tail that defeat within-polynomial
  * vectorization — run at full vector width. Because each lane performs
- * exactly the scalar algorithm's operation sequence per element, the
- * batched output is bit-identical to the scalar path for every tier
- * (asserted in tests/test_workspace.cc).
+ * exactly the W = 1 operation sequence per element, every tier's
+ * output is bit-identical to the scalar tier's (asserted in
+ * tests/test_workspace.cc).
  *
  * Two layouts feed those lanes in a blind rotation. A full tile of W
  * ciphertexts runs slot-lane (slotTileProduct): lane w carries
@@ -158,9 +160,9 @@ struct BatchKernels
  * Round a double onto the discretized 32-bit torus: round to nearest
  * (ties to even), then reduce mod 2^32 (llrint + wrap-around cast, with
  * a guarded exact range reduction beyond 2^62). The definition every
- * tier's inverse store reproduces: the scalar engine and the scalar and
- * NEON kernels call it per coefficient; the AVX2 and AVX-512 kernels
- * round with vector instructions bit-identical to it.
+ * tier's inverse store reproduces: the scalar and NEON kernels call it
+ * per coefficient; the AVX2 and AVX-512 kernels round with vector
+ * instructions bit-identical to it.
  */
 inline Torus32
 roundToTorus(double v)
@@ -172,8 +174,9 @@ roundToTorus(double v)
         static_cast<std::int64_t>(std::llrint(v))));
 }
 
-/** Portable reference tier (W = 1); always available, and the bit-exact
- *  semantics every vector tier must reproduce. */
+/** Portable reference tier (W = 1); always available, runs every lone
+ *  transform, and is the bit-exact semantics every vector tier must
+ *  reproduce. */
 const BatchKernels &scalarBatchKernels();
 
 // Vector tiers: each returns nullptr when the tier was not compiled in

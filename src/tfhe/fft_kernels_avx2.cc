@@ -6,7 +6,7 @@
  * and the dispatcher never offers the tier.
  *
  * No FMA intrinsics on purpose: separate mul/add keeps each lane's
- * rounding identical to the scalar path (the bit-identity contract of
+ * rounding identical to the scalar tier (the bit-identity contract of
  * fft_kernels_impl.h). The TU is also compiled with
  * -fvect-cost-model=dynamic, which vectorizes the plain integer loops
  * of fft_kernels_impl.h at 32-byte width.

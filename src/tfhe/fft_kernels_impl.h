@@ -18,15 +18,13 @@
  * op with the twiddle splat across lanes, so every stage runs at full
  * width regardless of its span. The fold+twist (forward) and
  * untwist+scale+round (inverse) are fused into the lane transpose
- * passes at the array boundaries, preserving the scalar engine's
- * pass count.
+ * passes at the array boundaries, so they cost no pass of their own.
  *
  * Bit-identity contract: each lane executes exactly the operation
- * sequence of the scalar path per element (multiplies and adds in the
- * same order, no FMA contraction, rounding identical to roundToTorus),
- * so outputs are bit-identical to NegacyclicFft's scalar transforms.
- * Keep any change here in lockstep with fft.cc and compile kernel TUs
- * with -ffp-contract=off.
+ * sequence of the W = 1 instantiation per element (multiplies and adds
+ * in the same order, no FMA contraction, rounding identical to
+ * roundToTorus), so every tier's outputs are bit-identical to the
+ * scalar tier's. Compile kernel TUs with -ffp-contract=off.
  *
  * The integer kernels at the end (rotate-and-decompose, key-switch row
  * update) use no traits: they are plain loops that each ISA
@@ -58,8 +56,8 @@ foldTwistTransposeIn(const NegacyclicView &t,
         const Vec ti = V::load(t.twistIm + j0);
         Vec row_re[W], row_im[W];
         for (unsigned w = 0; w < W; ++w) {
-            // x_j = (a_j + i * a_{j+N/2}) * e^{i*pi*j/N}, same
-            // expression order as the scalar fold+twist.
+            // x_j = (a_j + i * a_{j+N/2}) * e^{i*pi*j/N}, the same
+            // expression order on every tier.
             const Vec lo = V::cvtInt32(in[w] + j0);
             const Vec hi = V::cvtInt32(in[w] + j0 + half);
             row_re[w] = V::sub(V::mul(lo, tr), V::mul(hi, ti));
@@ -212,7 +210,7 @@ inverseStages(const NegacyclicView &t, double *re, double *im)
 }
 
 /** De-interleave the forward spectra back into each polynomial's SoA
- *  arrays (digit-reversed order, matching the scalar engine). */
+ *  arrays (the digit-reversed FourierPolynomial order). */
 template <class V>
 void
 transposeOut(const NegacyclicView &t, const double *s_re,

@@ -131,8 +131,8 @@ FourierGgsw::fromGgsw(const GgswCiphertext &ggsw)
     const unsigned n = ggsw.row(0).polyDegree();
 
     // All (k+1)*l_b*(k+1) transforms of the key material go through one
-    // batched forward call (torus coefficients read as signed 32-bit
-    // integers, as in NegacyclicFft::forward(TorusPolynomial)).
+    // batched forward call, torus coefficients read as signed 32-bit
+    // integers (the standard TFHE convention).
     std::vector<const std::int32_t *> in;
     std::vector<FourierPolynomial *> spectra;
     for (unsigned r = 0; r < ggsw.numRows(); ++r) {
@@ -146,8 +146,8 @@ FourierGgsw::fromGgsw(const GgswCiphertext &ggsw)
             spectra.push_back(&dst[c]);
         }
     }
-    BatchFft::forDegree(n).forward(in.data(), spectra.data(),
-                                   static_cast<unsigned>(in.size()));
+    NegacyclicFft::forDegree(n).forward(in.data(), spectra.data(),
+                                        static_cast<unsigned>(in.size()));
     return out;
 }
 
@@ -207,9 +207,9 @@ prepareWorkspace(const FourierGgsw &ggsw, unsigned k, unsigned n,
  * Stage (1) of the Fourier external product: decompose all components
  * of `input` into the digit rows of the workspace. Their forward
  * transforms, (k+1)*l_b per ciphertext, are the ones the hardware
- * shares across a VPE row (input transform-domain reuse); they run
- * through BatchFft as one batched call, so the SIMD tiers transform
- * several digit polynomials per pass. (The tile CMux decomposes with
+ * shares across a VPE row (input transform-domain reuse); they run as
+ * one batched NegacyclicFft call, so the SIMD tiers transform several
+ * digit polynomials per pass. (The tile CMux decomposes with
  * the dispatched rotateDiffDecompose kernel instead.)
  */
 void
@@ -256,8 +256,8 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
     const unsigned n = input.polyDegree();
     prepareWorkspace(ggsw, k, n, 1, 0, ws);
     decomposeInto(input, ws);
-    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
-                                   ws.batchDigitsF.data(), ggsw.numRows());
+    NegacyclicFft::forDegree(n).forward(
+        ws.batchDigits.data(), ws.batchDigitsF.data(), ggsw.numRows());
     if (result.dimension() != k || result.polyDegree() != n)
         result = GlweCiphertext(k, n);
 
@@ -271,8 +271,8 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
         result.component(c).clear();
         ws.batchTorus[c] = &result.component(c);
     }
-    BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
-                                          ws.batchTorus.data(), k + 1);
+    NegacyclicFft::forDegree(n).inverseAdd(ws.batchAccF.data(),
+                                           ws.batchTorus.data(), k + 1);
 }
 
 GlweCiphertext
@@ -302,13 +302,13 @@ cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
     // inverse FFTs batched into one call that adds straight into the
     // rotating accumulator (no result/copy ciphertexts).
     decomposeInto(ws.diff, ws);
-    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
-                                   ws.batchDigitsF.data(), ggsw.numRows());
+    NegacyclicFft::forDegree(n).forward(
+        ws.batchDigits.data(), ws.batchDigitsF.data(), ggsw.numRows());
     accumulateColumns(ggsw, ws, k, 1);
     for (unsigned c = 0; c <= k; ++c)
         ws.batchTorus[c] = &acc.component(c);
-    BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
-                                          ws.batchTorus.data(), k + 1);
+    NegacyclicFft::forDegree(n).inverseAdd(ws.batchAccF.data(),
+                                           ws.batchTorus.data(), k + 1);
 }
 
 void
@@ -353,7 +353,7 @@ cmuxRotateTileInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
                 ws.batchKeyIm[r * (k + 1) + c] = ggsw.at(r, c).imData();
             }
         }
-        BatchFft::forDegree(n).slotTileProduct(
+        NegacyclicFft::forDegree(n).slotTileProduct(
             ws.batchDigits.data(), rows, ws.batchKeyRe.data(),
             ws.batchKeyIm.data(), k + 1, ws.batchOut.data(),
             ws.digitPlanes.data(), ws.accPlanes.data());
@@ -362,14 +362,14 @@ cmuxRotateTileInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
 
     // Row lanes: one forward call for the tile's count*(k+1)*l_b digit
     // polynomials, ...
-    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
-                                   ws.batchDigitsF.data(), count * rows);
+    NegacyclicFft::forDegree(n).forward(
+        ws.batchDigits.data(), ws.batchDigitsF.data(), count * rows);
 
     // ... one pass over the key for the tile, and one batched inverse
     // for all count*(k+1) components that adds straight into the
     // accumulators.
     accumulateColumns(ggsw, ws, k, count);
-    BatchFft::forDegree(n).inverseInPlace(
+    NegacyclicFft::forDegree(n).inverseAdd(
         ws.batchAccF.data(), ws.batchTorus.data(), count * (k + 1));
 }
 

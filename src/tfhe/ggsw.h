@@ -186,12 +186,12 @@ void cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
  * for t < count. Each accumulator component is rotated, differenced and
  * decomposed in one pass (the dispatched tier's rotateDiffDecompose).
  * A full tile, count == W > 1 for the active tier's lane width W, then
- * runs one ciphertext per lane through BatchFft::slotTileProduct: the
- * spectra stay lane-interleaved from the forward transforms, through a
+ * runs one ciphertext per lane through NegacyclicFft::slotTileProduct:
+ * the spectra stay lane-interleaved from the forward transforms, through a
  * MAC whose accumulators stay in registers, to the inverse that rounds
  * straight into the accumulators. A shorter tile, and every tile on the
  * scalar tier, batches across rows instead: its count*(k+1)*l_b
- * forward transforms run as one BatchFft call, each key polynomial is
+ * forward transforms run as one batched call, each key polynomial is
  * multiplied into every slot while it is in cache, and the count*(k+1)
  * inverses run as one call. Every accumulator gets exactly
  * cmuxRotateInPlace's arithmetic, so the results are byte-equal to

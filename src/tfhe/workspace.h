@@ -82,14 +82,14 @@ class BootstrapWorkspace
     std::vector<FourierPolynomial> accF; //!< depth*(k+1) accumulators
     GlweCiphertext diff;               //!< X^a * ACC - ACC (reference CMux)
 
-    // Slot-lane tile planes (BatchFft::slotTileProduct): lane w of
+    // Slot-lane tile planes (NegacyclicFft::slotTileProduct): lane w of
     // every vector holds ciphertext w of the tile. Each is a real block
     // then an imaginary block of slots*N/2 doubles per polynomial.
     AlignedVector<double> digitPlanes; //!< (k+1)*l_b digit spectra
     AlignedVector<double> accPlanes;   //!< k+1 accumulators
 
     // Stable pointer views over the buffers above, preshaped by
-    // ensure() so the batched FFT entry points (BatchFft) and the
+    // ensure() so the batched FFT entry points (NegacyclicFft) and the
     // rotate-and-decompose kernel can be fed without per-call
     // allocation. batchTorus is filled per call (its targets live in
     // the caller's ciphertexts); the rest point at the workspace's own

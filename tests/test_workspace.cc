@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the zero-allocation bootstrap hot path: workspace vs.
- * legacy entry-point equivalence (exact integer equality), the radix-4
- * FFT engine against the radix-2 reference, the planned gadget
+ * legacy entry-point equivalence (exact integer equality), the
+ * negacyclic FFT engine against the radix-2 reference, the planned gadget
  * decomposition and in-place rotations against their scalar originals,
  * every SIMD tier's batched transforms, rounding store and integer
  * kernels against the scalar references, the iteration-major batched
@@ -140,43 +140,121 @@ randomTorusPoly(unsigned n, Rng &rng)
     return p;
 }
 
+IntPolynomial
+randomIntPoly(unsigned n, Rng &rng)
+{
+    IntPolynomial p(n);
+    for (unsigned i = 0; i < n; ++i)
+        p[i] = static_cast<std::int32_t>(rng.nextU32());
+    return p;
+}
+
+/** Forward transforms of `polys` through one batched engine call. */
+std::vector<FourierPolynomial>
+forwardBatch(const std::vector<IntPolynomial> &polys)
+{
+    const unsigned n = polys[0].degree();
+    std::vector<FourierPolynomial> spectra(polys.size(),
+                                           FourierPolynomial(n));
+    std::vector<const std::int32_t *> in;
+    std::vector<FourierPolynomial *> out;
+    for (std::size_t i = 0; i < polys.size(); ++i) {
+        in.push_back(polys[i].data());
+        out.push_back(&spectra[i]);
+    }
+    NegacyclicFft::forDegree(n).forward(in.data(), out.data(),
+                                        static_cast<unsigned>(in.size()));
+    return spectra;
+}
+
+/** Inverse transforms of `spectra` through one batched engine call,
+ *  added into `out` (resized to zero polynomials when empty). */
+void
+inverseAddBatch(const std::vector<FourierPolynomial> &spectra,
+                std::vector<TorusPolynomial> &out)
+{
+    const unsigned n = spectra[0].ringDegree();
+    if (out.empty())
+        out.assign(spectra.size(), TorusPolynomial(n));
+    std::vector<const FourierPolynomial *> in;
+    std::vector<TorusPolynomial *> outP;
+    for (std::size_t i = 0; i < spectra.size(); ++i) {
+        in.push_back(&spectra[i]);
+        outP.push_back(&out[i]);
+    }
+    NegacyclicFft::forDegree(n).inverseAdd(
+        in.data(), outP.data(), static_cast<unsigned>(in.size()));
+}
+
 // ---------------------------------------------------------------------
-// Radix-4 engine vs. the radix-2 reference.
+// The negacyclic engine vs. the radix-2 ComplexFft reference.
 //
-// The radix-4 engine emits its spectrum in digit-reversed order; the
-// permutation is recovered numerically (a complex exponential of
-// frequency k transforms to a single peak at whatever index the engine
-// stores bin k at), asserted to be a bijection, and then used to
-// compare against the natural-order radix-2 reference.
+// The engine's radix-4 stages leave the spectrum in digit-reversed
+// order. The permutation is found by matching, not by knowing the
+// stages: each bin of a seeded random polynomial's engine spectrum is
+// paired with the nearest natural-order bin of the reference (fold +
+// twist applied by hand, then ComplexFft), the pairing is asserted to
+// be a bijection, and fresh seeded inputs are then compared through it
+// on every tier, for count 1 (the W = 1 kernel) and for a full group of
+// kMaxFftLanes (each tier's own kernel). The parameter is the complex
+// size N/2; 8..256 covers stage counts with and without the radix-2
+// tail.
 // ---------------------------------------------------------------------
 
-std::vector<unsigned>
-probePermutation(const Radix4Fft &fft)
+/** Reference spectrum of an integer polynomial, in natural bin order:
+ *  the fold + twist by hand, then ComplexFft of size N/2. */
+void
+referenceSpectrum(const IntPolynomial &a, std::vector<double> &re,
+                  std::vector<double> &im)
 {
-    const unsigned m = fft.size();
-    std::vector<unsigned> perm(m, m);
-    std::vector<bool> hit(m, false);
-    std::vector<double> re(m), im(m);
-    for (unsigned k = 0; k < m; ++k) {
-        for (unsigned j = 0; j < m; ++j) {
-            const double angle = 2.0 * M_PI * static_cast<double>(k) *
-                                 static_cast<double>(j) /
-                                 static_cast<double>(m);
-            re[j] = std::cos(angle);
-            im[j] = std::sin(angle);
-        }
-        fft.forwardPermuted(re.data(), im.data());
-        unsigned peak = m;
-        for (unsigned t = 0; t < m; ++t) {
-            if (std::abs(re[t]) > m / 2.0) {
-                EXPECT_EQ(peak, m) << "two peaks for frequency " << k;
-                peak = t;
+    const unsigned n = a.degree(), half = n / 2;
+    re.resize(half);
+    im.resize(half);
+    for (unsigned j = 0; j < half; ++j) {
+        const double angle = M_PI * static_cast<double>(j) /
+                             static_cast<double>(n);
+        const double lo = a[j], hi = a[j + half];
+        re[j] = lo * std::cos(angle) - hi * std::sin(angle);
+        im[j] = lo * std::sin(angle) + hi * std::cos(angle);
+    }
+    ComplexFft(half).forward(re.data(), im.data());
+}
+
+/** Round-off allowance for a bin of an N/2-point transform of full-range
+ *  int32 coefficients (bins reach 2^31 * N/2). */
+double
+binTolerance(unsigned half)
+{
+    return 1e-12 * 0x1p31 * half;
+}
+
+/** perm[k] = the engine bin holding reference bin k. */
+std::vector<unsigned>
+derivePermutation(unsigned n)
+{
+    const unsigned half = n / 2;
+    Rng rng(0x9E37 + n);
+    const auto poly = randomIntPoly(n, rng);
+    std::vector<double> re, im;
+    referenceSpectrum(poly, re, im);
+    FourierPolynomial spectrum(n);
+    NegacyclicFft::forDegree(n).forward(poly, spectrum);
+
+    std::vector<unsigned> perm(half, half);
+    std::vector<bool> hit(half, false);
+    for (unsigned k = 0; k < half; ++k) {
+        double best = INFINITY;
+        for (unsigned t = 0; t < half; ++t) {
+            const double d = std::hypot(spectrum.re(t) - re[k],
+                                        spectrum.im(t) - im[k]);
+            if (d < best) {
+                best = d;
+                perm[k] = t;
             }
         }
-        EXPECT_LT(peak, m) << "no peak for frequency " << k;
-        perm[k] = peak;
-        EXPECT_FALSE(hit[peak]) << "permutation not injective at " << k;
-        hit[peak] = true;
+        EXPECT_LT(best, binTolerance(half)) << "no engine bin for " << k;
+        EXPECT_FALSE(hit[perm[k]]) << "permutation not injective at " << k;
+        hit[perm[k]] = true;
     }
     return perm;
 }
@@ -187,80 +265,129 @@ class Radix4Sizes : public ::testing::TestWithParam<unsigned>
 
 TEST_P(Radix4Sizes, ForwardMatchesRadix2UpToPermutation)
 {
-    const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    const ComplexFft r2(m);
-    const auto perm = probePermutation(r4);
-
-    Rng rng(100 + m);
-    std::vector<double> re(m), im(m), re4(m), im4(m);
-    for (unsigned j = 0; j < m; ++j) {
-        re[j] = rng.nextDouble() * 2.0 - 1.0;
-        im[j] = rng.nextDouble() * 2.0 - 1.0;
-        re4[j] = re[j];
-        im4[j] = im[j];
-    }
-    r2.forward(re.data(), im.data());
-    r4.forwardPermuted(re4.data(), im4.data());
-    for (unsigned k = 0; k < m; ++k) {
-        EXPECT_NEAR(re4[perm[k]], re[k], 1e-9 * m) << "bin " << k;
-        EXPECT_NEAR(im4[perm[k]], im[k], 1e-9 * m) << "bin " << k;
+    const unsigned half = GetParam(), n = 2 * half;
+    const auto perm = derivePermutation(n);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(100 + half + static_cast<unsigned>(tier));
+        for (const unsigned count : {1u, detail::kMaxFftLanes}) {
+            std::vector<IntPolynomial> polys;
+            for (unsigned i = 0; i < count; ++i)
+                polys.push_back(randomIntPoly(n, rng));
+            const auto spectra = forwardBatch(polys);
+            std::vector<double> re, im;
+            for (unsigned i = 0; i < count; ++i) {
+                referenceSpectrum(polys[i], re, im);
+                for (unsigned k = 0; k < half; ++k) {
+                    EXPECT_NEAR(spectra[i].re(perm[k]), re[k],
+                                binTolerance(half))
+                        << fftDispatchTierName(tier) << " count " << count
+                        << " poly " << i << " bin " << k;
+                    EXPECT_NEAR(spectra[i].im(perm[k]), im[k],
+                                binTolerance(half))
+                        << fftDispatchTierName(tier) << " count " << count
+                        << " poly " << i << " bin " << k;
+                }
+            }
+        }
     }
 }
 
 TEST_P(Radix4Sizes, InverseMatchesRadix2UpToPermutation)
 {
-    const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    const ComplexFft r2(m);
-    const auto perm = probePermutation(r4);
-
-    Rng rng(200 + m);
-    std::vector<double> re(m), im(m), re4(m), im4(m);
-    for (unsigned k = 0; k < m; ++k) {
-        re[k] = rng.nextDouble() * 2.0 - 1.0;
-        im[k] = rng.nextDouble() * 2.0 - 1.0;
-    }
-    for (unsigned k = 0; k < m; ++k) {
-        re4[perm[k]] = re[k];
-        im4[perm[k]] = im[k];
-    }
-    r2.inverse(re.data(), im.data());
-    r4.inversePermuted(re4.data(), im4.data());
-    for (unsigned j = 0; j < m; ++j) {
-        EXPECT_NEAR(re4[j], re[j], 1e-9 * m) << "index " << j;
-        EXPECT_NEAR(im4[j], im[j], 1e-9 * m) << "index " << j;
+    // Random spectra in reference order: the engine reads them through
+    // the permutation, the reference runs ComplexFft's unscaled inverse,
+    // scales by 2/N, untwists and rounds by hand. The two round-offs
+    // differ by far less than one torus unit, so the results agree
+    // within one unit (a near-tie may round either way).
+    const unsigned half = GetParam(), n = 2 * half;
+    const auto perm = derivePermutation(n);
+    const ComplexFft reference(half);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(200 + half + static_cast<unsigned>(tier));
+        for (const unsigned count : {1u, detail::kMaxFftLanes}) {
+            std::vector<FourierPolynomial> spectra(count,
+                                                   FourierPolynomial(n));
+            std::vector<TorusPolynomial> want(count, TorusPolynomial(n));
+            for (unsigned i = 0; i < count; ++i) {
+                std::vector<double> re(half), im(half);
+                for (unsigned k = 0; k < half; ++k) {
+                    re[k] = (rng.nextDouble() * 2.0 - 1.0) * 0x1p30;
+                    im[k] = (rng.nextDouble() * 2.0 - 1.0) * 0x1p30;
+                    spectra[i].re(perm[k]) = re[k];
+                    spectra[i].im(perm[k]) = im[k];
+                }
+                reference.inverse(re.data(), im.data());
+                for (unsigned j = 0; j < half; ++j) {
+                    const double angle = M_PI * static_cast<double>(j) /
+                                         static_cast<double>(n);
+                    const double zr = re[j] / half, zi = im[j] / half;
+                    want[i][j] = detail::roundToTorus(
+                        zr * std::cos(angle) + zi * std::sin(angle));
+                    want[i][j + half] = detail::roundToTorus(
+                        zi * std::cos(angle) - zr * std::sin(angle));
+                }
+            }
+            std::vector<TorusPolynomial> got;
+            inverseAddBatch(spectra, got);
+            for (unsigned i = 0; i < count; ++i)
+                for (unsigned j = 0; j < n; ++j)
+                    EXPECT_LE(std::abs(static_cast<std::int32_t>(
+                                  got[i][j] - want[i][j])),
+                              1)
+                        << fftDispatchTierName(tier) << " count " << count
+                        << " poly " << i << " index " << j;
+        }
     }
 }
 
 TEST_P(Radix4Sizes, RoundtripIsScaledIdentity)
 {
-    const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    Rng rng(300 + m);
-    std::vector<double> re(m), im(m), orig_re(m), orig_im(m);
-    for (unsigned j = 0; j < m; ++j) {
-        re[j] = orig_re[j] = rng.nextDouble() * 1e3;
-        im[j] = orig_im[j] = rng.nextDouble() * 1e3;
-    }
-    r4.forwardPermuted(re.data(), im.data());
-    r4.inversePermuted(re.data(), im.data());
-    for (unsigned j = 0; j < m; ++j) {
-        EXPECT_NEAR(re[j], m * orig_re[j], 1e-6 * m);
-        EXPECT_NEAR(im[j], m * orig_im[j], 1e-6 * m);
+    // The inverse applies the 1/(N/2) scale of the unscaled complex
+    // round trip, so forward then inverse is the identity: its
+    // round-off is far below the rounding step, so recovery is exact.
+    const unsigned half = GetParam(), n = 2 * half;
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(300 + half + static_cast<unsigned>(tier));
+        for (const unsigned count : {1u, detail::kMaxFftLanes}) {
+            std::vector<IntPolynomial> polys;
+            for (unsigned i = 0; i < count; ++i)
+                polys.push_back(randomIntPoly(n, rng));
+            std::vector<TorusPolynomial> back;
+            inverseAddBatch(forwardBatch(polys), back);
+            for (unsigned i = 0; i < count; ++i)
+                for (unsigned j = 0; j < n; ++j)
+                    ASSERT_EQ(static_cast<std::int32_t>(back[i][j]),
+                              polys[i][j])
+                        << fftDispatchTierName(tier) << " count " << count
+                        << " poly " << i << " index " << j;
+        }
     }
 }
 
 TEST_P(Radix4Sizes, ImpulseTransformsToFlatSpectrum)
 {
-    const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    std::vector<double> re(m, 0.0), im(m, 0.0);
-    re[0] = 1.0;
-    r4.forwardPermuted(re.data(), im.data());
-    for (unsigned t = 0; t < m; ++t) {
-        EXPECT_NEAR(re[t], 1.0, 1e-12);
-        EXPECT_NEAR(im[t], 0.0, 1e-12);
+    // The constant polynomial 1 folds and twists to an impulse at
+    // index 0, whose transform is 1 in every bin.
+    const unsigned half = GetParam(), n = 2 * half;
+    IntPolynomial one(n);
+    one[0] = 1;
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        for (const unsigned count : {1u, detail::kMaxFftLanes}) {
+            const auto spectra =
+                forwardBatch(std::vector<IntPolynomial>(count, one));
+            for (unsigned i = 0; i < count; ++i) {
+                for (unsigned t = 0; t < half; ++t) {
+                    EXPECT_NEAR(spectra[i].re(t), 1.0, 1e-12)
+                        << fftDispatchTierName(tier) << " bin " << t;
+                    EXPECT_NEAR(spectra[i].im(t), 0.0, 1e-12)
+                        << fftDispatchTierName(tier) << " bin " << t;
+                }
+            }
+        }
     }
 }
 
@@ -532,48 +659,31 @@ TEST(FftDispatch, ForceSelectsEachSupportedTier)
 }
 
 // ---------------------------------------------------------------------
-// The batched FFT engine: for every supported tier, batched transforms
-// must be bit-identical to the scalar single-polynomial engine, match
-// the radix-2 reference up to the engine permutation, round-trip, and
-// agree with the schoolbook negacyclic product.
+// The batched entry points: for every supported tier, batched
+// transforms must be bit-identical to the count-1 call (the W = 1
+// kernel), match the radix-2 reference up to the engine permutation,
+// round-trip, and agree with the schoolbook negacyclic product.
 // ---------------------------------------------------------------------
-
-IntPolynomial
-randomIntPoly(unsigned n, Rng &rng)
-{
-    IntPolynomial p(n);
-    for (unsigned i = 0; i < n; ++i)
-        p[i] = static_cast<std::int32_t>(rng.nextU32());
-    return p;
-}
 
 TEST(BatchFftTiers, ForwardBitIdenticalToScalarEngine)
 {
     // Randomized ring degrees (with and without the radix-2 tail, and
-    // small enough to force the scalar fallback under wide tiers) and
+    // small enough to force the W = 1 kernel under wide tiers) and
     // randomized batch counts around the lane-width boundaries.
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         Rng rng(0xF0F0 + static_cast<unsigned>(tier));
         for (const unsigned n : {8u, 16u, 32u, 128u, 512u, 1024u, 2048u}) {
-            const BatchFft bfft(n);
+            const auto &fft = NegacyclicFft::forDegree(n);
             for (const unsigned count : {1u, 2u, 5u, 8u, 9u, 17u}) {
                 std::vector<IntPolynomial> polys;
-                std::vector<const IntPolynomial *> in;
-                std::vector<FourierPolynomial> batched(
-                    count, FourierPolynomial(n));
-                std::vector<FourierPolynomial *> out;
-                for (unsigned i = 0; i < count; ++i) {
-                    polys.push_back(randomIntPoly(n, rng));
-                    out.push_back(&batched[i]);
-                }
                 for (unsigned i = 0; i < count; ++i)
-                    in.push_back(&polys[i]);
-                bfft.forward(in.data(), out.data(), count);
+                    polys.push_back(randomIntPoly(n, rng));
+                const auto batched = forwardBatch(polys);
 
                 FourierPolynomial ref(n);
                 for (unsigned i = 0; i < count; ++i) {
-                    bfft.engine().forward(polys[i], ref);
+                    fft.forward(polys[i], ref);
                     for (unsigned j = 0; j < ref.size(); ++j) {
                         ASSERT_EQ(batched[i].re(j), ref.re(j))
                             << fftDispatchTierName(tier) << " N " << n
@@ -596,7 +706,7 @@ TEST(BatchFftTiers, InverseBitIdenticalToScalarEngine)
         DispatchGuard guard(tier);
         Rng rng(0x1D1D + static_cast<unsigned>(tier));
         for (const unsigned n : {8u, 32u, 256u, 1024u}) {
-            const BatchFft bfft(n);
+            const auto &fft = NegacyclicFft::forDegree(n);
             for (const unsigned count : {1u, 4u, 8u, 11u}) {
                 // Realistic spectra: forward transforms of random torus
                 // polynomials, scaled up as an accumulated dot product
@@ -605,23 +715,16 @@ TEST(BatchFftTiers, InverseBitIdenticalToScalarEngine)
                     count, FourierPolynomial(n));
                 for (unsigned i = 0; i < count; ++i) {
                     const auto tp = randomTorusPoly(n, rng);
-                    bfft.engine().forward(tp, spectra[i]);
+                    fft.forward(tp, spectra[i]);
                 }
 
                 std::vector<TorusPolynomial> ref(count,
                                                  TorusPolynomial(n));
                 for (unsigned i = 0; i < count; ++i)
-                    bfft.engine().inverse(spectra[i], ref[i]);
+                    fft.inverse(spectra[i], ref[i]);
 
-                std::vector<FourierPolynomial *> in;
-                std::vector<TorusPolynomial> got(count,
-                                                 TorusPolynomial(n));
-                std::vector<TorusPolynomial *> out;
-                for (unsigned i = 0; i < count; ++i) {
-                    in.push_back(&spectra[i]);
-                    out.push_back(&got[i]);
-                }
-                bfft.inverseInPlace(in.data(), out.data(), count);
+                std::vector<TorusPolynomial> got;
+                inverseAddBatch(spectra, got);
                 for (unsigned i = 0; i < count; ++i)
                     EXPECT_EQ(got[i], ref[i])
                         << fftDispatchTierName(tier) << " N " << n
@@ -640,7 +743,7 @@ TEST(BatchFftTiers, InverseRoundsLikeRoundToTorus)
     // near-ties just inside them, the 2^31/2^32 wrap points, the 2^53
     // precision edge, the 2^62 guard of roundToTorus, and random values
     // of every magnitude up to 2^91. Coefficient 0 must be exactly
-    // roundToTorus(v), the rest must match the scalar engine, and both
+    // roundToTorus(v), the rest must match the count-1 call, and both
     // must be added into outputs that start nonzero.
     std::vector<double> values = {
         0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1048576.5,
@@ -657,9 +760,9 @@ TEST(BatchFftTiers, InverseRoundsLikeRoundToTorus)
     }
 
     // Groups of 9 fill the 8- or 4-lane kernels and leave one spectrum
-    // for the single-polynomial fallback.
+    // for the W = 1 kernel.
     const unsigned n = 64, group = 9;
-    const BatchFft bfft(n);
+    const auto &fft = NegacyclicFft::forDegree(n);
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         Rng rng(0x4D0 + static_cast<unsigned>(tier));
@@ -669,20 +772,14 @@ TEST(BatchFftTiers, InverseRoundsLikeRoundToTorus)
             std::vector<FourierPolynomial> spectra(count,
                                                    FourierPolynomial(n));
             std::vector<TorusPolynomial> ref(count, TorusPolynomial(n));
-            std::vector<TorusPolynomial> start, got;
-            std::vector<FourierPolynomial *> in;
-            std::vector<TorusPolynomial *> out;
+            std::vector<TorusPolynomial> start;
             for (unsigned i = 0; i < count; ++i) {
                 spectra[i].re(0) = values[b + i] * (n / 2);
-                bfft.engine().inverse(spectra[i], ref[i]);
+                fft.inverse(spectra[i], ref[i]);
                 start.push_back(randomTorusPoly(n, rng));
             }
-            got = start;
-            for (unsigned i = 0; i < count; ++i) {
-                in.push_back(&spectra[i]);
-                out.push_back(&got[i]);
-            }
-            bfft.inverseInPlace(in.data(), out.data(), count);
+            std::vector<TorusPolynomial> got = start;
+            inverseAddBatch(spectra, got);
             for (unsigned i = 0; i < count; ++i) {
                 const double v = values[b + i];
                 ASSERT_EQ(got[i][0] - start[i][0], detail::roundToTorus(v))
@@ -702,33 +799,20 @@ TEST(BatchFftTiers, RoundtripRecoversTorusPolynomials)
         DispatchGuard guard(tier);
         Rng rng(0x707 + static_cast<unsigned>(tier));
         for (const unsigned n : {16u, 128u, 1024u}) {
-            const BatchFft bfft(n);
             const unsigned count = 9;
-            std::vector<TorusPolynomial> orig;
-            std::vector<const std::int32_t *> in;
-            std::vector<FourierPolynomial> spectra(count,
-                                                   FourierPolynomial(n));
-            std::vector<FourierPolynomial *> spectraP;
-            for (unsigned i = 0; i < count; ++i) {
-                orig.push_back(randomTorusPoly(n, rng));
-                spectraP.push_back(&spectra[i]);
-            }
+            std::vector<IntPolynomial> orig;
             for (unsigned i = 0; i < count; ++i)
-                in.push_back(reinterpret_cast<const std::int32_t *>(
-                    orig[i].data()));
-            bfft.forward(in.data(), spectraP.data(), count);
-
-            std::vector<TorusPolynomial> back(count, TorusPolynomial(n));
-            std::vector<TorusPolynomial *> backP;
-            for (unsigned i = 0; i < count; ++i)
-                backP.push_back(&back[i]);
-            bfft.inverseInPlace(spectraP.data(), backP.data(), count);
+                orig.push_back(randomIntPoly(n, rng));
+            std::vector<TorusPolynomial> back;
+            inverseAddBatch(forwardBatch(orig), back);
             // The FFT roundtrip error is orders of magnitude below the
             // rounding step, so recovery is exact.
             for (unsigned i = 0; i < count; ++i)
-                EXPECT_EQ(back[i], orig[i])
-                    << fftDispatchTierName(tier) << " N " << n
-                    << " poly " << i;
+                for (unsigned j = 0; j < n; ++j)
+                    ASSERT_EQ(static_cast<std::int32_t>(back[i][j]),
+                              orig[i][j])
+                        << fftDispatchTierName(tier) << " N " << n
+                        << " poly " << i << " index " << j;
         }
     }
 }
@@ -739,7 +823,7 @@ TEST(BatchFftTiers, ProductMatchesSchoolbookNegacyclic)
         DispatchGuard guard(tier);
         Rng rng(0x5B5B + static_cast<unsigned>(tier));
         const unsigned n = 512;
-        const BatchFft bfft(n);
+        const auto &fft = NegacyclicFft::forDegree(n);
 
         // Small multiplier digits (the gadget decomposition range) keep
         // the schoolbook accumulation exactly representable.
@@ -749,17 +833,11 @@ TEST(BatchFftTiers, ProductMatchesSchoolbookNegacyclic)
         const auto b = randomTorusPoly(n, rng);
 
         FourierPolynomial fa(n), fb(n), acc(n);
-        const IntPolynomial *ap = &a;
-        FourierPolynomial *fap = &fa;
-        bfft.forward(&ap, &fap, 1);
-        bfft.engine().forward(b, fb);
-        acc.clear();
+        fft.forward(a, fa);
+        fft.forward(b, fb);
         acc.mulAddAssign(fa, fb);
-
         TorusPolynomial viaFft(n);
-        FourierPolynomial *accp = &acc;
-        TorusPolynomial *outp = &viaFft;
-        bfft.inverseInPlace(&accp, &outp, 1);
+        fft.inverse(acc, viaFft);
 
         TorusPolynomial exact(n);
         negacyclicMulAddSchoolbook(exact, a, b);
@@ -771,42 +849,34 @@ TEST(BatchFftTiers, ProductMatchesSchoolbookNegacyclic)
 
 TEST(BatchFftTiers, ForwardMatchesComplexFftUpToPermutation)
 {
-    // The batched negacyclic forward against the ground-truth radix-2
-    // reference: fold + twist by hand, reference transform in natural
-    // order, then compare through the engine's recovered permutation.
+    // A full group of kMaxFftLanes spectra at N = 256 against the
+    // radix-2 reference, bin by bin through the derived permutation,
+    // with a tolerance relative to each bin.
+    const unsigned n = 256, half = n / 2;
+    const auto perm = derivePermutation(n);
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         Rng rng(0xC0C0 + static_cast<unsigned>(tier));
-        const unsigned n = 256, half = n / 2;
-        const BatchFft bfft(n);
-        const ComplexFft reference(half);
-        const auto perm = probePermutation(Radix4Fft(half));
-
-        const auto poly = randomIntPoly(n, rng);
-        const IntPolynomial *in = &poly;
-        FourierPolynomial spectrum(n);
-        FourierPolynomial *out = &spectrum;
-        bfft.forward(&in, &out, 1);
-
-        std::vector<double> re(half), im(half);
-        for (unsigned j = 0; j < half; ++j) {
-            const double angle = M_PI * static_cast<double>(j) /
-                                 static_cast<double>(n);
-            const double lo = poly[j], hi = poly[j + half];
-            re[j] = lo * std::cos(angle) - hi * std::sin(angle);
-            im[j] = lo * std::sin(angle) + hi * std::cos(angle);
-        }
-        reference.forward(re.data(), im.data());
-        for (unsigned k = 0; k < half; ++k) {
-            // Relative tolerance: bins of full-range int32 inputs reach
-            // ~2^35, where a handful of ulps of engine-order difference
-            // against the radix-2 reference is expected.
-            const double tol =
-                1e-12 * (std::abs(re[k]) + std::abs(im[k]) + 1.0);
-            EXPECT_NEAR(spectrum.re(perm[k]), re[k], tol)
-                << fftDispatchTierName(tier) << " bin " << k;
-            EXPECT_NEAR(spectrum.im(perm[k]), im[k], tol)
-                << fftDispatchTierName(tier) << " bin " << k;
+        std::vector<IntPolynomial> polys;
+        for (unsigned i = 0; i < detail::kMaxFftLanes; ++i)
+            polys.push_back(randomIntPoly(n, rng));
+        const auto spectra = forwardBatch(polys);
+        std::vector<double> re, im;
+        for (unsigned i = 0; i < polys.size(); ++i) {
+            referenceSpectrum(polys[i], re, im);
+            for (unsigned k = 0; k < half; ++k) {
+                // Bins of full-range int32 inputs reach ~2^35, where a
+                // handful of ulps of engine-order difference against
+                // the radix-2 reference is expected.
+                const double tol =
+                    1e-12 * (std::abs(re[k]) + std::abs(im[k]) + 1.0);
+                EXPECT_NEAR(spectra[i].re(perm[k]), re[k], tol)
+                    << fftDispatchTierName(tier) << " poly " << i
+                    << " bin " << k;
+                EXPECT_NEAR(spectra[i].im(perm[k]), im[k], tol)
+                    << fftDispatchTierName(tier) << " poly " << i
+                    << " bin " << k;
+            }
         }
     }
 }
@@ -1001,7 +1071,7 @@ TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
             DispatchGuard guard(tier);
             BootstrapWorkspace ws;
             std::vector<GlweCiphertext> accs(switched.size());
-            const unsigned w = blindRotateTile(params.glweDimension);
+            const unsigned w = blindRotateTile();
             for (const unsigned count : {1u, w - 1, w, w + 1, 2 * w, 16u}) {
                 if (count == 0)
                     continue;
@@ -1038,7 +1108,7 @@ TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
 
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
-        const std::size_t w = blindRotateTile(params.glweDimension);
+        const std::size_t w = blindRotateTile();
         const std::size_t slots = w > 1 ? w : 0;
 
         // A one-ciphertext rotation keeps the single-ciphertext shape:
