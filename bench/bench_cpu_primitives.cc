@@ -379,6 +379,65 @@ runChunkBlindRotate(benchmark::State &state, FftDispatchTier tier,
 }
 
 void
+runSlotTileProduct(benchmark::State &state, FftDispatchTier tier)
+{
+    // One set-I slot-lane tile (W ciphertexts, W the tier's lane width)
+    // through NegacyclicFft::slotTileProduct: forward transforms of the
+    // digit rows, the MAC and the inverse-add. Each call takes the next
+    // of 64 BSK_i (4 MiB at set I), so, as in a blind rotation, the key
+    // is never hot in L1 or L2.
+    forceFftDispatchTier(tier);
+    const auto &keys = keysFor("I");
+    const unsigned n = keys.params.polyDegree;
+    const unsigned cols = keys.params.glweDimension + 1;
+    const unsigned rows = cols * keys.params.bskLevels;
+    const unsigned w = blindRotateTile();
+    const auto &fft = NegacyclicFft::forDegree(n);
+    Rng rng(15);
+    const std::int32_t half_base = 1 << (keys.params.bskBaseBits - 1);
+    std::vector<IntPolynomial> digits(w * rows, IntPolynomial(n));
+    std::vector<const std::int32_t *> digit_ptrs;
+    for (auto &d : digits) {
+        for (unsigned j = 0; j < n; ++j)
+            d[j] = static_cast<std::int32_t>(rng.nextU32() %
+                                             (2 * half_base)) -
+                   half_base;
+        digit_ptrs.push_back(d.data());
+    }
+    std::vector<TorusPolynomial> accs(w * cols, TorusPolynomial(n));
+    std::vector<Torus32 *> out;
+    for (auto &a : accs)
+        out.push_back(a.data());
+    constexpr unsigned kKeys = 64;
+    std::vector<const double *> key_re, key_im;
+    for (unsigned i = 0; i < kKeys; ++i) {
+        const auto &ggsw = keys.bsk.entry(i);
+        for (unsigned r = 0; r < rows; ++r) {
+            for (unsigned c = 0; c < cols; ++c) {
+                key_re.push_back(ggsw.at(r, c).reData());
+                key_im.push_back(ggsw.at(r, c).imData());
+            }
+        }
+    }
+    AlignedVector<double> digit_plane(2 * std::size_t{rows} * w * n / 2);
+    AlignedVector<double> acc_plane(2 * std::size_t{cols} * w * n / 2);
+    unsigned key = 0;
+    for (auto _ : state) {
+        fft.slotTileProduct(digit_ptrs.data(), rows,
+                            key_re.data() + key * rows * cols,
+                            key_im.data() + key * rows * cols, cols,
+                            out.data(), digit_plane.data(),
+                            acc_plane.data());
+        key = (key + 1) % kKeys;
+        benchmark::DoNotOptimize(accs[0][0]);
+    }
+    state.SetItemsProcessed(state.iterations() * w);
+    state.SetLabel(std::string(fftDispatchTierName(tier)) + ", " +
+                   std::to_string(w) + " LWE, set I");
+    resetFftDispatchTier();
+}
+
+void
 runKeySwitch(benchmark::State &state, FftDispatchTier tier)
 {
     // One set-I key switch (kN = 1024 masks, l_k = 2, rows of n+1 =
@@ -436,6 +495,10 @@ registerDispatchTierBenchmarks()
                 runChunkBlindRotate(s, tier, false);
             })
             ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_SlotTileProduct/" + tn).c_str(),
+            [tier](benchmark::State &s) { runSlotTileProduct(s, tier); })
+            ->Unit(benchmark::kMicrosecond);
         benchmark::RegisterBenchmark(
             ("BM_KeySwitch/" + tn).c_str(),
             [tier](benchmark::State &s) { runKeySwitch(s, tier); })

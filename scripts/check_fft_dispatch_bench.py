@@ -5,8 +5,8 @@ Run by the perf-smoke CI leg after `bench_cpu_primitives --json` with a
 filter covering the dispatch families. Checks:
 
   1. BM_BatchFftForward, BM_BatchFftInverse, BM_DispatchBootstrap,
-     BM_ChunkBlindRotate and BM_KeySwitch entries exist, including the
-     scalar tier (always registered).
+     BM_ChunkBlindRotate, BM_SlotTileProduct and BM_KeySwitch entries
+     exist, including the scalar tier (always registered).
   2. When a vector tier ran on this host, the widest tier beats scalar
      by a generous margin on the batched forward FFT at N=1024 and on
      the set-I key switch, and every vector tier beats scalar on the
@@ -61,7 +61,7 @@ def main():
 
     for family in ("BM_BatchFftForward", "BM_BatchFftInverse",
                    "BM_DispatchBootstrap", "BM_ChunkBlindRotate",
-                   "BM_KeySwitch"):
+                   "BM_SlotTileProduct", "BM_KeySwitch"):
         names = [n for n in rows if n.startswith(family + "/")]
         if not names:
             fail(f"no {family} entries in report")

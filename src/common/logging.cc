@@ -38,7 +38,9 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    std::cout << "info: " << msg << std::endl;
+    // stderr, like warn(): a program's stdout (a JSON report, a result
+    // line) must not carry status lines.
+    std::cerr << "info: " << msg << std::endl;
 }
 
 } // namespace detail

@@ -12,6 +12,8 @@
  * Two status functions:
  *  - warn():   functionality may not behave as the user expects.
  *  - inform(): normal operating message, no connotation of misbehaviour.
+ *
+ * All four write to stderr.
  */
 
 #ifndef MORPHLING_COMMON_LOGGING_H

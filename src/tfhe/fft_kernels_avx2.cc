@@ -55,22 +55,42 @@ struct Avx2Traits
     }
 
     /**
-     * p[0..4) += roundToTorus(v), bit for bit. Round to nearest even
+     * roundToTorus of each lane, bit for bit. Round to nearest even
      * first, then reduce: m = r - floor(r * 2^-32) * 2^32 is exact and
      * lies in [0, 2^32), and m - 2^31 converts exactly to int32; the
      * sign-bit flip adds the 2^31 back mod 2^32. (Reducing before
      * rounding would round twice: -(1.5 - 2^-30) + 2^32 is not
      * representable and rounds to a tie.)
      */
-    static void addRounded(Torus32 *p, Vec v)
+    static __m128i roundExact(Vec v)
     {
         const Vec r = _mm256_round_pd(
             v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
         const Vec q = _mm256_floor_pd(_mm256_mul_pd(r, splat(0x1p-32)));
         const Vec m = _mm256_sub_pd(r, _mm256_mul_pd(q, splat(0x1p32)));
-        const __m128i u = _mm_xor_si128(
+        return _mm_xor_si128(
             _mm256_cvtpd_epi32(_mm256_sub_pd(m, splat(0x1p31))),
             _mm_set1_epi32(INT32_MIN));
+    }
+
+    /**
+     * p[0..4) += roundToTorus(v), bit for bit. When every lane has
+     * |v| < 2^51, v + 1.5 * 2^52 lies in [2^52, 2^53], where the spacing
+     * of doubles is 1, so the add rounds v as llrint does (to nearest
+     * even in the default mode) and the low 32 bits of the sum's
+     * encoding are round(v) mod 2^32; one permute gathers them. Any
+     * other lane, NaN included, sends the vector through roundExact.
+     */
+    static void addRounded(Torus32 *p, Vec v)
+    {
+        const Vec mag = _mm256_andnot_pd(splat(-0.0), v);
+        const bool small = _mm256_movemask_pd(_mm256_cmp_pd(
+                               mag, splat(0x1p51), _CMP_LT_OQ)) == 0xF;
+        const __m128i u =
+            small ? _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                        _mm256_castpd_si256(_mm256_add_pd(v, splat(0x1.8p52))),
+                        _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)))
+                  : roundExact(v);
         __m128i *dst = reinterpret_cast<__m128i *>(p);
         _mm_storeu_si128(dst, _mm_add_epi32(_mm_loadu_si128(dst), u));
     }

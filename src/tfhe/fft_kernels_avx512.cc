@@ -40,6 +40,8 @@ struct Avx512Traits
     // -Wmaybe-uninitialized flags. Their zero-masking forms with every
     // lane selected compile to the same unmasked instructions.
     static constexpr __mmask8 kAll = 0xFF;
+    static constexpr int kNearest =
+        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
     static Vec cvtInt32(const std::int32_t *p)
     {
@@ -83,23 +85,39 @@ struct Avx512Traits
         r[7] = _mm512_maskz_shuffle_f64x2(kAll, u3, u7, 0xDD);
     }
 
-    /**
-     * p[0..8) += roundToTorus(v), bit for bit: the AVX2 tier's
-     * round-then-reduce sequence (see Avx2Traits::addRounded) at eight
-     * lanes.
-     */
-    static void addRounded(Torus32 *p, Vec v)
+    /** roundToTorus of each lane, bit for bit: the AVX2 tier's exact
+     *  round-then-reduce sequence (see Avx2Traits::roundExact). */
+    static __m256i roundExact(Vec v)
     {
-        const Vec r = _mm512_maskz_roundscale_pd(
-            kAll, v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        const Vec r = _mm512_maskz_roundscale_pd(kAll, v, kNearest);
         const Vec q = _mm512_maskz_roundscale_pd(
             kAll, _mm512_mul_pd(r, splat(0x1p-32)),
             _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
         const Vec m = _mm512_sub_pd(r, _mm512_mul_pd(q, splat(0x1p32)));
-        const __m256i u = _mm256_xor_si256(
-            _mm512_maskz_cvtpd_epi32(kAll,
-                                     _mm512_sub_pd(m, splat(0x1p31))),
+        return _mm256_xor_si256(
+            _mm512_maskz_cvtpd_epi32(kAll, _mm512_sub_pd(m, splat(0x1p31))),
             _mm256_set1_epi32(INT32_MIN));
+    }
+
+    /**
+     * p[0..8) += roundToTorus(v), bit for bit. When every lane has
+     * |v| < 2^51, v + 1.5 * 2^52 lies in [2^52, 2^53], where the spacing
+     * of doubles is 1: the add itself rounds v to nearest even (the
+     * embedded rounding mode ignores MXCSR), and the low 32 bits of the
+     * sum's encoding are round(v) mod 2^32 (vpmovqd keeps them). Any
+     * other lane, NaN included, sends the vector through roundExact.
+     */
+    static void addRounded(Torus32 *p, Vec v)
+    {
+        const __mmask8 small = _mm512_mask_cmp_pd_mask(
+            _mm512_cmp_pd_mask(v, splat(0x1p51), _CMP_LT_OQ), v,
+            splat(-0x1p51), _CMP_GT_OQ);
+        const __m256i u =
+            small == kAll
+                ? _mm512_maskz_cvtepi64_epi32(
+                      kAll, _mm512_castpd_si512(_mm512_maskz_add_round_pd(
+                                kAll, v, splat(0x1.8p52), kNearest)))
+                : roundExact(v);
         __m256i *dst = reinterpret_cast<__m256i *>(p);
         _mm256_storeu_si256(dst,
                             _mm256_add_epi32(_mm256_loadu_si256(dst), u));

@@ -16,9 +16,23 @@
  * lane-interleaved — element j of lane (polynomial) w lives at
  * scratch[j*W + w]. A butterfly at position j is then one W-wide vector
  * op with the twiddle splat across lanes, so every stage runs at full
- * width regardless of its span. The fold+twist (forward) and
- * untwist+scale+round (inverse) are fused into the lane transpose
- * passes at the array boundaries, so they cost no pass of their own.
+ * width regardless of its span.
+ *
+ * Sweep order. A plane is N/2 * W complex doubles (64 KiB at set I on
+ * AVX-512, more than L1). A forward sweeps it three times: the
+ * fold+twist, fused with the transpose that loads the inputs; stage 0
+ * over the whole plane; then, since every later stage's blocks lie
+ * inside one quarter of the plane, all later stages depth-first on each
+ * quarter in turn, which stays in L1 between stages. The radix-2 tail
+ * (log2(N/2) odd) runs inside the last radix-4 stage, on each 8-position
+ * block right after its radix-4 butterflies. The inverse mirrors this,
+ * and its untwist+scale+round+add is a third sweep, fused with the
+ * transpose that stores the outputs (forwardW and inverseW add one more
+ * each, the transpose of the spectra out or in). Neither boundary sweep
+ * is free: at set I on AVX-512 the fold+twist costs about two radix-4
+ * stages and the rounding store about two thirds of all the inverse
+ * stages (docs/perf.md). Only the order of independent butterflies
+ * depends on this blocking, never their inputs or expressions.
  *
  * Bit-identity contract: each lane executes exactly the operation
  * sequence of the W = 1 instantiation per element (multiplies and adds
@@ -72,141 +86,177 @@ foldTwistTransposeIn(const NegacyclicView &t,
     }
 }
 
-/** All forward DIF butterfly stages on the interleaved layout. */
+/** The radix-2 tail's butterflies (p, p + 1), p even, on positions
+ *  [lo, hi): add/subtract only, the same in both directions. */
 template <class V>
 void
-forwardStages(const NegacyclicView &t, double *re, double *im)
+radix2Pairs(unsigned lo, unsigned hi, double *re, double *im)
 {
     constexpr unsigned W = V::kWidth;
     using Vec = typename V::Vec;
-    for (unsigned s = 0; s < t.numStages; ++s) {
-        const unsigned len = t.stageLen[s];
-        const unsigned q = len / 4;
-        const double *tw = t.stageTw[s];
-        const double *w1r = tw + 0 * q, *w1i = tw + 1 * q;
-        const double *w2r = tw + 2 * q, *w2i = tw + 3 * q;
-        const double *w3r = tw + 4 * q, *w3i = tw + 5 * q;
-        for (unsigned base = 0; base < t.half; base += len) {
-            for (unsigned j = 0; j < q; ++j) {
-                double *p0r = re + (base + j) * W;
-                double *p1r = p0r + q * W;
-                double *p2r = p1r + q * W;
-                double *p3r = p2r + q * W;
-                double *p0i = im + (base + j) * W;
-                double *p1i = p0i + q * W;
-                double *p2i = p1i + q * W;
-                double *p3i = p2i + q * W;
-                const Vec r0 = V::load(p0r), i0 = V::load(p0i);
-                const Vec r1 = V::load(p1r), i1 = V::load(p1i);
-                const Vec r2 = V::load(p2r), i2 = V::load(p2i);
-                const Vec r3 = V::load(p3r), i3 = V::load(p3i);
-                const Vec t0r = V::add(r0, r2), t0i = V::add(i0, i2);
-                const Vec t1r = V::sub(r0, r2), t1i = V::sub(i0, i2);
-                const Vec t2r = V::add(r1, r3), t2i = V::add(i1, i3);
-                const Vec t3r = V::sub(r1, r3), t3i = V::sub(i1, i3);
-                V::store(p0r, V::add(t0r, t2r));
-                V::store(p0i, V::add(t0i, t2i));
-                // y1 = (t1 - i*t3) * w, y2 = (t0 - t2) * w^2,
-                // y3 = (t1 + i*t3) * w^3 (forward kernel e^{-i...}).
-                const Vec y1r = V::add(t1r, t3i);
-                const Vec y1i = V::sub(t1i, t3r);
-                const Vec v1r = V::splat(w1r[j]), v1i = V::splat(w1i[j]);
-                V::store(p1r, V::sub(V::mul(y1r, v1r), V::mul(y1i, v1i)));
-                V::store(p1i, V::add(V::mul(y1r, v1i), V::mul(y1i, v1r)));
-                const Vec y2r = V::sub(t0r, t2r);
-                const Vec y2i = V::sub(t0i, t2i);
-                const Vec v2r = V::splat(w2r[j]), v2i = V::splat(w2i[j]);
-                V::store(p2r, V::sub(V::mul(y2r, v2r), V::mul(y2i, v2i)));
-                V::store(p2i, V::add(V::mul(y2r, v2i), V::mul(y2i, v2r)));
-                const Vec y3r = V::sub(t1r, t3i);
-                const Vec y3i = V::add(t1i, t3r);
-                const Vec v3r = V::splat(w3r[j]), v3i = V::splat(w3i[j]);
-                V::store(p3r, V::sub(V::mul(y3r, v3r), V::mul(y3i, v3i)));
-                V::store(p3i, V::add(V::mul(y3r, v3i), V::mul(y3i, v3r)));
-            }
-        }
+    for (unsigned p = lo; p < hi; p += 2) {
+        double *ar = re + p * W, *br = ar + W;
+        double *ai = im + p * W, *bi = ai + W;
+        const Vec xr = V::load(ar), xi = V::load(ai);
+        const Vec yr = V::load(br), yi = V::load(bi);
+        V::store(ar, V::add(xr, yr));
+        V::store(ai, V::add(xi, yi));
+        V::store(br, V::sub(xr, yr));
+        V::store(bi, V::sub(xi, yi));
     }
-    if (t.radix2Tail) {
-        for (unsigned p = 0; p < t.half; p += 2) {
-            double *ar = re + p * W, *br = ar + W;
-            double *ai = im + p * W, *bi = ai + W;
-            const Vec xr = V::load(ar), xi = V::load(ai);
-            const Vec yr = V::load(br), yi = V::load(bi);
-            V::store(ar, V::add(xr, yr));
-            V::store(ai, V::add(xi, yi));
-            V::store(br, V::sub(xr, yr));
-            V::store(bi, V::sub(xi, yi));
+}
+
+/** Forward DIF radix-4 stage s on positions [lo, hi), whole blocks of
+ *  its span. When the transform has a radix-2 tail, the last stage runs
+ *  it on each block right after the block's radix-4 butterflies. */
+template <class V>
+void
+forwardStage(const NegacyclicView &t, unsigned s, unsigned lo,
+             unsigned hi, double *re, double *im)
+{
+    constexpr unsigned W = V::kWidth;
+    using Vec = typename V::Vec;
+    const unsigned len = t.stageLen[s];
+    const unsigned q = len / 4;
+    const bool tail = t.radix2Tail && s + 1 == t.numStages;
+    const double *tw = t.stageTw[s];
+    const double *w1r = tw + 0 * q, *w1i = tw + 1 * q;
+    const double *w2r = tw + 2 * q, *w2i = tw + 3 * q;
+    const double *w3r = tw + 4 * q, *w3i = tw + 5 * q;
+    for (unsigned base = lo; base < hi; base += len) {
+        for (unsigned j = 0; j < q; ++j) {
+            double *p0r = re + (base + j) * W;
+            double *p1r = p0r + q * W;
+            double *p2r = p1r + q * W;
+            double *p3r = p2r + q * W;
+            double *p0i = im + (base + j) * W;
+            double *p1i = p0i + q * W;
+            double *p2i = p1i + q * W;
+            double *p3i = p2i + q * W;
+            const Vec r0 = V::load(p0r), i0 = V::load(p0i);
+            const Vec r1 = V::load(p1r), i1 = V::load(p1i);
+            const Vec r2 = V::load(p2r), i2 = V::load(p2i);
+            const Vec r3 = V::load(p3r), i3 = V::load(p3i);
+            const Vec t0r = V::add(r0, r2), t0i = V::add(i0, i2);
+            const Vec t1r = V::sub(r0, r2), t1i = V::sub(i0, i2);
+            const Vec t2r = V::add(r1, r3), t2i = V::add(i1, i3);
+            const Vec t3r = V::sub(r1, r3), t3i = V::sub(i1, i3);
+            V::store(p0r, V::add(t0r, t2r));
+            V::store(p0i, V::add(t0i, t2i));
+            // y1 = (t1 - i*t3) * w, y2 = (t0 - t2) * w^2,
+            // y3 = (t1 + i*t3) * w^3 (forward kernel e^{-i...}).
+            const Vec y1r = V::add(t1r, t3i);
+            const Vec y1i = V::sub(t1i, t3r);
+            const Vec v1r = V::splat(w1r[j]), v1i = V::splat(w1i[j]);
+            V::store(p1r, V::sub(V::mul(y1r, v1r), V::mul(y1i, v1i)));
+            V::store(p1i, V::add(V::mul(y1r, v1i), V::mul(y1i, v1r)));
+            const Vec y2r = V::sub(t0r, t2r);
+            const Vec y2i = V::sub(t0i, t2i);
+            const Vec v2r = V::splat(w2r[j]), v2i = V::splat(w2i[j]);
+            V::store(p2r, V::sub(V::mul(y2r, v2r), V::mul(y2i, v2i)));
+            V::store(p2i, V::add(V::mul(y2r, v2i), V::mul(y2i, v2r)));
+            const Vec y3r = V::sub(t1r, t3i);
+            const Vec y3i = V::add(t1i, t3r);
+            const Vec v3r = V::splat(w3r[j]), v3i = V::splat(w3i[j]);
+            V::store(p3r, V::sub(V::mul(y3r, v3r), V::mul(y3i, v3i)));
+            V::store(p3i, V::add(V::mul(y3r, v3i), V::mul(y3i, v3r)));
+        }
+        if (tail)
+            radix2Pairs<V>(base, base + len, re, im);
+    }
+}
+
+/** Inverse DIT radix-4 stage s on positions [lo, hi), whole blocks of
+ *  its span: the exact transpose of forwardStage, so a last stage
+ *  with a radix-2 tail runs it on each block before the block's
+ *  radix-4 butterflies. */
+template <class V>
+void
+inverseStage(const NegacyclicView &t, unsigned s, unsigned lo,
+             unsigned hi, double *re, double *im)
+{
+    constexpr unsigned W = V::kWidth;
+    using Vec = typename V::Vec;
+    const unsigned len = t.stageLen[s];
+    const unsigned q = len / 4;
+    const bool tail = t.radix2Tail && s + 1 == t.numStages;
+    const double *tw = t.stageTw[s];
+    const double *w1r = tw + 0 * q, *w1i = tw + 1 * q;
+    const double *w2r = tw + 2 * q, *w2i = tw + 3 * q;
+    const double *w3r = tw + 4 * q, *w3i = tw + 5 * q;
+    for (unsigned base = lo; base < hi; base += len) {
+        if (tail)
+            radix2Pairs<V>(base, base + len, re, im);
+        for (unsigned j = 0; j < q; ++j) {
+            double *p0r = re + (base + j) * W;
+            double *p1r = p0r + q * W;
+            double *p2r = p1r + q * W;
+            double *p3r = p2r + q * W;
+            double *p0i = im + (base + j) * W;
+            double *p1i = p0i + q * W;
+            double *p2i = p1i + q * W;
+            double *p3i = p2i + q * W;
+            const Vec r0 = V::load(p0r), i0 = V::load(p0i);
+            const Vec r1 = V::load(p1r), i1 = V::load(p1i);
+            const Vec r2 = V::load(p2r), i2 = V::load(p2i);
+            const Vec r3 = V::load(p3r), i3 = V::load(p3i);
+            // u_s = y_s * conj(w^s); then the conjugate butterfly.
+            const Vec v1r = V::splat(w1r[j]), v1i = V::splat(w1i[j]);
+            const Vec v2r = V::splat(w2r[j]), v2i = V::splat(w2i[j]);
+            const Vec v3r = V::splat(w3r[j]), v3i = V::splat(w3i[j]);
+            const Vec u1r = V::add(V::mul(r1, v1r), V::mul(i1, v1i));
+            const Vec u1i = V::sub(V::mul(i1, v1r), V::mul(r1, v1i));
+            const Vec u2r = V::add(V::mul(r2, v2r), V::mul(i2, v2i));
+            const Vec u2i = V::sub(V::mul(i2, v2r), V::mul(r2, v2i));
+            const Vec u3r = V::add(V::mul(r3, v3r), V::mul(i3, v3i));
+            const Vec u3i = V::sub(V::mul(i3, v3r), V::mul(r3, v3i));
+            const Vec t0r = V::add(r0, u2r), t0i = V::add(i0, u2i);
+            const Vec t1r = V::sub(r0, u2r), t1i = V::sub(i0, u2i);
+            const Vec t2r = V::add(u1r, u3r), t2i = V::add(u1i, u3i);
+            const Vec t3r = V::sub(u1r, u3r), t3i = V::sub(u1i, u3i);
+            V::store(p0r, V::add(t0r, t2r));
+            V::store(p0i, V::add(t0i, t2i));
+            V::store(p1r, V::sub(t1r, t3i));
+            V::store(p1i, V::add(t1i, t3r));
+            V::store(p2r, V::sub(t0r, t2r));
+            V::store(p2i, V::sub(t0i, t2i));
+            V::store(p3r, V::add(t1r, t3i));
+            V::store(p3i, V::sub(t1i, t3r));
         }
     }
 }
 
-/** All inverse DIT butterfly stages (radix-2 tail first, then radix-4
- *  stages from the smallest span down to stage 0) on the interleaved
- *  layout. The exact transpose of forwardStages. */
+/** All forward stages on the interleaved layout: stage 0 sweeps the
+ *  whole plane, then every later stage (its blocks all lie inside one
+ *  quarter of the plane) runs depth-first on each quarter, which stays
+ *  in L1 from one stage to the next. */
+template <class V>
+void
+forwardStages(const NegacyclicView &t, double *re, double *im)
+{
+    if (t.numStages == 0) // N = 4: the radix-2 tail alone
+        return radix2Pairs<V>(0, t.half, re, im);
+    forwardStage<V>(t, 0, 0, t.half, re, im);
+    const unsigned quarter = t.half / 4;
+    for (unsigned lo = 0; lo < t.half; lo += quarter)
+        for (unsigned s = 1; s < t.numStages; ++s)
+            forwardStage<V>(t, s, lo, lo + quarter, re, im);
+}
+
+/** All inverse stages, the forward order reversed: each quarter from
+ *  its smallest span (radix-2 tail first) up to stage 1, then stage 0
+ *  over the whole plane. */
 template <class V>
 void
 inverseStages(const NegacyclicView &t, double *re, double *im)
 {
-    constexpr unsigned W = V::kWidth;
-    using Vec = typename V::Vec;
-    if (t.radix2Tail) {
-        for (unsigned p = 0; p < t.half; p += 2) {
-            double *ar = re + p * W, *br = ar + W;
-            double *ai = im + p * W, *bi = ai + W;
-            const Vec xr = V::load(ar), xi = V::load(ai);
-            const Vec yr = V::load(br), yi = V::load(bi);
-            V::store(ar, V::add(xr, yr));
-            V::store(ai, V::add(xi, yi));
-            V::store(br, V::sub(xr, yr));
-            V::store(bi, V::sub(xi, yi));
-        }
-    }
-    for (unsigned s = t.numStages; s-- > 0;) {
-        const unsigned len = t.stageLen[s];
-        const unsigned q = len / 4;
-        const double *tw = t.stageTw[s];
-        const double *w1r = tw + 0 * q, *w1i = tw + 1 * q;
-        const double *w2r = tw + 2 * q, *w2i = tw + 3 * q;
-        const double *w3r = tw + 4 * q, *w3i = tw + 5 * q;
-        for (unsigned base = 0; base < t.half; base += len) {
-            for (unsigned j = 0; j < q; ++j) {
-                double *p0r = re + (base + j) * W;
-                double *p1r = p0r + q * W;
-                double *p2r = p1r + q * W;
-                double *p3r = p2r + q * W;
-                double *p0i = im + (base + j) * W;
-                double *p1i = p0i + q * W;
-                double *p2i = p1i + q * W;
-                double *p3i = p2i + q * W;
-                const Vec r0 = V::load(p0r), i0 = V::load(p0i);
-                const Vec r1 = V::load(p1r), i1 = V::load(p1i);
-                const Vec r2 = V::load(p2r), i2 = V::load(p2i);
-                const Vec r3 = V::load(p3r), i3 = V::load(p3i);
-                // u_s = y_s * conj(w^s); then the conjugate butterfly.
-                const Vec v1r = V::splat(w1r[j]), v1i = V::splat(w1i[j]);
-                const Vec v2r = V::splat(w2r[j]), v2i = V::splat(w2i[j]);
-                const Vec v3r = V::splat(w3r[j]), v3i = V::splat(w3i[j]);
-                const Vec u1r = V::add(V::mul(r1, v1r), V::mul(i1, v1i));
-                const Vec u1i = V::sub(V::mul(i1, v1r), V::mul(r1, v1i));
-                const Vec u2r = V::add(V::mul(r2, v2r), V::mul(i2, v2i));
-                const Vec u2i = V::sub(V::mul(i2, v2r), V::mul(r2, v2i));
-                const Vec u3r = V::add(V::mul(r3, v3r), V::mul(i3, v3i));
-                const Vec u3i = V::sub(V::mul(i3, v3r), V::mul(r3, v3i));
-                const Vec t0r = V::add(r0, u2r), t0i = V::add(i0, u2i);
-                const Vec t1r = V::sub(r0, u2r), t1i = V::sub(i0, u2i);
-                const Vec t2r = V::add(u1r, u3r), t2i = V::add(u1i, u3i);
-                const Vec t3r = V::sub(u1r, u3r), t3i = V::sub(u1i, u3i);
-                V::store(p0r, V::add(t0r, t2r));
-                V::store(p0i, V::add(t0i, t2i));
-                V::store(p1r, V::sub(t1r, t3i));
-                V::store(p1i, V::add(t1i, t3r));
-                V::store(p2r, V::sub(t0r, t2r));
-                V::store(p2i, V::sub(t0i, t2i));
-                V::store(p3r, V::add(t1r, t3i));
-                V::store(p3i, V::sub(t1i, t3r));
-            }
-        }
-    }
+    if (t.numStages == 0)
+        return radix2Pairs<V>(0, t.half, re, im);
+    const unsigned quarter = t.half / 4;
+    for (unsigned lo = 0; lo < t.half; lo += quarter)
+        for (unsigned s = t.numStages; s-- > 1;)
+            inverseStage<V>(t, s, lo, lo + quarter, re, im);
+    inverseStage<V>(t, 0, 0, t.half, re, im);
 }
 
 /** De-interleave the forward spectra back into each polynomial's SoA

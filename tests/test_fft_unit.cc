@@ -28,8 +28,9 @@ TEST(PipelinedFftUnit, BackToBackPassesSustainIssueInterval)
     sim::Tick prev_start = 0;
     for (int p = 0; p < 10; ++p) {
         const auto t = unit.issuePass(0);
-        if (p > 0)
+        if (p > 0) {
             EXPECT_EQ(t.issueStart - prev_start, 64u);
+        }
         prev_start = t.issueStart;
     }
     EXPECT_EQ(unit.passes(), 10u);

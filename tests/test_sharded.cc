@@ -126,8 +126,9 @@ TEST_F(ShardedFixture, SliceGroupsPartitionsTheProgram)
         EXPECT_EQ(dst.count, src.count);
         EXPECT_EQ(dst.operand, src.operand);
         EXPECT_EQ(src.group, even.groups[dst.group]);
-        if (j > 0)
+        if (j > 0) {
             EXPECT_LT(even.globalIndex[j - 1], even.globalIndex[j]);
+        }
     }
 
     // Ids beyond numGroups() yield empty streams (round-robin shard

@@ -198,7 +198,7 @@ inverseAddBatch(const std::vector<FourierPolynomial> &spectra,
 // on every tier, for count 1 (the W = 1 kernel) and for a full group of
 // kMaxFftLanes (each tier's own kernel). The parameter is the complex
 // size N/2; 8..256 covers stage counts with and without the radix-2
-// tail.
+// tail, and 2 (N = 4) the tail with no radix-4 stage at all.
 // ---------------------------------------------------------------------
 
 /** Reference spectrum of an integer polynomial, in natural bin order:
@@ -392,7 +392,7 @@ TEST_P(Radix4Sizes, ImpulseTransformsToFlatSpectrum)
 }
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, Radix4Sizes,
-                         ::testing::Values(8u, 16u, 64u, 128u, 256u));
+                         ::testing::Values(2u, 8u, 16u, 64u, 128u, 256u));
 
 TEST(Radix4, SchoolbookVsFourierExternalProduct)
 {
@@ -667,13 +667,15 @@ TEST(FftDispatch, ForceSelectsEachSupportedTier)
 
 TEST(BatchFftTiers, ForwardBitIdenticalToScalarEngine)
 {
-    // Randomized ring degrees (with and without the radix-2 tail, and
-    // small enough to force the W = 1 kernel under wide tiers) and
-    // randomized batch counts around the lane-width boundaries.
+    // Ring degrees with and without the radix-2 tail, small enough to
+    // force the W = 1 kernel under wide tiers, and large enough that
+    // the later stages run on each quarter of a plane in turn; batch
+    // counts around the lane-width boundaries.
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         Rng rng(0xF0F0 + static_cast<unsigned>(tier));
-        for (const unsigned n : {8u, 16u, 32u, 128u, 512u, 1024u, 2048u}) {
+        for (const unsigned n :
+             {8u, 16u, 32u, 128u, 512u, 1024u, 2048u, 4096u}) {
             const auto &fft = NegacyclicFft::forDegree(n);
             for (const unsigned count : {1u, 2u, 5u, 8u, 9u, 17u}) {
                 std::vector<IntPolynomial> polys;
@@ -705,7 +707,7 @@ TEST(BatchFftTiers, InverseBitIdenticalToScalarEngine)
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         Rng rng(0x1D1D + static_cast<unsigned>(tier));
-        for (const unsigned n : {8u, 32u, 256u, 1024u}) {
+        for (const unsigned n : {8u, 32u, 256u, 1024u, 2048u, 4096u}) {
             const auto &fft = NegacyclicFft::forDegree(n);
             for (const unsigned count : {1u, 4u, 8u, 11u}) {
                 // Realistic spectra: forward transforms of random torus
@@ -740,7 +742,8 @@ TEST(BatchFftTiers, InverseRoundsLikeRoundToTorus)
     // inverse is then v times the untwist factor e^{-i*pi*j/N} at every
     // coefficient, and exactly v at coefficient 0. That puts chosen
     // values through each tier's rounding store: ties of both parities,
-    // near-ties just inside them, the 2^31/2^32 wrap points, the 2^53
+    // near-ties just inside them, the 2^31/2^32 wrap points, both sides
+    // of the 2^51 bound of the vector tiers' one-add rounding, the 2^53
     // precision edge, the 2^62 guard of roundToTorus, and random values
     // of every magnitude up to 2^91. Coefficient 0 must be exactly
     // roundToTorus(v), the rest must match the count-1 call, and both
@@ -749,7 +752,10 @@ TEST(BatchFftTiers, InverseRoundsLikeRoundToTorus)
         0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1048576.5,
         -1048577.5, 1.5 - 0x1p-30, -(1.5 - 0x1p-30), 0.5 - 0x1p-30,
         -(0.5 - 0x1p-30), 0x1p31 + 0.5, 0x1p31 - 0.5, 0x1p32, -0x1p32,
-        4294967295.5, -4294967295.5, 0x1p52 + 1, -(0x1p52 + 1),
+        4294967295.5, -4294967295.5, 0x1p51, -0x1p51, 0x1p51 - 0.5,
+        -(0x1p51 - 0.5), 0x1p51 + 1, -(0x1p51 + 1), 0x1p51 - 1.5,
+        -(0x1p51 - 1.5), 0x1p50 + 0.5, -(0x1p50 + 0.5), 0x1p52 + 1,
+        -(0x1p52 + 1),
         0x1p53 + 2, 0x1p62, -0x1p62, 0x1p62 - 512, 0x1p63, -0x1p63,
         3 * 0x1p70, -5 * 0x1p80};
     Rng vrng(0x0DD5);
@@ -1048,13 +1054,15 @@ cmuxLoopRotation(const BootstrapKey &bsk, const TorusPolynomial &tp,
 
 TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
 {
-    // TEST (k = 1, l_b = 3), set B (k = 2) and set I (k = 1, l_b = 2,
-    // the number of record). Per tier of width W the counts give a
-    // short row-lane tile alone (1, W-1), a full slot-lane tile (W),
-    // and calls that mix both (W+1, 2W, 16 with the skipped masks). One
-    // workspace per tier serves every count, and stale accumulators
-    // from the previous count must be rebuilt.
-    for (const char *name : {"TEST", "B", "I"}) {
+    // TEST (k = 1, l_b = 3), set B (k = 2), set I (k = 1, l_b = 2,
+    // the number of record), set III (N = 2048: no radix-2 tail) and
+    // set A (N = 4096: a tail, and planes four times set I's). Per tier
+    // of width W the counts give a short row-lane tile alone (1, W-1),
+    // a full slot-lane tile (W), and calls that mix both (W+1, 2W, 16
+    // with the skipped masks). One workspace per tier serves every
+    // count, and stale accumulators from the previous count must be
+    // rebuilt.
+    for (const char *name : {"TEST", "B", "I", "III", "A"}) {
         const auto &params = paramsByName(name);
         Rng rng(0xBA7C4);
         const auto bsk = shortBsk(params, 24, rng);
