@@ -1,14 +1,14 @@
 /**
  * @file
  * Circuit IR throughput: gate bootstraps per second through the
- * exec::CircuitExecutor at 1/2/4 functional shards.
+ * exec::CircuitExecutor at 1/2/4 threads per batch.
  *
  * The workload is a batch of independent 8-bit ripple-carry adders
  * fused into one circuit::Circuit, so every bootstrap level is wide
- * enough for the sharded backend to fan out. Shards are threads on
- * this host, so the wall-clock gates/sec is the honest figure here; on
- * a single-core CI container expect flat scaling (the sharded run's
- * value is its bit-identity, checked in tests, not its speed).
+ * enough for FunctionalBackend's group-parallel path to fan out. The
+ * wall-clock gates/sec is the figure here; on a single-core CI
+ * container expect flat scaling (the parallel run's value there is its
+ * bit-identity, checked in tests).
  */
 
 #include <chrono>
@@ -20,7 +20,7 @@
 #include "common/rng.h"
 #include "compiler/sw_scheduler.h"
 #include "exec/circuit_executor.h"
-#include "exec/sharded_backend.h"
+#include "exec/functional_backend.h"
 #include "tfhe/encoding.h"
 
 using namespace morphling;
@@ -50,10 +50,12 @@ double
 runOnceMs(const tfhe::EvaluationKeys &keys,
           const circuit::LoweredCircuit &lowered,
           const std::vector<tfhe::LweCiphertext> &inputs,
-          unsigned shards)
+          unsigned threads)
 {
-    auto backend = exec::ShardedBackend::functional(keys, shards);
-    exec::CircuitExecutor executor(keys.params, backend);
+    exec::FunctionalBackend backend(keys);
+    tfhe::BatchOptions options;
+    options.threads = threads;
+    exec::CircuitExecutor executor(keys.params, backend, options);
     const auto t0 = std::chrono::steady_clock::now();
     (void)executor.run(lowered, inputs);
     const auto t1 = std::chrono::steady_clock::now();
@@ -68,7 +70,7 @@ main(int argc, char **argv)
     bench::Report report(argc, argv, "circuit_throughput");
     bench::banner("Circuit throughput",
                   "gate bootstraps/sec through exec::CircuitExecutor "
-                  "at 1/2/4 shards");
+                  "at 1/2/4 threads per batch");
 
     constexpr unsigned kAdders = 8;
     constexpr unsigned kBits = 8;
@@ -95,28 +97,28 @@ main(int argc, char **argv)
     constexpr unsigned kReps = 3;
     const double gates = static_cast<double>(c.bootstrapCount());
     double base_wall = 0;
-    Table t({"Shards", "Wall (ms)", "Gates/s", "Speedup"});
-    for (const unsigned shards : {1u, 2u, 4u}) {
+    Table t({"Threads", "Wall (ms)", "Gates/s", "Speedup"});
+    for (const unsigned threads : {1u, 2u, 4u}) {
         double best = 0;
         for (unsigned rep = 0; rep < kReps; ++rep) {
             const double ms =
-                runOnceMs(keys, lowered, inputs, shards);
+                runOnceMs(keys, lowered, inputs, threads);
             if (rep == 0 || ms < best)
                 best = ms;
         }
-        if (shards == 1)
+        if (threads == 1)
             base_wall = best;
         const double gps = gates / (best / 1e3);
-        t.addRow({std::to_string(shards), Table::fmt(best, 1),
+        t.addRow({std::to_string(threads), Table::fmt(best, 1),
                   Table::fmtCount(static_cast<std::uint64_t>(gps)),
                   bench::times(base_wall / best, 2)});
-        const std::string params = "shards=" + std::to_string(shards);
+        const std::string params = "threads=" + std::to_string(threads);
         report.add("gates_per_sec", params, gps, "gates/s");
         report.add("wall_ms", params, best, "ms");
     }
     t.print(std::cout);
-    bench::note("shards are host threads here: scaling tracks the "
-                "core count (flat on single-core CI); sharded "
-                "bit-identity is asserted in tests/test_circuit_exec");
+    bench::note("scaling tracks the core count (flat on single-core "
+                "CI); bit-identity at every thread count is asserted "
+                "in tests/test_circuit_exec");
     return 0;
 }

@@ -1,128 +1,28 @@
 /**
  * @file
- * Scaling of exec::ShardedBackend over a 4-group 64-LWE superbatch:
- * functional-backend throughput at 1/2/4 shards, plus the cycle
- * model's view of sharding the same superbatch across independent
- * accelerators.
- *
- * Throughput headline: each shard is an independent worker (a host or
- * an accelerator of its own in deployment), so the figure of merit is
- * the slowest shard's critical path — max over shards of the thread
- * CPU time spent inside the shard's run. Speedup(N) = critical
- * path(1) / critical path(N). On an N-core host this equals the wall
- * speedup; this container has one core, so wall time is also reported
- * (expect ~1x here) to keep the projection honest.
+ * Scaling of exec::ShardedBackend in the cycle model: one 4-group
+ * 64-LWE superbatch split across N accelerators with private memory,
+ * then a 1024-LWE superbatch on N accelerators sharing one memory
+ * fabric (arch::AcceleratorFleet), and the BSK prefetch ablation of
+ * that fleet. Every row is a deterministic virtual-time cycle count.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <iostream>
 
 #include "bench_util.h"
-#include "common/rng.h"
 #include "compiler/sw_scheduler.h"
 #include "exec/sharded_backend.h"
-#include "exec/timing_backend.h"
-#include "tfhe/encoding.h"
-#include "tfhe/serialize.h"
 
 using namespace morphling;
-
-namespace {
-
-struct Sample
-{
-    double criticalPathMs = 0; //!< max over shards, thread CPU time
-    double wallMs = 0;         //!< end-to-end load() wall time
-};
-
-Sample
-runOnce(const tfhe::EvaluationKeys &keys, unsigned shards,
-        const compiler::Program &program, const exec::Job &job)
-{
-    auto backend = exec::ShardedBackend::functional(keys, shards);
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)backend.run(program, job);
-    const auto t1 = std::chrono::steady_clock::now();
-    Sample s;
-    for (const auto &st : backend.shardStats()) {
-        s.criticalPathMs = std::max(
-            s.criticalPathMs, static_cast<double>(st.cpuNanos) / 1e6);
-    }
-    s.wallMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return s;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     bench::Report report(argc, argv, "sharded_scaling");
-    bench::banner("Sharded scaling",
-                  "superbatch fan-out across N backends "
-                  "(exec::ShardedBackend)");
-
-    Rng rng(0x5CA1E);
-    const auto keyset =
-        tfhe::KeySet::generate(tfhe::paramsTest(), rng);
-    const auto keys = tfhe::EvaluationKeys::fromKeySet(keyset);
-    const auto program = compiler::SwScheduler(keyset.params)
-                             .scheduleBootstrapBatch(64);
-
-    std::vector<tfhe::LweCiphertext> inputs;
-    for (unsigned i = 0; i < 64; ++i)
-        inputs.push_back(tfhe::encryptPadded(keyset, i % 4, 4, rng));
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return (m + 1) % 4;
-    });
-    exec::Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-
-    bench::note("throughput projects each shard onto its own "
-                "worker: speedup = critical path(1 shard) / critical "
-                "path(N), critical path = slowest shard's thread CPU "
-                "time");
-    (void)runOnce(keys, 1, program, job); // warm caches and tables
-
-    constexpr unsigned kReps = 4;
     const unsigned shard_counts[] = {1, 2, 4};
-    double base_critical = 0;
-    double base_wall = 0;
-    Table t({"Shards", "Critical path (ms)", "Wall (ms)",
-             "Throughput speedup", "Wall speedup"});
-    for (const unsigned n : shard_counts) {
-        Sample best;
-        for (unsigned rep = 0; rep < kReps; ++rep) {
-            const Sample s = runOnce(keys, n, program, job);
-            if (rep == 0 || s.criticalPathMs < best.criticalPathMs)
-                best.criticalPathMs = s.criticalPathMs;
-            if (rep == 0 || s.wallMs < best.wallMs)
-                best.wallMs = s.wallMs;
-        }
-        if (n == 1) {
-            base_critical = best.criticalPathMs;
-            base_wall = best.wallMs;
-        }
-        const double speedup = base_critical / best.criticalPathMs;
-        const double wall_speedup = base_wall / best.wallMs;
-        t.addRow({std::to_string(n),
-                  Table::fmt(best.criticalPathMs, 1),
-                  Table::fmt(best.wallMs, 1),
-                  bench::times(speedup, 2),
-                  bench::times(wall_speedup, 2)});
-        const std::string params = "shards=" + std::to_string(n);
-        report.add("critical_path_ms", params, best.criticalPathMs,
-                   "ms");
-        report.add("throughput_speedup", params, speedup, "x");
-        report.add("wall_speedup", params, wall_speedup, "x");
-    }
-    t.print(std::cout);
 
-    // The cycle model's view: the same superbatch split across N
-    // independent simulated accelerators. A 16-LWE group slice keeps
+    // One superbatch split across N independent simulated
+    // accelerators. A 16-LWE group slice keeps
     // the full BSK stream, so virtual-time scaling saturates well
     // below Nx — the honest reason multi-accelerator throughput comes
     // from sharding the *request stream*, not one superbatch.
@@ -236,8 +136,7 @@ main(int argc, char **argv)
                 "schedule (best single-accelerator baseline); private "
                 "columns run the same interleaved program on N "
                 "private memory systems");
-    bench::note("virtual-time makespans on a shared clock; the host "
-                "is still one core, so wall time does not scale — the "
+    bench::note("virtual-time makespans on a shared clock: the "
                 "makespan projection is the deployment claim");
 
     // Prefetch ablation: with the double buffer off (depth 1) the XPU

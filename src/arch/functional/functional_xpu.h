@@ -63,10 +63,10 @@ class FunctionalXpu
     bool bskLoaded() const { return !bsk_.empty(); }
 
     /**
-     * Engine entry point (exec::FunctionalBackend's XpuEngine::
-     * kDatapath): blind-rotate one ciphertext (one VPE row) — the full
-     * n-iteration accumulation ACC_i = BSK_i [.] (X^{a~_i} ACC_{i-1} -
-     * ACC_{i-1}) + ACC_{i-1}, starting from X^{-b~} * (0,..,0,TP).
+     * Engine entry point: blind-rotate one ciphertext (one VPE row) —
+     * the full n-iteration accumulation ACC_i = BSK_i [.]
+     * (X^{a~_i} ACC_{i-1} - ACC_{i-1}) + ACC_{i-1}, starting from
+     * X^{-b~} * (0,..,0,TP).
      *
      * @param test_poly the test polynomial TP
      * @param switched  mod-switched ciphertext (masks then body)

@@ -105,21 +105,6 @@ Program::serialize() const
     return words;
 }
 
-Program
-Program::deserialize(const std::string &name,
-                     const std::vector<std::uint64_t> &words)
-{
-    Program prog(name);
-    for (std::size_t i = 0; i < words.size(); ++i) {
-        auto inst = Instruction::tryDecode(words[i]);
-        fatal_if(!inst, "program '", name, "': word ", i,
-                 " has invalid opcode byte ",
-                 static_cast<unsigned>((words[i] >> 56) & 0xFF));
-        prog.add(*inst);
-    }
-    return prog;
-}
-
 std::vector<std::uint64_t>
 Program::serializeFramed() const
 {

@@ -92,13 +92,8 @@ class Program
     /** Total ciphertexts blind-rotated by this program. */
     std::uint64_t totalBlindRotations() const;
 
-    /** Pack to 64-bit words. */
+    /** Pack to 64-bit words (the unframed instruction encodings). */
     std::vector<std::uint64_t> serialize() const;
-
-    /** Unpack from 64-bit words. Exits with a diagnostic on a word
-     *  whose opcode byte is invalid (untrusted input, not a bug). */
-    static Program deserialize(const std::string &name,
-                               const std::vector<std::uint64_t> &words);
 
     /** First word of the framed container: 'MORPHP' + format version,
      *  bumped on any layout change. */

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "exec/functional_backend.h"
 #include "exec/remote_backend.h"
-#include "exec/sharded_backend.h"
 #include "exec/timing_backend.h"
 
 namespace morphling::exec {
@@ -36,10 +35,6 @@ makeBackendImpl(const Keys &keys, const BackendSpec &spec)
       case BackendKind::kTiming:
         return std::make_unique<TimingBackend>(spec.timing,
                                                keys.params);
-      case BackendKind::kShardedFunctional:
-        panic_if(spec.numShards == 0, "sharded backend needs >= 1 shard");
-        return std::make_unique<ShardedBackend>(
-            ShardedBackend::functional(keys, spec.numShards));
       case BackendKind::kRemote:
         fatal_if(spec.remote.port == 0,
                  "kRemote needs BackendSpec::remote.port (the "
@@ -64,8 +59,6 @@ backendKindName(BackendKind kind)
         return "timing";
       case BackendKind::kCosim:
         return "cosim";
-      case BackendKind::kShardedFunctional:
-        return "sharded-functional";
       case BackendKind::kRemote:
         return "remote";
     }

@@ -43,9 +43,6 @@ enum class BackendKind
     kFunctional, //!< interpret against real ciphertexts
     kTiming,     //!< cycle model only, no data
     kCosim,      //!< functional + timing in lockstep, cross-checked
-    /** Superbatch fanned out across ServiceConfig::numShards
-     *  functional workers (exec::ShardedBackend). */
-    kShardedFunctional,
     /** Execute on a RemoteServer over TCP (exec::RemoteBackend):
      *  the program, ciphertexts and LUT ship over the wire and
      *  retirements stream back. Configured by BackendSpec::remote. */
@@ -218,9 +215,6 @@ struct RemoteClientConfig
 struct BackendSpec
 {
     BackendKind kind = BackendKind::kFunctional;
-
-    /** Functional workers for kShardedFunctional. */
-    unsigned numShards = 4;
 
     /** Accelerator geometry for kTiming. */
     arch::ArchConfig timing;

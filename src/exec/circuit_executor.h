@@ -6,7 +6,7 @@
  * Levels run strictly in order (inter-level ciphertext dependencies);
  * within a level, each LoweredStep is one backend run — the backend is
  * free to parallelize inside the batch (FunctionalBackend's
- * group-parallel path, ShardedBackend's fan-out). Between levels the
+ * group-parallel path, at BatchOptions::threads). Between levels the
  * executor performs the linear plumbing the IR keeps free: input
  * binding, trivial constants, NOT negations, and each gate's
  * tfhe::gateLinear combination. Because that arithmetic is shared with
@@ -68,9 +68,9 @@ struct CircuitResult
 
 /**
  * Runs lowered circuits over one backend. The backend must be
- * functional (produce ciphertext outputs): kFunctional, a sharded
- * functional fleet, or anything else whose ExecutionResult::hasOutputs
- * holds. Single-driver, like the backend it wraps.
+ * functional (produce ciphertext outputs): kFunctional, kRemote, or
+ * anything else whose ExecutionResult::hasOutputs holds. Single-driver,
+ * like the backend it wraps.
  */
 class CircuitExecutor
 {

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "exec/sharded_backend.h"
-#include "tfhe/encoding.h"
 #include "exec/timing_backend.h"
 #include "telemetry/telemetry.h"
 
@@ -165,9 +164,9 @@ checkCompletionOrder(const compiler::Program &program,
 
 /** Sharded-reference checks: the shard slices must partition the
  *  program (every group owned by exactly one shard, slice streams
- *  jointly covering every instruction), and each timing shard's
- *  shard-local completion log must satisfy the same dependency-order
- *  invariants as a monolithic timing backend. */
+ *  jointly covering every instruction), and each shard's shard-local
+ *  completion log must satisfy the same dependency-order invariants as
+ *  a monolithic timing backend. */
 void
 checkSharded(const compiler::Program &program,
              const ShardedBackend &sharded, ErrorSink &sink)
@@ -193,23 +192,14 @@ checkSharded(const compiler::Program &program,
         sink.add("sharded partition: slices cover ", covered, " of ",
                  program.size(), " instructions");
     }
-    if (sharded.fleetMode()) {
-        // Fleet shards have no inner TimingBackend; their raw
-        // shared-clock completion logs come straight off the backend.
-        const auto &logs = sharded.shardCompletions();
-        for (unsigned s = 0; s < sharded.numShards(); ++s) {
-            checkCompletionOrder(sharded.slice(s).program, logs[s],
-                                 sink);
-        }
-        return;
-    }
+    // Fleet shards have no TimingBackend of their own; their raw
+    // shared-clock completion logs come straight off the backend.
     for (unsigned s = 0; s < sharded.numShards(); ++s) {
-        const auto *tb = dynamic_cast<const TimingBackend *>(
-            &sharded.shardBackend(s));
-        if (tb != nullptr) {
-            checkCompletionOrder(sharded.slice(s).program,
-                                 tb->completionOrder(), sink);
-        }
+        checkCompletionOrder(
+            sharded.slice(s).program,
+            sharded.fleetMode() ? sharded.shardCompletions()[s]
+                                : sharded.shardBackend(s).completionOrder(),
+            sink);
     }
 }
 
@@ -333,22 +323,6 @@ LockstepCosim::run(const compiler::Program &program, const Job &job)
             sink.add("output count mismatch: backend produced ",
                      report.functional.outputs.size(),
                      ", reference produced ", reference.size());
-        } else if (options_.decryptKeys != nullptr) {
-            // Decrypt-level equivalence: the oracle for engines whose
-            // arithmetic is correct but not bit-identical (kDatapath).
-            const auto &ks = *options_.decryptKeys;
-            const std::uint32_t space = options_.messageSpace;
-            for (std::size_t i = 0; i < reference.size(); ++i) {
-                const auto got = tfhe::decryptPadded(
-                    ks, report.functional.outputs[i], space);
-                const auto want =
-                    tfhe::decryptPadded(ks, reference[i], space);
-                if (got != want) {
-                    sink.add("output ", i, " decrypts to ", got,
-                             ", reference decrypts to ", want,
-                             " (space ", space, ")");
-                }
-            }
         } else {
             for (std::size_t i = 0; i < reference.size(); ++i) {
                 if (report.functional.outputs[i].raw() !=

@@ -14,15 +14,13 @@
  *  - dependency order (timing backends): raw completion ticks are
  *    monotone within every chunk chain, and no instruction after a
  *    barrier completes before the barrier releases;
- *  - sharded references (either side a ShardedBackend): the shard
- *    slices partition the program — every group owned by exactly one
- *    shard, slices jointly covering each instruction once — and every
- *    timing shard's shard-local completion log passes the
- *    dependency-order checks above against its slice;
+ *  - sharded timing references (a ShardedBackend): the shard slices
+ *    partition the program — every group owned by exactly one shard,
+ *    slices jointly covering each instruction once — and every shard's
+ *    shard-local completion log passes the dependency-order checks
+ *    above against its slice;
  *  - end-of-program correctness (opt-in via referenceKeys): functional
- *    outputs are bit-identical to the tfhe::batchBootstrap reference —
- *    or, with decryptKeys set, decrypt to the same padded messages
- *    (the equivalence level the kDatapath engine guarantees).
+ *    outputs are bit-identical to the tfhe::batchBootstrap reference.
  *
  * Mismatches are collected as readable diagnostics in CosimReport, not
  * panics — the co-simulator is the test oracle, so it must survive a
@@ -37,7 +35,6 @@
 #include <vector>
 
 #include "exec/backend.h"
-#include "tfhe/keyset.h"
 #include "tfhe/serialize.h"
 
 namespace morphling::exec {
@@ -46,23 +43,8 @@ namespace morphling::exec {
 struct CosimOptions
 {
     /** When set, functional outputs are additionally checked
-     *  bit-exact against the tfhe::batchBootstrap reference (only
-     *  meaningful when the functional backend uses the workspace XPU
-     *  engine, which shares the library's arithmetic). */
+     *  bit-exact against the tfhe::batchBootstrap reference. */
     const tfhe::EvaluationKeys *referenceKeys = nullptr;
-
-    /** Decrypt-level equivalence mode: when set (together with
-     *  referenceKeys), the end-of-program check decrypts both the
-     *  backend outputs and the library reference with these secret
-     *  keys and compares padded messages over `messageSpace` instead
-     *  of raw ciphertext bits. This is the check the
-     *  XpuEngine::kDatapath merge-split FFT engine can pass — its
-     *  rotations differ from the library path by sub-noise rounding,
-     *  so bit-exactness is the wrong oracle for it. */
-    const tfhe::KeySet *decryptKeys = nullptr;
-
-    /** Padded message space of the decrypt-level comparison. */
-    std::uint32_t messageSpace = 4;
 
     /** Stop collecting diagnostics after this many. */
     std::size_t maxErrors = 16;

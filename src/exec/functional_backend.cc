@@ -47,34 +47,14 @@ spanNameFor(Opcode op)
 
 } // namespace
 
-FunctionalBackend::FunctionalBackend(const tfhe::EvaluationKeys &keys,
-                                     FunctionalConfig config)
-    : params_(keys.params), bsk_(keys.bsk), ksk_(keys.ksk),
-      config_(config)
+FunctionalBackend::FunctionalBackend(const tfhe::EvaluationKeys &keys)
+    : params_(keys.params), bsk_(keys.bsk), ksk_(keys.ksk)
 {
-    if (config_.xpuEngine == XpuEngine::kDatapath) {
-        fatal_if(config_.rawBsk == nullptr,
-                 "XpuEngine::kDatapath needs a coefficient-domain BSK "
-                 "(arch::functional::generateRawBsk)");
-        xpu_ = std::make_unique<arch::functional::FunctionalXpu>(
-            params_, config_.datapathRows, config_.datapathCols);
-        xpu_->loadBootstrapKey(*config_.rawBsk);
-    }
 }
 
-FunctionalBackend::FunctionalBackend(const tfhe::KeySet &keys,
-                                     FunctionalConfig config)
-    : params_(keys.params), bsk_(keys.bsk), ksk_(keys.ksk),
-      config_(config)
+FunctionalBackend::FunctionalBackend(const tfhe::KeySet &keys)
+    : params_(keys.params), bsk_(keys.bsk), ksk_(keys.ksk)
 {
-    if (config_.xpuEngine == XpuEngine::kDatapath) {
-        fatal_if(config_.rawBsk == nullptr,
-                 "XpuEngine::kDatapath needs a coefficient-domain BSK "
-                 "(arch::functional::generateRawBsk)");
-        xpu_ = std::make_unique<arch::functional::FunctionalXpu>(
-            params_, config_.datapathRows, config_.datapathCols);
-        xpu_->loadBootstrapKey(*config_.rawBsk);
-    }
 }
 
 void
@@ -299,33 +279,6 @@ FunctionalBackend::step()
 }
 
 void
-FunctionalBackend::blindRotateChunk(Chunk &chunk,
-                                    tfhe::BootstrapWorkspace &ws)
-{
-    chunk.accs.resize(chunk.count);
-    if (config_.xpuEngine == XpuEngine::kWorkspace) {
-        // Iteration-major over the whole chunk: each BSK_i serves every
-        // ciphertext, the CPU counterpart of the datapath waves below.
-        tfhe::blindRotateBatch(bsk_, testPoly_, chunk.switched.data(),
-                               chunk.accs.data(), chunk.count, ws);
-        return;
-    }
-    // Datapath engine: waves of up to `rows` ciphertexts share each
-    // streamed BSK_i, as on the VPE array.
-    for (unsigned base = 0; base < chunk.count;
-         base += config_.datapathRows) {
-        const unsigned wave = std::min<unsigned>(config_.datapathRows,
-                                                 chunk.count - base);
-        std::vector<std::vector<std::uint32_t>> batch(
-            chunk.switched.begin() + base,
-            chunk.switched.begin() + base + wave);
-        auto rotated = xpu_->runBlindRotateBatch(testPoly_, batch);
-        for (unsigned i = 0; i < wave; ++i)
-            chunk.accs[base + i] = std::move(rotated[i]);
-    }
-}
-
-void
 FunctionalBackend::execute(const InstrRef &ref,
                            tfhe::BootstrapWorkspace &ws)
 {
@@ -370,7 +323,11 @@ FunctionalBackend::execute(const InstrRef &ref,
         Chunk &chunk = chunks_[ref.chunk];
         panic_if(!chunk.modSwitched || !chunk.bskArmed || chunk.rotated,
                  "XPU.BR out of order");
-        blindRotateChunk(chunk, ws);
+        // Iteration-major over the whole chunk: each BSK_i serves
+        // every ciphertext, as a streamed BSK_i serves a VPE row.
+        chunk.accs.resize(chunk.count);
+        tfhe::blindRotateBatch(bsk_, testPoly_, chunk.switched.data(),
+                               chunk.accs.data(), chunk.count, ws);
         chunk.rotated = true;
         break;
       }
@@ -508,9 +465,7 @@ FunctionalBackend::run(const compiler::Program &program, const Job &job)
     unsigned threads = job.options.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
-    // The datapath engine is a single stateful instance — no
-    // group-parallel path for it.
-    if (threads <= 1 || config_.xpuEngine == XpuEngine::kDatapath) {
+    if (threads <= 1) {
         while (step())
             ;
     } else {

@@ -23,10 +23,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
-#include "arch/functional/functional_xpu.h"
 #include "exec/backend.h"
 #include "tfhe/bootstrap.h"
 #include "tfhe/keyset.h"
@@ -35,39 +33,6 @@
 
 namespace morphling::exec {
 
-/** Which engine executes XpuBlindRotate instructions. */
-enum class XpuEngine
-{
-    /** The zero-allocation workspace blind rotation, iteration-major
-     *  over the chunk (tfhe::blindRotateBatch through a
-     *  BootstrapWorkspace): bit-exact vs. tfhe::bootstrapInto. The
-     *  default, and the only engine the bit-exactness co-sim check
-     *  admits. */
-    kWorkspace,
-
-    /** The merge-split FFT datapath model
-     *  (arch::functional::FunctionalXpu, Figure 5): computes real
-     *  rotations that decrypt identically but differ from the library
-     *  path by sub-noise rounding (see tests/test_functional_xpu.cc).
-     *  Requires a caller-supplied coefficient-domain BSK. */
-    kDatapath
-};
-
-/** Construction-time knobs of the functional backend. */
-struct FunctionalConfig
-{
-    XpuEngine xpuEngine = XpuEngine::kWorkspace;
-
-    /** Coefficient-domain BSK for XpuEngine::kDatapath (generate via
-     *  arch::functional::generateRawBsk; needs secret keys). Must
-     *  outlive the backend. Ignored by kWorkspace. */
-    const std::vector<tfhe::GgswCiphertext> *rawBsk = nullptr;
-
-    /** VPE array geometry for the datapath engine. */
-    unsigned datapathRows = 4;
-    unsigned datapathCols = 4;
-};
-
 /**
  * Interprets Programs against real ciphertexts. Holds references to
  * the key material — the keys must outlive the backend.
@@ -75,10 +40,8 @@ struct FunctionalConfig
 class FunctionalBackend final : public ExecutionBackend
 {
   public:
-    explicit FunctionalBackend(const tfhe::EvaluationKeys &keys,
-                               FunctionalConfig config = {});
-    explicit FunctionalBackend(const tfhe::KeySet &keys,
-                               FunctionalConfig config = {});
+    explicit FunctionalBackend(const tfhe::EvaluationKeys &keys);
+    explicit FunctionalBackend(const tfhe::KeySet &keys);
 
     std::string_view name() const override { return "functional"; }
 
@@ -90,9 +53,11 @@ class FunctionalBackend final : public ExecutionBackend
 
     /** Fast path: barrier-delimited segments execute their groups in
      *  parallel (Job::options.threads workers, each with its own
-     *  workspace) while preserving per-group program order. Falls back
-     *  to sequential stepping for 1 thread or the datapath engine
-     *  (which is single-instance stateful). */
+     *  workspace) while preserving per-group program order; the merged
+     *  log lists each segment's groups in ascending id, so every thread
+     *  count above 1 retires in one order. Falls back to sequential
+     *  stepping for 1 thread. Outputs are byte-equal at every thread
+     *  count. */
     ExecutionResult run(const compiler::Program &program,
                         const Job &job) override;
 
@@ -135,7 +100,6 @@ class FunctionalBackend final : public ExecutionBackend
     void reset();
     void bindProgram(const compiler::Program &program, const Job &job);
     void execute(const InstrRef &ref, tfhe::BootstrapWorkspace &ws);
-    void blindRotateChunk(Chunk &chunk, tfhe::BootstrapWorkspace &ws);
     RetiredInstruction makeRetired(std::size_t index);
     /** All unfinished groups sit at the same barrier: retire it for
      *  every group (into pendingRetire_) and advance past it. */
@@ -146,8 +110,6 @@ class FunctionalBackend final : public ExecutionBackend
     const tfhe::TfheParams &params_;
     const tfhe::BootstrapKey &bsk_;
     const tfhe::KeySwitchKey &ksk_;
-    FunctionalConfig config_;
-    std::unique_ptr<arch::functional::FunctionalXpu> xpu_;
 
     const compiler::Program *program_ = nullptr;
     const std::vector<tfhe::LweCiphertext> *inputs_ = nullptr;

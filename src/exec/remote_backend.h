@@ -8,7 +8,7 @@
  * Drop-in contract: for the default single-threaded Job the retirement
  * log and output ciphertexts are bit-identical to a local
  * FunctionalBackend run of the same program (the server single-steps
- * its inner backend; tests/test_remote.cc asserts the identity),
+ * one; tests/test_remote.cc asserts the identity),
  * so MultiTenantService and submitCircuit work over the wire
  * unchanged — select it with ServiceConfig::backend = kRemote.
  *

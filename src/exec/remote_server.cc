@@ -9,10 +9,12 @@
 
 #include <cerrno>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.h"
 #include "compiler/program.h"
+#include "exec/functional_backend.h"
 
 namespace morphling::exec {
 
@@ -55,13 +57,14 @@ tfhe::KeyFingerprint RemoteServer::addKeys(tfhe::EvaluationKeys keys)
 void RemoteServer::start()
 {
     fatal_if(running_.load(), "RemoteServer::start: already running");
-    fatal_if(config_.inner.kind == BackendKind::kTiming,
-             "RemoteServer: inner backend must produce ciphertext "
-             "outputs; kTiming cannot serve execution requests");
-    fatal_if(config_.inner.kind == BackendKind::kRemote,
-             "RemoteServer: inner backend cannot itself be kRemote");
-    fatal_if(config_.retireChunk == 0,
-             "RemoteServer: retireChunk must be positive");
+    if (config_.inner.kind != BackendKind::kFunctional) {
+        throw std::invalid_argument(morphling::detail::concat(
+            "RemoteServer: inner backend must be kFunctional, got ",
+            backendKindName(config_.inner.kind)));
+    }
+    if (config_.retireChunk == 0)
+        throw std::invalid_argument(
+            "RemoteServer: retireChunk must be positive");
 
     struct addrinfo hints;
     std::memset(&hints, 0, sizeof(hints));
@@ -561,9 +564,8 @@ void RemoteServer::handleExecute(Connection *conn,
     try {
         Job job = signLut ? Job::sign(inputs, lut, options)
                           : Job::batch(inputs, lut, options);
-        std::unique_ptr<ExecutionBackend> backend =
-            makeBackend(*keys, config_.inner);
-        backend->load(*program, job);
+        FunctionalBackend backend(*keys);
+        backend.load(*program, job);
 
         auto flushPending = [&]() {
             if (pending.empty())
@@ -601,7 +603,7 @@ void RemoteServer::handleExecute(Connection *conn,
             pending.clear();
         };
 
-        while (std::optional<RetiredInstruction> step = backend->step()) {
+        while (std::optional<RetiredInstruction> step = backend.step()) {
             CachedRetirement entry;
             entry.index = step->index;
             entry.seq = step->seq;
@@ -613,7 +615,7 @@ void RemoteServer::handleExecute(Connection *conn,
         }
         flushPending();
 
-        ExecutionResult result = backend->finish();
+        ExecutionResult result = backend.finish();
         final.retired = std::move(retired);
         final.outputs = std::move(result.outputs);
         final.hasOutputs = result.hasOutputs;

@@ -1,8 +1,7 @@
 /**
  * @file
- * The server half of the remote execution split: a TCP server hosting
- * an inner ExecutionBackend behind the framed protocol of
- * remote_protocol.h.
+ * The server half of the remote execution split: a TCP server running
+ * FunctionalBackend behind the framed protocol of remote_protocol.h.
  *
  * Each connection is handled on its own thread: handshake, then a
  * loop of enrollment and execution requests. Evaluation keys are held
@@ -12,10 +11,10 @@
  * names the fingerprint it runs under, so one server serves many
  * tenants' keys the way service::TenantRegistry does in-process.
  *
- * Execution streams retirements back incrementally: the inner backend
- * is single-stepped and every `retireChunk` retirements ship as one
- * kRetire frame, followed by a kResult frame with the output
- * ciphertexts. The retirement order is the inner backend's stepped
+ * Execution streams retirements back incrementally: each request's
+ * FunctionalBackend is single-stepped and every `retireChunk`
+ * retirements ship as one kRetire frame, followed by a kResult frame
+ * with the output ciphertexts. The retirement order is the stepped
  * order — for the default single-threaded job this is bit-identical
  * to a local FunctionalBackend run (asserted in tests/test_remote.cc).
  *
@@ -62,8 +61,9 @@ struct RemoteServerConfig
      *  port()). */
     std::uint16_t port = 0;
 
-    /** The backend every request executes on. Must produce ciphertext
-     *  outputs (kRemote itself and kTiming are rejected at start()). */
+    /** The backend every request executes on. Only kFunctional
+     *  serves requests; start() throws std::invalid_argument on any
+     *  other kind. */
     BackendSpec inner;
 
     /** Retirements per kRetire frame. */
@@ -93,7 +93,7 @@ struct RemoteServerStats
 {
     std::uint64_t connections = 0;  //!< accepted TCP connections
     std::uint64_t requests = 0;     //!< kExecute frames parsed
-    std::uint64_t executions = 0;   //!< inner-backend runs
+    std::uint64_t executions = 0;   //!< FunctionalBackend runs
     std::uint64_t replays = 0;      //!< served from the result cache
     std::uint64_t enrollments = 0;  //!< keys enrolled over the wire
     std::uint64_t rejected = 0;     //!< kError frames sent
@@ -103,7 +103,7 @@ struct RemoteServerStats
 };
 
 /**
- * Hosts an inner ExecutionBackend behind the remote protocol.
+ * Hosts FunctionalBackend execution behind the remote protocol.
  * start()/stop() bracket the serving window; the destructor stops.
  * Thread-safe: addKeys() and stats() may be called while serving.
  */
@@ -121,9 +121,10 @@ class RemoteServer
      *  wire). Returns their fingerprint. */
     tfhe::KeyFingerprint addKeys(tfhe::EvaluationKeys keys);
 
-    /** Bind, listen, and serve until stop(). fatal() on a config the
-     *  server cannot serve with; throws RemoteError(kConnectFailed)
-     *  when the port cannot be bound. */
+    /** Bind, listen, and serve until stop(). Throws
+     *  std::invalid_argument on a config the server cannot serve with
+     *  and RemoteError(kConnectFailed) when the port cannot be
+     *  bound. */
     void start();
 
     /** Stop accepting, unblock and join every connection. Requests

@@ -6,81 +6,13 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "exec/timing_backend.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sim_bridge.h"
 #include "telemetry/telemetry.h"
 
-#if defined(__linux__) || defined(__APPLE__)
-#include <time.h>
-#endif
-
 namespace morphling::exec {
 
 using compiler::Opcode;
-
-namespace {
-
-/** CPU time of the calling thread; 0 when the platform clock is
- *  unavailable (callers fall back to wall time). */
-std::uint64_t
-threadCpuNanos()
-{
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    timespec ts{};
-    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-        return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-               static_cast<std::uint64_t>(ts.tv_nsec);
-    }
-#endif
-    return 0;
-}
-
-std::uint64_t
-wallNanosSince(std::chrono::steady_clock::time_point t0)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
-} // namespace
-
-ShardedBackend::ShardedBackend(
-    std::vector<std::unique_ptr<ExecutionBackend>> shards)
-    : shards_(std::move(shards))
-{
-    fatal_if(shards_.empty(), "ShardedBackend needs at least one shard");
-    for (const auto &shard : shards_)
-        fatal_if(shard == nullptr, "ShardedBackend given a null shard");
-}
-
-ShardedBackend
-ShardedBackend::functional(const tfhe::EvaluationKeys &keys,
-                           unsigned numShards, FunctionalConfig config)
-{
-    fatal_if(numShards == 0, "sharded backend needs >= 1 shard");
-    std::vector<std::unique_ptr<ExecutionBackend>> shards;
-    shards.reserve(numShards);
-    for (unsigned s = 0; s < numShards; ++s)
-        shards.push_back(
-            std::make_unique<FunctionalBackend>(keys, config));
-    return ShardedBackend(std::move(shards));
-}
-
-ShardedBackend
-ShardedBackend::functional(const tfhe::KeySet &keys, unsigned numShards,
-                           FunctionalConfig config)
-{
-    fatal_if(numShards == 0, "sharded backend needs >= 1 shard");
-    std::vector<std::unique_ptr<ExecutionBackend>> shards;
-    shards.reserve(numShards);
-    for (unsigned s = 0; s < numShards; ++s)
-        shards.push_back(
-            std::make_unique<FunctionalBackend>(keys, config));
-    return ShardedBackend(std::move(shards));
-}
 
 ShardedBackend
 ShardedBackend::timing(const arch::ArchConfig &config,
@@ -88,11 +20,11 @@ ShardedBackend::timing(const arch::ArchConfig &config,
                        unsigned numShards)
 {
     fatal_if(numShards == 0, "sharded backend needs >= 1 shard");
-    std::vector<std::unique_ptr<ExecutionBackend>> shards;
-    shards.reserve(numShards);
+    ShardedBackend b;
+    b.shards_.reserve(numShards);
     for (unsigned s = 0; s < numShards; ++s)
-        shards.push_back(std::make_unique<TimingBackend>(config, params));
-    return ShardedBackend(std::move(shards));
+        b.shards_.push_back(std::make_unique<TimingBackend>(config, params));
+    return b;
 }
 
 ShardedBackend
@@ -116,7 +48,7 @@ ShardedBackend::slice(unsigned s) const
     return slices_[s];
 }
 
-const ExecutionBackend &
+const TimingBackend &
 ShardedBackend::shardBackend(unsigned s) const
 {
     panic_if(s >= shards_.size(), "shard ", s, " out of range");
@@ -127,12 +59,8 @@ void
 ShardedBackend::reset()
 {
     slices_.clear();
-    slotMap_.clear();
-    shardInputs_.clear();
     stats_.clear();
     merged_.clear();
-    outputs_.clear();
-    hasOutputs_ = false;
     report_ = arch::SimReport{};
     hasReport_ = false;
     makespan_ = 0;
@@ -143,7 +71,7 @@ ShardedBackend::reset()
 }
 
 void
-ShardedBackend::load(const compiler::Program &program, const Job &job)
+ShardedBackend::load(const compiler::Program &program, const Job &)
 {
     MORPHLING_SPAN("exec", "sharded.load");
     reset();
@@ -164,54 +92,21 @@ ShardedBackend::load(const compiler::Program &program, const Job &job)
             program.name() + "/shard" + std::to_string(s), groups));
     }
 
-    // Flat input-slot cursor over the whole program, mirroring the
-    // functional backend's slot assignment: each DMA.LD_LWE covers the
-    // next `count` slots in program emission order.
-    std::vector<std::size_t> slot_begin(program.size(), 0);
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < program.size(); ++i) {
-        if (program.at(i).op == Opcode::DmaLoadLwe) {
-            slot_begin[i] = cursor;
-            cursor += program.at(i).count;
-        }
-    }
-
-    slotMap_.resize(n_shards);
-    shardInputs_.resize(n_shards);
-    for (unsigned s = 0; s < n_shards; ++s) {
-        for (const std::size_t gi : slices_[s].globalIndex) {
-            const auto &inst = program.at(gi);
-            if (inst.op != Opcode::DmaLoadLwe)
-                continue;
-            for (unsigned k = 0; k < inst.count; ++k)
-                slotMap_[s].push_back(slot_begin[gi] + k);
-        }
-        if (job.inputs != nullptr) {
-            shardInputs_[s].reserve(slotMap_[s].size());
-            for (const std::size_t slot : slotMap_[s]) {
-                panic_if(slot >= job.inputs->size(),
-                         "shard slot ", slot, " beyond the job's ",
-                         job.inputs->size(), " inputs");
-                shardInputs_[s].push_back((*job.inputs)[slot]);
-            }
-        }
-    }
-
     // Fan out. Private-memory shards run on their own threads against
-    // their own inner backends; fleet shards advance together in one
+    // their own accelerators; fleet shards advance together in one
     // shared-fabric event queue.
     std::vector<ExecutionResult> results(n_shards);
     stats_.resize(n_shards);
     if (fleetMode_)
         runShardsFleet(results);
     else
-        runShardsThreaded(program, job, results);
+        runShardsThreaded(results);
 
-    const auto merge0 = std::chrono::steady_clock::now();
+    MORPHLING_TELEMETRY_ONLY(
+        const auto merge0 = std::chrono::steady_clock::now();)
     {
         MORPHLING_SPAN("exec", "sharded.merge");
         mergeRetirement(program, results);
-        mergeOutputs(program, results);
         mergeReports(results);
     }
 
@@ -234,10 +129,11 @@ ShardedBackend::load(const compiler::Program &program, const Job &job)
         reg.histogram("exec.sharded.merge_latency_us",
                       "per-shard retirement logs -> global program "
                       "order")
-            .observe(static_cast<double>(wallNanosSince(merge0)) /
-                     1e3);
-        // Per-shard virtual-time tracks: one interval per timing
-        // shard spanning its local makespan, rendered next to the
+            .observe(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - merge0)
+                         .count());
+        // Per-shard virtual-time tracks: one interval per shard
+        // spanning its local makespan, rendered next to the
         // per-component tracks in the Chrome trace.
         for (unsigned s = 0; s < n_shards; ++s) {
             if (stats_[s].hasReport) {
@@ -252,31 +148,20 @@ ShardedBackend::load(const compiler::Program &program, const Job &job)
 }
 
 void
-ShardedBackend::runShardsThreaded(const compiler::Program &program,
-                                  const Job &job,
-                                  std::vector<ExecutionResult> &results)
+ShardedBackend::runShardsThreaded(std::vector<ExecutionResult> &results)
 {
-    (void)program;
     const unsigned n_shards = numShards();
     auto run_shard = [&](unsigned s) {
         MORPHLING_SPAN("exec", "sharded.shard");
-        const auto wall0 = std::chrono::steady_clock::now();
-        const std::uint64_t cpu0 = threadCpuNanos();
-        Job shard_job;
-        shard_job.inputs = &shardInputs_[s];
-        shard_job.lut = job.lut;
-        shard_job.signLut = job.signLut;
-        shard_job.options = job.options;
-        results[s] = shards_[s]->run(slices_[s].program, shard_job);
-        const std::uint64_t cpu1 = threadCpuNanos();
+        // A shard beyond the program's group count stays idle: the
+        // cycle model cannot run an empty program.
+        if (slices_[s].program.size() > 0)
+            results[s] = shards_[s]->run(slices_[s].program, Job{});
         auto &st = stats_[s];
         st.shard = s;
         st.groups = slices_[s].groups;
         st.instructions = slices_[s].program.size();
         st.blindRotations = slices_[s].program.totalBlindRotations();
-        st.wallNanos = wallNanosSince(wall0);
-        st.cpuNanos =
-            (cpu1 > cpu0) ? cpu1 - cpu0 : st.wallNanos; // clockless hosts
         st.hasReport = results[s].hasReport;
         st.cycles = results[s].hasReport ? results[s].report.cycles : 0;
     };
@@ -297,9 +182,6 @@ ShardedBackend::runShardsFleet(std::vector<ExecutionResult> &results)
 {
     MORPHLING_SPAN("exec", "sharded.fleet");
     const unsigned n_shards = numShards();
-    const auto wall0 = std::chrono::steady_clock::now();
-    const std::uint64_t cpu0 = threadCpuNanos();
-
     arch::AcceleratorFleet fleet(fleetConfig_, *fleetParams_, n_shards);
     std::vector<const compiler::Program *> programs;
     std::vector<arch::RetireHook> hooks;
@@ -323,13 +205,10 @@ ShardedBackend::runShardsFleet(std::vector<ExecutionResult> &results)
     }
     fleetReport_ = fleet.run(programs, hooks);
 
-    const std::uint64_t cpu1 = threadCpuNanos();
-    const std::uint64_t wall = wallNanosSince(wall0);
     for (unsigned s = 0; s < n_shards; ++s) {
         results[s].backend = "fleet-timing";
         results[s].retired = architecturalRetirement(
             slices_[s].program, shardCompletions_[s]);
-        results[s].hasOutputs = false;
         results[s].hasReport = slices_[s].program.size() > 0;
         results[s].report = fleetReport_.shards[s];
         auto &st = stats_[s];
@@ -337,10 +216,6 @@ ShardedBackend::runShardsFleet(std::vector<ExecutionResult> &results)
         st.groups = slices_[s].groups;
         st.instructions = slices_[s].program.size();
         st.blindRotations = slices_[s].program.totalBlindRotations();
-        // Every fleet shard advances in the same event queue on one
-        // host thread; per-shard host time is not separable.
-        st.wallNanos = wall;
-        st.cpuNanos = (cpu1 > cpu0) ? cpu1 - cpu0 : wall;
         st.hasReport = results[s].hasReport;
         st.cycles = results[s].hasReport ? results[s].report.cycles : 0;
     }
@@ -353,8 +228,8 @@ ShardedBackend::mergeRetirement(const compiler::Program &program,
     const unsigned n_groups = program.numGroups();
     // Per-group queues in global coordinates. Each shard retires its
     // groups in program order (the retirement contract), so a group's
-    // queue is its stream in program order no matter how the inner
-    // backend interleaved its groups.
+    // queue is its stream in program order no matter how the shard
+    // interleaved its groups.
     std::vector<std::vector<RetiredInstruction>> queue(n_groups);
     for (unsigned s = 0; s < numShards(); ++s) {
         const auto &slice = slices_[s];
@@ -406,37 +281,9 @@ ShardedBackend::mergeRetirement(const compiler::Program &program,
 }
 
 void
-ShardedBackend::mergeOutputs(const compiler::Program &program,
-                             std::vector<ExecutionResult> &results)
-{
-    hasOutputs_ = true;
-    for (const auto &r : results)
-        hasOutputs_ = hasOutputs_ && r.hasOutputs;
-    if (!hasOutputs_)
-        return;
-
-    const std::uint64_t total = program.totalBlindRotations();
-    unsigned dim = 0;
-    for (const auto &r : results) {
-        if (!r.outputs.empty()) {
-            dim = r.outputs.front().dimension();
-            break;
-        }
-    }
-    outputs_.assign(total, tfhe::LweCiphertext(dim));
-    for (unsigned s = 0; s < numShards(); ++s) {
-        panic_if(results[s].outputs.size() != slotMap_[s].size(),
-                 "shard ", s, " produced ", results[s].outputs.size(),
-                 " outputs for ", slotMap_[s].size(), " slots");
-        for (std::size_t j = 0; j < slotMap_[s].size(); ++j)
-            outputs_[slotMap_[s][j]] = std::move(results[s].outputs[j]);
-    }
-}
-
-void
 ShardedBackend::mergeReports(std::vector<ExecutionResult> &results)
 {
-    // Fleet view over the timing shards: the run finishes when the
+    // Fleet view over the shards: the run finishes when the
     // slowest shard does (makespan = max), work counters sum across
     // chips, utilizations are re-derived against the fleet makespan.
     // Per-chip detail stays available through shardStats() and the
@@ -536,13 +383,10 @@ ShardedBackend::finish()
     panic_if(!done(), "finish() before the program fully retired");
     ExecutionResult result;
     result.backend = name();
-    result.outputs = std::move(outputs_);
-    result.hasOutputs = hasOutputs_;
     result.report = report_;
     result.hasReport = hasReport_;
     result.retired = std::move(merged_);
     merged_.clear();
-    outputs_.clear();
     cursor_ = 0;
     loaded_ = false;
     return result;

@@ -1,34 +1,37 @@
 /**
  * @file
- * The sharded execution backend: splits a Program's barrier-delimited
- * group streams across N inner backends and merges the per-shard
- * retirement logs back into global program order.
+ * The sharded timing backend: splits a Program's barrier-delimited
+ * group streams across N simulated accelerators and merges the
+ * per-shard retirement logs back into global program order.
  *
  * The compiled Program's groups are data-independent between barriers
  * (each chunk reads and writes its own slots of the flat input/output
  * arrays; barriers only express stage ordering within a group's own
- * stream), so a superbatch shards across N simulated accelerators or N
- * functional workers by group id with no cross-shard communication.
- * Shard s owns groups {g : g % N == s}; each shard executes its
- * Program::sliceGroups sub-program on its own inner backend, on its
- * own thread, against its own slice of the input ciphertexts.
+ * stream), so a superbatch shards across N accelerators by group id
+ * with no cross-shard communication. Shard s owns groups
+ * {g : g % N == s} and executes its Program::sliceGroups sub-program.
+ * Two memory models: private shards are independent TimingBackends,
+ * each with its own HBM, run on their own threads; fleet shards share
+ * one memory fabric (arch::AcceleratorFleet) and advance in one event
+ * queue. The backend is data-free: functional execution of a
+ * superbatch is FunctionalBackend's, whose group-parallel run() is the
+ * one functional fan-out.
  *
  * Merge determinism (docs/execution_model.md): per-shard logs are
  * recombined segment by segment — within every barrier-delimited
  * segment, groups in ascending global id, each group's instructions in
  * program order, then the segment's barrier retirements, again in
- * group order. This is byte-for-byte the order FunctionalBackend's
- * group-parallel run() produces, and it is independent of shard count
- * and of how the inner backends interleaved their groups — so a
- * 1-shard, 2-shard and 4-shard run of the same Program emit identical
- * retirement logs and bit-identical outputs.
+ * group order. This is the order FunctionalBackend's group-parallel
+ * run() produces, and it is independent of shard count and of how the
+ * shards interleaved their groups — so a 1-shard, 2-shard and 4-shard
+ * run of the same Program emit identical retirement logs.
  *
- * Timing shards are independent accelerators with independent virtual
- * clocks: RetiredInstruction::tick stays shard-local, shardStats()
- * reports per-shard cycles, and the merged SimReport carries the
- * max-over-shards makespan (the fleet finishes when its slowest shard
- * does) with summed work counters — the projection of Table VI-style
- * numbers to N accelerators.
+ * Shards have independent virtual clocks in private mode and one
+ * shared clock in fleet mode (RetiredInstruction::tick reads the
+ * shard's clock); shardStats() reports per-shard cycles, and the merged
+ * SimReport carries the max-over-shards makespan (the fleet finishes
+ * when its slowest shard does) with summed work counters — the
+ * projection of Table VI-style numbers to N accelerators.
  */
 
 #ifndef MORPHLING_EXEC_SHARDED_BACKEND_H
@@ -41,7 +44,7 @@
 #include "arch/config.h"
 #include "arch/fleet.h"
 #include "exec/backend.h"
-#include "exec/functional_backend.h"
+#include "exec/timing_backend.h"
 
 namespace morphling::exec {
 
@@ -53,43 +56,21 @@ struct ShardStats
     std::vector<std::uint8_t> groups; //!< global group ids owned
     std::size_t instructions = 0;     //!< slice stream length
     std::uint64_t blindRotations = 0; //!< ciphertexts the shard owns
-    bool hasReport = false;           //!< timing shard
-    std::uint64_t cycles = 0;         //!< shard-local makespan (timing)
-    /** Wall time the shard's thread spent in its inner run(). */
-    std::uint64_t wallNanos = 0;
-    /** CPU time of the shard's thread over the same run — the shard's
-     *  critical path if each shard ran on its own host, which is what
-     *  bench_sharded_scaling projects throughput from. */
-    std::uint64_t cpuNanos = 0;
+    bool hasReport = false;           //!< false for an empty slice
+    std::uint64_t cycles = 0;         //!< shard-local makespan
 };
 
 /**
- * Fans a Program out over N inner backends (any mix of functional
- * workers and independent accelerator-backed timing instances), runs
- * the shards concurrently, and presents the merged execution through
- * the ordinary ExecutionBackend interface: load() executes everything
- * eagerly (like TimingBackend), step() replays the deterministically
- * merged retirement log, finish() returns merged outputs (when every
- * shard produced them) and the fleet SimReport (when any shard timed).
+ * Fans a Program out over N simulated accelerators, runs the shards,
+ * and presents the merged execution through the ordinary
+ * ExecutionBackend interface: load() executes everything eagerly (like
+ * TimingBackend), step() replays the deterministically merged
+ * retirement log, finish() returns the fleet SimReport. The Job's
+ * ciphertext data is ignored (the cycle model is data-free).
  */
 class ShardedBackend final : public ExecutionBackend
 {
   public:
-    /** Take ownership of one inner backend per shard; at least one. */
-    explicit ShardedBackend(
-        std::vector<std::unique_ptr<ExecutionBackend>> shards);
-
-    /** N functional workers sharing one set of evaluation keys (the
-     *  service's kShardedFunctional fan-out). */
-    static ShardedBackend functional(const tfhe::EvaluationKeys &keys,
-                                     unsigned numShards,
-                                     FunctionalConfig config = {});
-
-    /** Same fan-out from a full KeySet (client-side runs and tests). */
-    static ShardedBackend functional(const tfhe::KeySet &keys,
-                                     unsigned numShards,
-                                     FunctionalConfig config = {});
-
     /** N independent simulated accelerators of identical geometry. */
     static ShardedBackend timing(const arch::ArchConfig &config,
                                  const tfhe::TfheParams &params,
@@ -108,7 +89,7 @@ class ShardedBackend final : public ExecutionBackend
 
     std::string_view name() const override { return "sharded"; }
 
-    /** Slice, dispatch every shard on its own thread, join, merge. */
+    /** Slice, run every shard, merge. */
     void load(const compiler::Program &program, const Job &job) override;
     std::optional<RetiredInstruction> step() override;
     bool done() const override;
@@ -147,28 +128,26 @@ class ShardedBackend final : public ExecutionBackend
      *  load(). */
     const compiler::ProgramSlice &slice(unsigned s) const;
 
-    /** The inner backend of shard `s` (the co-simulator reaches
-     *  through this for per-shard completion-order checks). */
-    const ExecutionBackend &shardBackend(unsigned s) const;
+    /** The private accelerator of shard `s` (the co-simulator reaches
+     *  through this for per-shard completion-order checks); not valid
+     *  in fleet mode. */
+    const TimingBackend &shardBackend(unsigned s) const;
 
-    /** Max over timing shards' cycles; 0 when no shard reports. */
+    /** Max over shards' cycles; 0 when no shard reports. */
     std::uint64_t makespan() const { return makespan_; }
 
   private:
-    ShardedBackend() = default; //!< fleet-mode factory path
+    ShardedBackend() = default; //!< the factories fill it in
 
     void reset();
-    void runShardsThreaded(const compiler::Program &program,
-                           const Job &job,
-                           std::vector<ExecutionResult> &results);
+    void runShardsThreaded(std::vector<ExecutionResult> &results);
     void runShardsFleet(std::vector<ExecutionResult> &results);
     void mergeRetirement(const compiler::Program &program,
                          std::vector<ExecutionResult> &results);
-    void mergeOutputs(const compiler::Program &program,
-                      std::vector<ExecutionResult> &results);
     void mergeReports(std::vector<ExecutionResult> &results);
 
-    std::vector<std::unique_ptr<ExecutionBackend>> shards_;
+    /** Private-memory shards; empty in fleet mode. */
+    std::vector<std::unique_ptr<TimingBackend>> shards_;
 
     // Fleet mode (shared-fabric timing): no inner backends; the
     // AcceleratorFleet runs every shard in one event queue.
@@ -181,13 +160,8 @@ class ShardedBackend final : public ExecutionBackend
 
     // State of the last load(), cleared by the next one.
     std::vector<compiler::ProgramSlice> slices_;
-    /** Global input/output slot of each shard-local slot. */
-    std::vector<std::vector<std::size_t>> slotMap_;
-    std::vector<std::vector<tfhe::LweCiphertext>> shardInputs_;
     std::vector<ShardStats> stats_;
     std::vector<RetiredInstruction> merged_;
-    std::vector<tfhe::LweCiphertext> outputs_;
-    bool hasOutputs_ = false;
     arch::SimReport report_;
     bool hasReport_ = false;
     std::uint64_t makespan_ = 0;

@@ -104,13 +104,6 @@ ServiceConfig::validate() const
                "ciphertexts; the service cannot fulfil requests with "
                "it (use kFunctional, or kCosim for a checked run)";
     }
-    // numShards is rejected for every backend, not just the sharded
-    // one: a config that flips backend kinds at runtime must not hide
-    // a zero until the flip happens.
-    if (numShards == 0) {
-        return "numShards must be >= 1 (kShardedFunctional divides "
-               "superbatch groups by it)";
-    }
     if (batch.checkNoise && batch.minSlotSigmas <= 0) {
         return "batch.checkNoise with minSlotSigmas <= 0 can never "
                "flag a thin noise margin; use a positive threshold or "
@@ -581,7 +574,6 @@ BootstrapService::runLowered(const circuit::LoweredCircuit &lowered,
     spec.kind = config_.backend == exec::BackendKind::kCosim
                     ? exec::BackendKind::kFunctional
                     : config_.backend;
-    spec.numShards = config_.numShards;
     spec.timing = config_.timing;
     spec.remote = config_.remote;
     spec.remote.fingerprint = pin.fingerprint;

@@ -116,20 +116,15 @@ struct ServiceConfig
 
     /**
      * Which execution backend runs a superbatch's compiled Program.
-     * kFunctional is the production path; kShardedFunctional fans each
-     * superbatch's group streams out across `numShards` functional
-     * workers (exec::ShardedBackend) with bit-identical outputs;
-     * kCosim additionally retires the program through the cycle model
-     * in lockstep and panics on any divergence (a deep self-check —
-     * orders of magnitude slower). kTiming is rejected by validate():
-     * it produces no ciphertexts, so the service could never fulfil
-     * its promises.
+     * kFunctional is the production path (batch.threads fans a
+     * superbatch's groups out inside the worker, with byte-equal
+     * outputs); kCosim additionally retires the program through the
+     * cycle model in lockstep and panics on any divergence (a deep
+     * self-check — orders of magnitude slower). kTiming is rejected by
+     * validate(): it produces no ciphertexts, so the service could
+     * never fulfil its promises.
      */
     exec::BackendKind backend = exec::BackendKind::kFunctional;
-
-    /** Shards per superbatch for kShardedFunctional; defaults to the
-     *  paper's one-shard-per-group split of the 4-group superbatch. */
-    unsigned numShards = compiler::kNumGroups;
 
     /**
      * Server coordinates and retry policy for kRemote: each worker

@@ -9,20 +9,6 @@ namespace morphling::service {
 
 namespace {
 
-/** FNV-1a 64 over the serialized bytes — the same function
- *  tfhe::fingerprintEvaluationKeys streams through, applied to the
- *  cold copy we already hold (tested equal in test_tenant.cc). */
-tfhe::KeyFingerprint
-fingerprintBytes(const std::string &bytes)
-{
-    std::uint64_t hash = 0xCBF29CE484222325ull;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001B3ull;
-    }
-    return hash;
-}
-
 std::size_t
 clampCapacity(std::size_t max_resident)
 {
@@ -68,7 +54,9 @@ TenantRegistry::enroll(const TenantId &tenant,
     std::ostringstream oss(std::ios::binary);
     tfhe::saveEvaluationKeys(oss, keys);
     std::string bytes = std::move(oss).str();
-    const auto fp = fingerprintBytes(bytes);
+    // The hash fingerprintEvaluationKeys streams through, over the
+    // cold copy already in hand (tested equal in test_tenant.cc).
+    const tfhe::KeyFingerprint fp = tfhe::fnv1a(bytes.data(), bytes.size());
 
     std::lock_guard<std::mutex> lk(mu_);
     auto [it, inserted] = entries_.try_emplace(tenant);

@@ -199,33 +199,38 @@ class HashingStreambuf final : public std::streambuf
     int_type
     overflow(int_type ch) override
     {
-        if (ch != traits_type::eof())
-            mix(static_cast<unsigned char>(ch));
+        if (ch != traits_type::eof()) {
+            const char c = traits_type::to_char_type(ch);
+            xsputn(&c, 1);
+        }
         return ch;
     }
 
     std::streamsize
     xsputn(const char *data, std::streamsize n) override
     {
-        for (std::streamsize i = 0; i < n; ++i)
-            mix(static_cast<unsigned char>(data[i]));
+        hash_ = fnv1a(data, static_cast<std::size_t>(n), hash_);
+        bytes_ += static_cast<std::size_t>(n);
         return n;
     }
 
   private:
-    void
-    mix(unsigned char byte)
-    {
-        hash_ ^= byte;
-        hash_ *= 0x100000001B3ull; // FNV-1a 64-bit prime
-        ++bytes_;
-    }
-
-    std::uint64_t hash_ = 0xCBF29CE484222325ull; // FNV offset basis
+    std::uint64_t hash_ = kFnv1aBasis;
     std::size_t bytes_ = 0;
 };
 
 } // namespace
+
+std::uint64_t
+fnv1a(const void *data, std::size_t size, std::uint64_t hash)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001B3ull; // FNV-1a 64-bit prime
+    }
+    return hash;
+}
 
 KeyFingerprint
 fingerprintEvaluationKeys(const EvaluationKeys &keys)

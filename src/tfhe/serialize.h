@@ -83,6 +83,15 @@ using KeyFingerprint = std::uint64_t;
 
 KeyFingerprint fingerprintEvaluationKeys(const EvaluationKeys &keys);
 
+/** FNV-1a 64 offset basis: the hash of zero bytes. */
+inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ull;
+
+/** Fold `size` bytes into an FNV-1a 64 hash: start from kFnv1aBasis,
+ *  or pass an earlier result to continue the stream. Over the bytes
+ *  saveEvaluationKeys writes, it is fingerprintEvaluationKeys. */
+std::uint64_t fnv1a(const void *data, std::size_t size,
+                    std::uint64_t hash = kFnv1aBasis);
+
 /** The fingerprint as 16 lowercase hex digits (metric/file names). */
 std::string fingerprintHex(KeyFingerprint fp);
 

@@ -3,9 +3,11 @@
  * Tests of circuit lowering and the CircuitExecutor: lowering
  * structure (level/step grouping, bootstrap conservation), the
  * executor's bit-identity against gate-by-gate encrypted evaluation
- * on functional and sharded backends, and the cross-level retirement
- * log contract.
+ * at every batch thread count, and the cross-level retirement log
+ * contract.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,6 @@
 #include "compiler/sw_scheduler.h"
 #include "exec/circuit_executor.h"
 #include "exec/functional_backend.h"
-#include "exec/sharded_backend.h"
 #include "tfhe/params.h"
 
 namespace morphling::exec {
@@ -191,22 +192,62 @@ TEST_F(CircuitExecFixture, LutWordCircuitMatchesGateByGate)
     }
 }
 
-TEST_F(CircuitExecFixture, ShardedMatchesFunctionalBitIdentical)
+TEST_F(CircuitExecFixture, GroupParallelMatchesSequentialBitIdentical)
 {
-    const auto c = adder(8);
-    auto inputs = encryptBits(200, 8);
-    for (const auto &ct : encryptBits(88, 8))
-        inputs.push_back(ct);
+    // Four independent 8-bit adders: the first level's gates fill
+    // every group of its superbatch, so the parallel runs fan out.
+    Circuit c;
+    std::vector<LweCiphertext> inputs;
+    for (unsigned k = 0; k < 4; ++k) {
+        std::vector<Wire> a, b, sum;
+        for (unsigned i = 0; i < 8; ++i)
+            a.push_back(c.bitInput());
+        for (unsigned i = 0; i < 8; ++i)
+            b.push_back(c.bitInput());
+        const auto carry = circuit::buildRippleAdder(c, a, b, sum);
+        for (auto w : sum)
+            c.markOutput(w);
+        c.markOutput(carry);
+        for (const auto &ct : encryptBits(200 - 37 * k, 8))
+            inputs.push_back(ct);
+        for (const auto &ct : encryptBits(88 + 41 * k, 8))
+            inputs.push_back(ct);
+    }
+    const auto lowered =
+        circuit::lower(c, compiler::SwScheduler(keys().params));
+    unsigned widest = 0;
+    for (const auto &level : lowered.levels) {
+        for (const auto &step : level)
+            widest = std::max(widest, step.program.numGroups());
+    }
+    ASSERT_EQ(widest, 4u);
 
     FunctionalBackend functional(keys());
-    CircuitExecutor functional_exec(keys().params, functional);
-    const auto base = functional_exec.run(c, inputs);
+    CircuitExecutor sequential(keys().params, functional);
+    const auto base = sequential.run(lowered, inputs);
 
-    for (unsigned shards : {2u, 4u}) {
-        auto sharded = ShardedBackend::functional(keys(), shards);
-        CircuitExecutor sharded_exec(keys().params, sharded);
-        const auto result = sharded_exec.run(c, inputs);
+    // Every thread count above 1 takes the group-parallel path, which
+    // retires each barrier segment's groups in ascending id.
+    std::vector<CircuitRetirement> parallel_log;
+    for (unsigned threads : {2u, 4u}) {
+        tfhe::BatchOptions options;
+        options.threads = threads;
+        CircuitExecutor parallel(keys().params, functional, options);
+        const auto result = parallel.run(lowered, inputs);
         expectIdentical(result.outputs, base.outputs);
+        if (parallel_log.empty()) {
+            parallel_log = result.retired;
+            continue;
+        }
+        ASSERT_EQ(result.retired.size(), parallel_log.size());
+        for (std::size_t i = 0; i < parallel_log.size(); ++i) {
+            EXPECT_EQ(result.retired[i].level, parallel_log[i].level);
+            EXPECT_EQ(result.retired[i].step, parallel_log[i].step);
+            EXPECT_EQ(result.retired[i].inst.index,
+                      parallel_log[i].inst.index)
+                << "retirement " << i << " at " << threads
+                << " threads";
+        }
     }
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests of the circuit submission path through BootstrapService:
- * whole encrypted programs via submitCircuit on the functional and
- * sharded backends, bit-identity against gate-by-gate evaluation,
+ * whole encrypted programs via submitCircuit at one and four threads
+ * per batch, bit-identity against gate-by-gate evaluation,
  * mixed single-LUT + circuit workloads on one pool, and the
  * configuration validation surface.
  */
 
 #include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -87,10 +88,10 @@ class CircuitServiceFixture : public ::testing::Test
 
 KeySet *CircuitServiceFixture::keys_ = nullptr;
 
-/** The PR's acceptance check: an 8-bit encrypted adder submitted
- *  whole runs end-to-end and is bit-identical to direct gate-by-gate
- *  encrypted evaluation — on the functional backend and on a 4-shard
- *  sharded backend. */
+/** An 8-bit encrypted adder submitted whole runs end-to-end and is
+ *  bit-identical to direct gate-by-gate encrypted evaluation — on the
+ *  functional backend with one and four threads per batch, and under
+ *  kCosim. */
 TEST_F(CircuitServiceFixture, Adder8BitIdenticalAcrossBackends)
 {
     const auto c = adder(8);
@@ -98,11 +99,14 @@ TEST_F(CircuitServiceFixture, Adder8BitIdenticalAcrossBackends)
     const auto inputs = adderInputs(x, y, 8);
     const auto reference = c.evaluateEncrypted(keys(), inputs);
 
-    for (const auto kind : {exec::BackendKind::kFunctional,
-                            exec::BackendKind::kShardedFunctional}) {
+    const std::pair<exec::BackendKind, unsigned> runs[] = {
+        {exec::BackendKind::kFunctional, 1},
+        {exec::BackendKind::kFunctional, 4},
+        {exec::BackendKind::kCosim, 1}};
+    for (const auto &[kind, threads] : runs) {
         ServiceConfig config;
         config.backend = kind;
-        config.numShards = 4;
+        config.batch.threads = threads;
         config.numWorkers = 2;
         BootstrapService service(keys(), config);
 
@@ -110,8 +114,8 @@ TEST_F(CircuitServiceFixture, Adder8BitIdenticalAcrossBackends)
         ASSERT_EQ(outputs.size(), reference.size());
         for (std::size_t i = 0; i < outputs.size(); ++i) {
             EXPECT_EQ(outputs[i].raw(), reference[i].raw())
-                << "backend " << static_cast<int>(kind) << " output "
-                << i;
+                << exec::backendKindName(kind) << " at " << threads
+                << " threads, output " << i;
         }
         EXPECT_EQ(decryptValue(outputs), x + y);
 
@@ -191,18 +195,6 @@ TEST_F(CircuitServiceFixture, CircuitsDrainOnShutdown)
     auto future = service->submitCircuit(c, adderInputs(2, 3, 4));
     delete service; // destructor shuts down: accepted work completes
     EXPECT_EQ(decryptValue(future.get()), 5u);
-}
-
-TEST_F(CircuitServiceFixture, InvalidShardCountThrows)
-{
-    // Satellite regression: numShards = 0 with the sharded backend
-    // must be rejected by validate() and surface as invalid_argument.
-    ServiceConfig config;
-    config.backend = exec::BackendKind::kShardedFunctional;
-    config.numShards = 0;
-    EXPECT_TRUE(config.validate().has_value());
-    EXPECT_THROW(BootstrapService(keys(), config),
-                 std::invalid_argument);
 }
 
 TEST_F(CircuitServiceFixture, ValidateCatchesBadConfigs)

@@ -97,27 +97,6 @@ TEST(IsaDeathTest, DecodeRejectsInvalidOpcodeByte)
     EXPECT_DEATH((void)Instruction::decode(word), "invalid opcode");
 }
 
-TEST(ProgramDeathTest, DeserializeRejectsInvalidOpcodeByte)
-{
-    Program prog("p");
-    prog.add({Opcode::DmaLoadLwe, 0, 1, 4});
-    auto words = prog.serialize();
-    words.push_back(0xABull << 56);
-    EXPECT_DEATH((void)Program::deserialize("p", words),
-                 "invalid opcode");
-}
-
-TEST(Program, SerializeRoundTrip)
-{
-    Program prog("p");
-    prog.add({Opcode::DmaLoadLwe, 1, 16, 123});
-    prog.add({Opcode::XpuBlindRotate, 1, 16, 500});
-    const Program back = Program::deserialize("p", prog.serialize());
-    ASSERT_EQ(back.size(), prog.size());
-    for (std::size_t i = 0; i < prog.size(); ++i)
-        EXPECT_EQ(back.at(i), prog.at(i));
-}
-
 TEST(Program, FramedSerializeRoundTrip)
 {
     Program prog("cacheable");

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/config.h"
-#include "arch/functional/functional_xpu.h"
 #include "common/rng.h"
 #include "compiler/sw_scheduler.h"
 #include "exec/cosim.h"
@@ -118,87 +117,6 @@ TEST_F(CosimFixture, MultiStageBarrierProgramPasses)
     job.lut = &lut;
     const auto report = cosim.run(program, job);
     EXPECT_TRUE(report.ok()) << report.summary();
-}
-
-/**
- * The decrypt-level equivalence mode admits the merge-split FFT
- * datapath engine: its rotations differ from the library path by
- * sub-noise rounding, so the bit-exact oracle would reject it, but
- * every output must still decrypt to the same padded message as the
- * tfhe::batchBootstrap reference.
- */
-TEST_F(CosimFixture, DatapathEnginePassesDecryptLevelCheck)
-{
-    std::vector<tfhe::LweCiphertext> inputs;
-    for (unsigned i = 0; i < 16; ++i)
-        inputs.push_back(tfhe::encryptPadded(keys(), i % 4, 4, rng));
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return (3 * m + 1) % 4;
-    });
-    const auto program =
-        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(16);
-
-    Rng bskRng(0xDA7A);
-    const auto rawBsk = arch::functional::generateRawBsk(
-        keys().lweKey, keys().glweKey, bskRng);
-    FunctionalConfig fconfig;
-    fconfig.xpuEngine = XpuEngine::kDatapath;
-    fconfig.rawBsk = &rawBsk;
-    FunctionalBackend functional(evalKeys(), fconfig);
-    TimingBackend timing(arch::ArchConfig::morphlingDefault(),
-                         keys().params);
-
-    CosimOptions options;
-    options.referenceKeys = &evalKeys();
-    options.decryptKeys = &keys();
-    options.messageSpace = 4;
-    LockstepCosim cosim(functional, timing, options);
-
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-    const auto report = cosim.run(program, job);
-    EXPECT_TRUE(report.ok()) << report.summary();
-    ASSERT_TRUE(report.functional.hasOutputs);
-    for (std::size_t i = 0; i < report.functional.outputs.size(); ++i) {
-        EXPECT_EQ(tfhe::decryptPadded(keys(),
-                                      report.functional.outputs[i], 4),
-                  (3 * (i % 4) + 1) % 4);
-    }
-}
-
-/** The complement of the test above: against the bit-exact oracle the
- *  datapath engine is (correctly) rejected, which is exactly why the
- *  decrypt-level mode exists. */
-TEST_F(CosimFixture, DatapathEngineFailsBitExactCheck)
-{
-    std::vector<tfhe::LweCiphertext> inputs;
-    for (unsigned i = 0; i < 16; ++i)
-        inputs.push_back(tfhe::encryptPadded(keys(), i % 4, 4, rng));
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return (3 * m + 1) % 4;
-    });
-    const auto program =
-        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(16);
-
-    Rng bskRng(0xDA7A);
-    const auto rawBsk = arch::functional::generateRawBsk(
-        keys().lweKey, keys().glweKey, bskRng);
-    FunctionalConfig fconfig;
-    fconfig.xpuEngine = XpuEngine::kDatapath;
-    fconfig.rawBsk = &rawBsk;
-    FunctionalBackend functional(evalKeys(), fconfig);
-    TimingBackend timing(arch::ArchConfig::morphlingDefault(),
-                         keys().params);
-
-    CosimOptions options;
-    options.referenceKeys = &evalKeys(); // bit-exact mode
-    LockstepCosim cosim(functional, timing, options);
-
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-    EXPECT_FALSE(cosim.run(program, job).ok());
 }
 
 /**

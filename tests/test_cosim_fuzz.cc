@@ -2,9 +2,10 @@
  * @file
  * Randomized co-simulation fuzz (the ROADMAP's "cosim in CI at
  * scale" item): generate random multi-stage workloads, compile them,
- * and cross-check the functional backend against the cycle model in
- * lockstep plus a randomly-sharded run against the monolithic
- * reference. The seed comes from MORPHLING_FUZZ_SEED when set and is
+ * and cross-check the functional backend in lockstep against the
+ * cycle model, both monolithic and split across a random number of
+ * accelerators, plus its group-parallel run against its stepped one.
+ * The seed comes from MORPHLING_FUZZ_SEED when set and is
  * echoed in the log either way, so any CI failure reproduces locally
  * with one env var.
  */
@@ -129,26 +130,38 @@ TEST_F(CosimFuzz, RandomWorkloadsPassLockstepAndShardedChecks)
         const auto report = cosim.run(program, job);
         EXPECT_TRUE(report.ok()) << report.summary();
 
-        // A random shard count against the monolithic group-parallel
-        // run: outputs bit-identical, merged order identical.
+        // A random shard count of private accelerators as the timing
+        // reference: the slices partition the program, every shard
+        // passes the dependency-order checks, and the merged order is
+        // the group-parallel functional run's.
         const unsigned n_shards = 1 + static_cast<unsigned>(rng.nextBelow(5));
+        FunctionalBackend sharded_functional(evalKeys());
+        auto sharded =
+            ShardedBackend::timing(arch_cfg, keys().params, n_shards);
+        LockstepCosim sharded_cosim(sharded_functional, sharded);
+        const auto sharded_report = sharded_cosim.run(program, job);
+        EXPECT_TRUE(sharded_report.ok())
+            << n_shards << " shards: " << sharded_report.summary();
+
         Job par_job = job;
         par_job.options.threads = 4;
         FunctionalBackend mono(evalKeys());
-        const auto reference = mono.run(program, par_job);
-        auto sharded = ShardedBackend::functional(evalKeys(), n_shards);
-        const auto result = sharded.run(program, job);
-        ASSERT_TRUE(result.hasOutputs);
-        ASSERT_EQ(result.outputs.size(), reference.outputs.size());
-        for (std::size_t i = 0; i < result.outputs.size(); ++i) {
-            EXPECT_EQ(result.outputs[i].raw(),
-                      reference.outputs[i].raw())
-                << "slot " << i << " with " << n_shards << " shards";
+        const auto parallel = mono.run(program, par_job);
+        ASSERT_TRUE(report.functional.hasOutputs);
+        ASSERT_EQ(parallel.outputs.size(),
+                  report.functional.outputs.size());
+        for (std::size_t i = 0; i < parallel.outputs.size(); ++i) {
+            EXPECT_EQ(parallel.outputs[i].raw(),
+                      report.functional.outputs[i].raw())
+                << "slot " << i << " at 4 threads";
         }
-        ASSERT_EQ(result.retired.size(), reference.retired.size());
-        for (std::size_t i = 0; i < result.retired.size(); ++i)
-            EXPECT_EQ(result.retired[i].index,
-                      reference.retired[i].index);
+        const auto &merged = sharded_report.timing.retired;
+        ASSERT_EQ(merged.size(), parallel.retired.size());
+        for (std::size_t i = 0; i < merged.size(); ++i) {
+            EXPECT_EQ(merged[i].index, parallel.retired[i].index)
+                << "retirement " << i << " with " << n_shards
+                << " shards";
+        }
     }
 }
 

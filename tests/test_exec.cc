@@ -251,8 +251,6 @@ TEST_F(ExecFixture, BackendKindNamesAreStable)
                  "functional");
     EXPECT_STREQ(backendKindName(BackendKind::kTiming), "timing");
     EXPECT_STREQ(backendKindName(BackendKind::kCosim), "cosim");
-    EXPECT_STREQ(backendKindName(BackendKind::kShardedFunctional),
-                 "sharded-functional");
 }
 
 using ExecDeathTest = ExecFixture;

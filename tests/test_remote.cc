@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -30,7 +31,6 @@
 #include "exec/remote_backend.h"
 #include "exec/remote_protocol.h"
 #include "exec/remote_server.h"
-#include "exec/sharded_backend.h"
 #include "service/bootstrap_service.h"
 #include "tfhe/encoding.h"
 #include "tfhe/serialize.h"
@@ -676,27 +676,24 @@ TEST_F(RemoteFixture, UnknownKeyWithoutAutoEnrollIsTyped)
     server->stop();
 }
 
-TEST_F(RemoteFixture, ShardedInnerBackendMatchesLocalSharded)
+TEST_F(RemoteFixture, NonFunctionalInnerRejectedAtStart)
 {
-    RemoteServerConfig sconfig;
-    sconfig.inner.kind = BackendKind::kShardedFunctional;
-    sconfig.inner.numShards = 4;
-    auto server = startServer(sconfig);
-
-    const auto inputs = encryptBatch(64);
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return (m + 2) % 4;
-    });
-    const auto program =
-        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(64);
-    const Job job = Job::batch(inputs, lut);
-
-    ShardedBackend local = ShardedBackend::functional(evalKeys(), 4);
-    const auto reference = local.run(program, job);
-
-    RemoteBackend remote(evalKeys(), clientConfig(server->port()));
-    const auto result = remote.run(program, job);
-    expectIdentical(result, reference);
+    // No other kind can answer an execution request, so a server that
+    // accepted one would fail on its first request; start() refuses
+    // the config with a typed error instead and never binds.
+    for (const BackendKind kind : {BackendKind::kCosim, BackendKind::kTiming,
+                                   BackendKind::kRemote}) {
+        RemoteServerConfig config;
+        config.inner.kind = kind;
+        RemoteServer server(config);
+        EXPECT_THROW(server.start(), std::invalid_argument)
+            << backendKindName(kind);
+        EXPECT_FALSE(server.running());
+    }
+    RemoteServerConfig no_chunk;
+    no_chunk.retireChunk = 0;
+    RemoteServer server(no_chunk);
+    EXPECT_THROW(server.start(), std::invalid_argument);
 }
 
 TEST_F(RemoteFixture, BackendSpecBuildsRemote)

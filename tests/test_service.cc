@@ -323,36 +323,42 @@ TEST_F(ServiceFixture, ProgramCacheCompilesEachSizeOnce)
     EXPECT_EQ(stats.completed, 11u);
 }
 
-TEST_F(ServiceFixture, ShardedFunctionalBackendEndToEnd)
+TEST_F(ServiceFixture, GroupParallelBatchEndToEnd)
 {
+    // batch.threads = 4 runs the four groups of each full 64-LWE
+    // superbatch on four threads inside the worker; outputs stay
+    // byte-equal to the library's.
     ServiceConfig config;
-    config.superbatchSize = 16;
     config.numWorkers = 1;
     config.maxWait = 20ms;
-    config.backend = exec::BackendKind::kShardedFunctional;
-    config.numShards = 4;
+    config.batch.threads = 4;
     BootstrapService service(keys(), config);
-    const LutId lut = service.registerLut(tfhe::makePaddedLut(
-        kSpace, [](std::uint32_t m) { return (m + 1) % kSpace; }));
+    const auto table = tfhe::makePaddedLut(
+        kSpace, [](std::uint32_t m) { return (m + 1) % kSpace; });
+    const LutId lut = service.registerLut(table);
 
+    std::vector<LweCiphertext> inputs;
     std::vector<std::future<LweCiphertext>> futures;
-    for (std::uint32_t i = 0; i < 32; ++i)
-        futures.push_back(service.submit(encrypt(i % kSpace), lut));
-    for (std::uint32_t i = 0; i < 32; ++i) {
-        expectReady(futures[i]);
-        EXPECT_EQ(decrypt(futures[i].get()),
-                  (i % kSpace + 1) % kSpace)
-            << i;
+    for (std::uint32_t i = 0; i < 128; ++i) {
+        inputs.push_back(encrypt(i % kSpace));
+        futures.push_back(service.submit(inputs.back(), lut));
     }
+    const auto reference = tfhe::batchBootstrap(keys(), inputs, table);
+    for (std::uint32_t i = 0; i < 128; ++i) {
+        expectReady(futures[i]);
+        const LweCiphertext out = futures[i].get();
+        EXPECT_EQ(out.raw(), reference[i].raw()) << i;
+        EXPECT_EQ(decrypt(out), (i % kSpace + 1) % kSpace) << i;
+    }
+    EXPECT_GE(service.stats().fullBatches, 1u);
 }
 
 TEST(ServiceConfigValidate, AcceptsRunnableConfigs)
 {
     EXPECT_EQ(ServiceConfig{}.validate(), std::nullopt);
-    ServiceConfig sharded;
-    sharded.backend = exec::BackendKind::kShardedFunctional;
-    sharded.numShards = 2;
-    EXPECT_EQ(sharded.validate(), std::nullopt);
+    ServiceConfig group_parallel;
+    group_parallel.batch.threads = 4;
+    EXPECT_EQ(group_parallel.validate(), std::nullopt);
     ServiceConfig cosim;
     cosim.backend = exec::BackendKind::kCosim;
     EXPECT_EQ(cosim.validate(), std::nullopt);
@@ -373,11 +379,6 @@ TEST(ServiceConfigValidate, ReportsEachMisconfiguration)
     const auto error = timing.validate();
     ASSERT_TRUE(error.has_value());
     EXPECT_NE(error->find("kTiming"), std::string::npos);
-
-    ServiceConfig zero_shards;
-    zero_shards.backend = exec::BackendKind::kShardedFunctional;
-    zero_shards.numShards = 0;
-    EXPECT_TRUE(zero_shards.validate().has_value());
 }
 
 TEST(ServiceConfigValidate, ConstructorThrowsInsteadOfAborting)
@@ -404,21 +405,6 @@ TEST(ServiceConfigValidate, RejectsEachDegenerateCombination)
     auto error = negative_wait.validate();
     ASSERT_TRUE(error.has_value());
     EXPECT_NE(error->find("maxWait"), std::string::npos);
-
-    // numShards == 0 is rejected regardless of backend kind: a config
-    // that flips to kShardedFunctional at runtime must not have hidden
-    // the zero until the flip.
-    ServiceConfig zero_shards_functional;
-    zero_shards_functional.backend = exec::BackendKind::kFunctional;
-    zero_shards_functional.numShards = 0;
-    error = zero_shards_functional.validate();
-    ASSERT_TRUE(error.has_value());
-    EXPECT_NE(error->find("numShards"), std::string::npos);
-
-    ServiceConfig zero_shards_cosim;
-    zero_shards_cosim.backend = exec::BackendKind::kCosim;
-    zero_shards_cosim.numShards = 0;
-    EXPECT_TRUE(zero_shards_cosim.validate().has_value());
 
     ServiceConfig bad_noise_gate;
     bad_noise_gate.batch.checkNoise = true;

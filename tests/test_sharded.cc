@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests of exec::ShardedBackend: bit-identical outputs and an
- * identical merged retirement order to the single FunctionalBackend
- * for N in {1, 2, 4} shards, the retirement contract over the merged
- * log, timing-shard makespan semantics, mixed functional/timing
- * fleets, and the co-simulator's sharded-reference checks.
+ * Tests of exec::ShardedBackend over private accelerators: the merged
+ * retirement order equals FunctionalBackend's group-parallel order for
+ * N in {1, 2, 4} shards (and that order is the same at 2 and 4 threads,
+ * with outputs byte-equal at every thread count), the retirement
+ * contract over the merged log, makespan semantics, and the
+ * co-simulator's sharded-reference checks.
  */
 
 #include <map>
@@ -146,29 +147,42 @@ TEST_F(ShardedFixture, MatchesFunctionalBitExactForN124)
     const auto program =
         compiler::SwScheduler(keys().params).scheduleBootstrapBatch(64);
 
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
+    FunctionalBackend functional(evalKeys());
+    const auto sequential = functional.run(program, Job::batch(inputs, lut));
+    ASSERT_TRUE(sequential.hasOutputs);
+    const auto reference = tfhe::batchBootstrap(keys(), inputs, lut);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        EXPECT_EQ(sequential.outputs[i].raw(), reference[i].raw());
 
-    // The group-parallel functional run is the canonical retirement
-    // order ShardedBackend's merge reproduces for every shard count.
-    Job par_job = job;
-    par_job.options.threads = 4;
-    FunctionalBackend mono(evalKeys());
-    const auto reference = mono.run(program, par_job);
-    ASSERT_TRUE(reference.hasOutputs);
-
-    for (const unsigned n : {1u, 2u, 4u}) {
-        auto sharded = ShardedBackend::functional(evalKeys(), n);
-        const auto result = sharded.run(program, job);
-        ASSERT_TRUE(result.hasOutputs) << n << " shards";
-        ASSERT_EQ(result.outputs.size(), reference.outputs.size());
+    // The group-parallel run is byte-equal at every thread count, and
+    // every count above 1 retires in one canonical order.
+    std::vector<RetiredInstruction> parallel_log;
+    for (const unsigned threads : {2u, 4u}) {
+        tfhe::BatchOptions options;
+        options.threads = threads;
+        const auto result =
+            functional.run(program, Job::batch(inputs, lut, options));
+        ASSERT_TRUE(result.hasOutputs) << threads << " threads";
         for (std::size_t i = 0; i < result.outputs.size(); ++i) {
             EXPECT_EQ(result.outputs[i].raw(),
-                      reference.outputs[i].raw())
-                << "slot " << i << " with " << n << " shards";
+                      sequential.outputs[i].raw())
+                << "slot " << i << " at " << threads << " threads";
         }
-        expectSameOrder(result.retired, reference.retired);
+        checkRetirementContract(program, result.retired);
+        if (parallel_log.empty())
+            parallel_log = result.retired;
+        else
+            expectSameOrder(result.retired, parallel_log);
+    }
+
+    // ShardedBackend's merge reproduces that order for every shard
+    // count.
+    for (const unsigned n : {1u, 2u, 4u}) {
+        auto sharded = ShardedBackend::timing(
+            arch::ArchConfig::morphlingDefault(), keys().params, n);
+        const auto result = sharded.run(program, Job{});
+        EXPECT_FALSE(result.hasOutputs);
+        expectSameOrder(result.retired, parallel_log);
         checkRetirementContract(program, result.retired);
     }
 }
@@ -191,33 +205,42 @@ TEST_F(ShardedFixture, MultiStageBarrierProgramMerges)
     job.lut = &lut;
     Job par_job = job;
     par_job.options.threads = 4;
-    FunctionalBackend mono(evalKeys());
-    const auto reference = mono.run(program, par_job);
+    FunctionalBackend functional(evalKeys());
+    const auto sequential = functional.run(program, job);
+    const auto reference = functional.run(program, par_job);
+    for (std::size_t i = 0; i < reference.outputs.size(); ++i)
+        EXPECT_EQ(reference.outputs[i].raw(), sequential.outputs[i].raw());
 
-    auto sharded = ShardedBackend::functional(evalKeys(), 2);
+    auto sharded = ShardedBackend::timing(
+        arch::ArchConfig::morphlingDefault(), keys().params, 2);
     const auto result = sharded.run(program, job);
-    ASSERT_TRUE(result.hasOutputs);
-    for (std::size_t i = 0; i < result.outputs.size(); ++i)
-        EXPECT_EQ(result.outputs[i].raw(), reference.outputs[i].raw());
     expectSameOrder(result.retired, reference.retired);
 }
 
 TEST_F(ShardedFixture, MoreShardsThanGroupsStillCovers)
 {
-    // 8 bootstraps schedule into fewer groups than shards; the extra
-    // shards run empty slices and the merge still covers everything.
+    // 8 bootstraps schedule into fewer groups than shards (or
+    // threads); the extra shards run empty slices, the extra threads
+    // idle, and both still cover everything.
     const auto program =
         compiler::SwScheduler(keys().params).scheduleBootstrapBatch(8);
     const auto inputs = encryptBatch(8);
     const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
         return m;
     });
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
 
-    auto sharded = ShardedBackend::functional(evalKeys(), 6);
-    const auto result = sharded.run(program, job);
+    auto sharded = ShardedBackend::timing(
+        arch::ArchConfig::morphlingDefault(), keys().params, 6);
+    const auto timed = sharded.run(program, Job{});
+    ASSERT_TRUE(timed.hasReport);
+    EXPECT_EQ(timed.report.bootstraps, 8u);
+    checkRetirementContract(program, timed.retired);
+
+    tfhe::BatchOptions options;
+    options.threads = 6;
+    FunctionalBackend functional(evalKeys());
+    const auto result =
+        functional.run(program, Job::batch(inputs, lut, options));
     ASSERT_TRUE(result.hasOutputs);
     checkRetirementContract(program, result.retired);
     const auto reference = tfhe::batchBootstrap(keys(), inputs, lut);
@@ -229,16 +252,10 @@ TEST_F(ShardedFixture, SteppedReplayHonoursContract)
 {
     const auto program =
         compiler::SwScheduler(keys().params).scheduleBootstrapBatch(32);
-    const auto inputs = encryptBatch(32);
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return (m + 2) % 4;
-    });
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
 
-    auto sharded = ShardedBackend::functional(evalKeys(), 4);
-    sharded.load(program, job);
+    auto sharded = ShardedBackend::timing(
+        arch::ArchConfig::morphlingDefault(), keys().params, 4);
+    sharded.load(program, Job{});
     EXPECT_FALSE(sharded.done());
     std::vector<RetiredInstruction> log;
     while (auto r = sharded.step()) {
@@ -249,26 +266,19 @@ TEST_F(ShardedFixture, SteppedReplayHonoursContract)
     checkRetirementContract(program, log);
 
     const auto result = sharded.finish();
-    ASSERT_TRUE(result.hasOutputs);
-    const auto reference = tfhe::batchBootstrap(keys(), inputs, lut);
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        EXPECT_EQ(result.outputs[i].raw(), reference[i].raw());
+    EXPECT_FALSE(result.hasOutputs);
+    ASSERT_TRUE(result.hasReport);
+    EXPECT_EQ(result.report.bootstraps, 32u);
 }
 
 TEST_F(ShardedFixture, ShardStatsDescribeThePartition)
 {
     const auto program =
         compiler::SwScheduler(keys().params).scheduleBootstrapBatch(64);
-    const auto inputs = encryptBatch(64);
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return m;
-    });
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
 
-    auto sharded = ShardedBackend::functional(evalKeys(), 4);
-    (void)sharded.run(program, job);
+    auto sharded = ShardedBackend::timing(
+        arch::ArchConfig::morphlingDefault(), keys().params, 4);
+    (void)sharded.run(program, Job{});
     ASSERT_EQ(sharded.shardStats().size(), 4u);
     std::size_t instructions = 0;
     std::uint64_t rotations = 0;
@@ -279,9 +289,8 @@ TEST_F(ShardedFixture, ShardStatsDescribeThePartition)
         for (const unsigned g : st.groups)
             EXPECT_TRUE(owned.insert(g).second)
                 << "group " << g << " owned twice";
-        EXPECT_FALSE(st.hasReport); // functional shards do not time
-        EXPECT_GT(st.wallNanos, 0u);
-        EXPECT_GT(st.cpuNanos, 0u);
+        EXPECT_TRUE(st.hasReport);
+        EXPECT_GT(st.cycles, 0u);
     }
     EXPECT_EQ(instructions, program.size());
     EXPECT_EQ(rotations, program.totalBlindRotations());
@@ -307,12 +316,8 @@ TEST_F(ShardedFixture, TimingShardsReportMakespan)
         EXPECT_GT(st.cycles, 0u);
         max_cycles = std::max(max_cycles, st.cycles);
     }
-    for (unsigned s = 0; s < sharded.numShards(); ++s) {
-        const auto *tb = dynamic_cast<const TimingBackend *>(
-            &sharded.shardBackend(s));
-        ASSERT_NE(tb, nullptr);
-        bootstraps += tb->report().bootstraps;
-    }
+    for (unsigned s = 0; s < sharded.numShards(); ++s)
+        bootstraps += sharded.shardBackend(s).report().bootstraps;
     EXPECT_EQ(result.report.cycles, max_cycles);
     EXPECT_EQ(sharded.makespan(), max_cycles);
     EXPECT_EQ(result.report.bootstraps, bootstraps);
@@ -324,58 +329,6 @@ TEST_F(ShardedFixture, TimingShardsReportMakespan)
     TimingBackend mono(cfg, params);
     const auto whole = mono.run(program, Job{});
     EXPECT_LE(result.report.cycles, whole.report.cycles);
-}
-
-TEST_F(ShardedFixture, MixedFunctionalAndTimingShards)
-{
-    const auto program =
-        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(64);
-    const auto inputs = encryptBatch(64);
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return m;
-    });
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-
-    std::vector<std::unique_ptr<ExecutionBackend>> mix;
-    mix.push_back(std::make_unique<FunctionalBackend>(evalKeys()));
-    mix.push_back(std::make_unique<TimingBackend>(
-        arch::ArchConfig::morphlingDefault(), keys().params));
-    ShardedBackend sharded(std::move(mix));
-    const auto result = sharded.run(program, job);
-
-    // The timing shard produced no ciphertexts, so the merged result
-    // has none either — but it does carry the timing shard's report,
-    // and the merged log still covers the whole program.
-    EXPECT_FALSE(result.hasOutputs);
-    EXPECT_TRUE(result.hasReport);
-    EXPECT_GT(result.report.cycles, 0u);
-    checkRetirementContract(program, result.retired);
-}
-
-TEST_F(ShardedFixture, CosimAcceptsShardedFunctionalReference)
-{
-    const auto program =
-        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(64);
-    const auto inputs = encryptBatch(64);
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return (m + 1) % 4;
-    });
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-
-    auto sharded = ShardedBackend::functional(evalKeys(), 4);
-    TimingBackend timing(arch::ArchConfig::morphlingDefault(),
-                         keys().params);
-    CosimOptions options;
-    options.referenceKeys = &evalKeys();
-    LockstepCosim cosim(sharded, timing, options);
-    const auto report = cosim.run(program, job);
-    EXPECT_TRUE(report.ok()) << report.summary();
-    EXPECT_EQ(report.lockstepComparisons, program.size());
-    EXPECT_TRUE(report.functional.hasOutputs);
 }
 
 TEST_F(ShardedFixture, CosimAcceptsShardedTimingReference)
@@ -431,15 +384,9 @@ TEST_F(ShardedDeathTest, FinishBeforeFullReplayIsRejected)
 {
     const auto program =
         compiler::SwScheduler(keys().params).scheduleBootstrapBatch(8);
-    const auto inputs = encryptBatch(8);
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return m;
-    });
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-    auto sharded = ShardedBackend::functional(evalKeys(), 2);
-    sharded.load(program, job);
+    auto sharded = ShardedBackend::timing(
+        arch::ArchConfig::morphlingDefault(), keys().params, 2);
+    sharded.load(program, Job{});
     (void)sharded.step();
     EXPECT_DEATH((void)sharded.finish(), "");
 }

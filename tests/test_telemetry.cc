@@ -49,6 +49,13 @@ countedAlloc(std::size_t size)
         throw std::bad_alloc();
     return p;
 }
+
+// Out of line for the same reason as in tests/test_workspace.cc.
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
+}
 } // namespace
 
 void *
@@ -74,32 +81,32 @@ operator new[](std::size_t size, std::align_val_t)
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace morphling::telemetry {

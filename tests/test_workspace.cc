@@ -68,6 +68,15 @@ countedAlignedAlloc(std::size_t size, std::align_val_t align)
         throw std::bad_alloc();
     return p;
 }
+
+// Out of line so that GCC cannot pair the std::free with an inlined
+// operator new and flag it -Wmismatched-new-delete (it did in the TSan
+// build).
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
+}
 } // namespace
 
 void *
@@ -93,32 +102,32 @@ operator new[](std::size_t size, std::align_val_t align)
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace morphling::tfhe {
