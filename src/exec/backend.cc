@@ -1,6 +1,7 @@
 #include "backend.h"
 
 #include "common/logging.h"
+#include "exec/cosim.h"
 #include "exec/functional_backend.h"
 #include "exec/remote_backend.h"
 #include "exec/timing_backend.h"
@@ -25,28 +26,6 @@ makeJob(const std::vector<tfhe::LweCiphertext> &inputs,
     return job;
 }
 
-template <typename Keys>
-std::unique_ptr<ExecutionBackend>
-makeBackendImpl(const Keys &keys, const BackendSpec &spec)
-{
-    switch (spec.kind) {
-      case BackendKind::kFunctional:
-        return std::make_unique<FunctionalBackend>(keys);
-      case BackendKind::kTiming:
-        return std::make_unique<TimingBackend>(spec.timing,
-                                               keys.params);
-      case BackendKind::kRemote:
-        fatal_if(spec.remote.port == 0,
-                 "kRemote needs BackendSpec::remote.port (the "
-                 "RemoteServer's TCP port)");
-        return std::make_unique<RemoteBackend>(keys, spec.remote);
-      case BackendKind::kCosim:
-        panic("kCosim is not a standalone backend; drive a "
-              "LockstepCosim (exec/cosim.h) instead");
-    }
-    panic("unknown backend kind ", static_cast<int>(spec.kind));
-}
-
 } // namespace
 
 const char *
@@ -63,15 +42,6 @@ backendKindName(BackendKind kind)
         return "remote";
     }
     panic("unknown backend kind ", static_cast<int>(kind));
-}
-
-ExecutionResult
-ExecutionBackend::run(const compiler::Program &program, const Job &job)
-{
-    load(program, job);
-    while (step())
-        ;
-    return finish();
 }
 
 Job
@@ -92,13 +62,24 @@ Job::sign(const std::vector<tfhe::LweCiphertext> &inputs,
 std::unique_ptr<ExecutionBackend>
 makeBackend(const tfhe::EvaluationKeys &keys, const BackendSpec &spec)
 {
-    return makeBackendImpl(keys, spec);
-}
-
-std::unique_ptr<ExecutionBackend>
-makeBackend(const tfhe::KeySet &keys, const BackendSpec &spec)
-{
-    return makeBackendImpl(keys, spec);
+    switch (spec.kind) {
+      case BackendKind::kFunctional:
+        return std::make_unique<FunctionalBackend>(keys);
+      case BackendKind::kTiming:
+        return std::make_unique<TimingBackend>(spec.timing,
+                                               keys.params);
+      case BackendKind::kRemote:
+        return std::make_unique<RemoteBackend>(keys, spec.remote);
+      case BackendKind::kCosim: {
+        CosimOptions options;
+        options.referenceKeys = &keys;
+        return std::make_unique<CosimBackend>(
+            std::make_unique<FunctionalBackend>(keys),
+            std::make_unique<TimingBackend>(spec.timing, keys.params),
+            options);
+      }
+    }
+    panic("unknown backend kind ", static_cast<int>(spec.kind));
 }
 
 } // namespace morphling::exec

@@ -5,15 +5,16 @@
  * The compiled compiler::Program is the single artifact every layer
  * consumes (docs/execution_model.md): the same stream that drives the
  * cycle model can be interpreted against real ciphertexts. An
- * ExecutionBackend retires a Program instruction by instruction —
- * FunctionalBackend computes real TFHE data, TimingBackend replays the
- * arch::Accelerator cycle model's retirement, and cosim.h locks the two
- * together to cross-check that one IR means one behaviour.
+ * ExecutionBackend runs a whole Program and returns its complete
+ * ExecutionResult — FunctionalBackend computes real TFHE data,
+ * TimingBackend runs the arch::Accelerator cycle model, and cosim.h
+ * cross-checks the two complete results so that one IR means one
+ * behaviour.
  *
- * Retirement contract shared by all backends: every program instruction
- * is retired exactly once, and instructions of the same group retire in
- * program order (groups may interleave; the interleaving is
- * backend-specific but deterministic).
+ * Retirement contract shared by all backends: the result's log retires
+ * every program instruction exactly once, and instructions of the same
+ * group retire in program order (groups may interleave; the
+ * interleaving is backend-specific but deterministic).
  */
 
 #ifndef MORPHLING_EXEC_BACKEND_H
@@ -42,17 +43,20 @@ enum class BackendKind
 {
     kFunctional, //!< interpret against real ciphertexts
     kTiming,     //!< cycle model only, no data
-    kCosim,      //!< functional + timing in lockstep, cross-checked
+    /** Functional + timing over the same program, cross-checked
+     *  (exec::CosimBackend); throws exec::CosimError on divergence. */
+    kCosim,
     /** Execute on a RemoteServer over TCP (exec::RemoteBackend):
-     *  the program, ciphertexts and LUT ship over the wire and
-     *  retirements stream back. Configured by BackendSpec::remote. */
+     *  the program, ciphertexts and LUT ship over the wire and the
+     *  outputs and retirement log come back in one result frame.
+     *  Configured by BackendSpec::remote. */
     kRemote
 };
 
 /** Stable name for logs and config dumps. */
 const char *backendKindName(BackendKind kind);
 
-/** One retired instruction, as reported by a backend. */
+/** One retired instruction of a backend's retirement log. */
 struct RetiredInstruction
 {
     std::size_t index = 0;      //!< position in Program::instructions()
@@ -127,17 +131,13 @@ struct ExecutionResult
 };
 
 /**
- * A machine that executes compiled Programs.
+ * A machine that executes compiled Programs: run() executes one whole
+ * program and returns its complete result, using whatever internal
+ * parallelism the backend supports.
  *
- * Two driving styles:
- *  - run(program, job): load + retire everything + finish, using
- *    whatever internal parallelism the backend supports.
- *  - load() then step() until nullopt then finish(): single-stepped
- *    retirement, the mode the lockstep co-simulator drives.
- *
- * Backends are single-driver objects: do not interleave calls from
- * multiple threads. A backend may be reused by calling load() again
- * after finish().
+ * Backends are single-driver objects: do not call run() on one backend
+ * from several threads at once. A backend may run any number of
+ * programs in turn.
  */
 class ExecutionBackend
 {
@@ -146,24 +146,9 @@ class ExecutionBackend
 
     virtual std::string_view name() const = 0;
 
-    /** Bind a program and its data; resets any previous run. */
-    virtual void load(const compiler::Program &program,
-                      const Job &job) = 0;
-
-    /** Retire the next instruction, or nullopt when the program has
-     *  fully retired. */
-    virtual std::optional<RetiredInstruction> step() = 0;
-
-    /** True once every instruction has retired. */
-    virtual bool done() const = 0;
-
-    /** Collect the results of the loaded run. */
-    virtual ExecutionResult finish() = 0;
-
-    /** Convenience: load, retire everything, finish. Overridden by
-     *  backends with a faster internal path. */
+    /** Execute `program` against `job`'s data. */
     virtual ExecutionResult run(const compiler::Program &program,
-                                const Job &job);
+                                const Job &job) = 0;
 };
 
 /**
@@ -176,7 +161,8 @@ struct RemoteClientConfig
 {
     std::string host = "127.0.0.1";
 
-    /** Server TCP port; kRemote refuses to build with 0. */
+    /** Server TCP port; RemoteBackend throws std::invalid_argument on
+     *  0. */
     std::uint16_t port = 0;
 
     /** Per-request deadline covering connect, send, execution and the
@@ -216,7 +202,7 @@ struct BackendSpec
 {
     BackendKind kind = BackendKind::kFunctional;
 
-    /** Accelerator geometry for kTiming. */
+    /** Accelerator geometry for kTiming and kCosim's timing half. */
     arch::ArchConfig timing;
 
     /** Server coordinates and retry policy for kRemote. */
@@ -224,17 +210,14 @@ struct BackendSpec
 };
 
 /**
- * Build the backend a spec describes. kCosim is not constructible here
- * — the lockstep co-simulator drives two backends and lives behind its
- * own API (cosim.h); asking for it panics. The keys must outlive the
- * returned backend.
+ * Build the backend a spec describes. kCosim runs a FunctionalBackend
+ * and a TimingBackend over each program and cross-checks them
+ * (including outputs against tfhe::batchBootstrap). The keys must
+ * outlive the returned backend. Throws std::invalid_argument on a
+ * kRemote spec with port 0 or maxAttempts 0.
  */
 std::unique_ptr<ExecutionBackend>
 makeBackend(const tfhe::EvaluationKeys &keys, const BackendSpec &spec = {});
-
-/** KeySet convenience: same backends, keys taken from the bundle. */
-std::unique_ptr<ExecutionBackend> makeBackend(const tfhe::KeySet &keys,
-                                              const BackendSpec &spec = {});
 
 } // namespace morphling::exec
 

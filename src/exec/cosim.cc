@@ -1,6 +1,6 @@
 #include "cosim.h"
 
-#include <deque>
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
@@ -236,63 +236,45 @@ LockstepCosim::run(const compiler::Program &program, const Job &job)
     report.instructions = program.size();
     ErrorSink sink(report.errors, options_.maxErrors);
 
-    functional_.load(program, job);
-    timing_.load(program, job);
+    report.functional = functional_.run(program, job);
+    report.timing = timing_.run(program, job);
+    const auto &f_log = report.functional.retired;
+    const auto &t_log = report.timing.retired;
 
-    // Retire both backends instruction by instruction, matching the
-    // streams per group as they advance. Backends interleave groups
-    // differently (round-robin vs. simulated time), so the match
-    // point is the per-group queue, not the global sequence.
+    // Match the two logs per group: backends interleave groups
+    // differently (barrier segments vs. simulated time), so the match
+    // point is each group's k-th retirement, not the global sequence.
     const unsigned n_groups = std::max(1u, program.numGroups());
-    std::vector<std::deque<RetiredInstruction>> fq(n_groups);
-    std::vector<std::deque<RetiredInstruction>> tq(n_groups);
-    std::vector<RetiredInstruction> f_log, t_log;
-    f_log.reserve(program.size());
-    t_log.reserve(program.size());
-
-    bool f_done = false, t_done = false;
-    while (!f_done || !t_done) {
-        if (!f_done) {
-            if (auto r = functional_.step()) {
-                f_log.push_back(*r);
-                if (r->inst.group < n_groups)
-                    fq[r->inst.group].push_back(*r);
-            } else {
-                f_done = true;
-            }
+    auto by_group = [n_groups](const std::vector<RetiredInstruction> &log) {
+        std::vector<std::vector<const RetiredInstruction *>> queues(
+            n_groups);
+        for (const auto &r : log) {
+            if (r.inst.group < n_groups)
+                queues[r.inst.group].push_back(&r);
         }
-        if (!t_done) {
-            if (auto r = timing_.step()) {
-                t_log.push_back(*r);
-                if (r->inst.group < n_groups)
-                    tq[r->inst.group].push_back(*r);
-            } else {
-                t_done = true;
-            }
-        }
-        for (unsigned g = 0; g < n_groups; ++g) {
-            while (!fq[g].empty() && !tq[g].empty()) {
-                const auto &f = fq[g].front();
-                const auto &t = tq[g].front();
-                if (f.index != t.index || !(f.inst == t.inst)) {
-                    sink.add("lockstep mismatch in group ", g, ": ",
-                             functional_.name(), " retired index ",
-                             f.index, " (", f.inst.toString(), "), ",
-                             timing_.name(), " retired index ",
-                             t.index, " (", t.inst.toString(), ")");
-                }
-                ++report.lockstepComparisons;
-                fq[g].pop_front();
-                tq[g].pop_front();
-            }
-        }
-    }
+        return queues;
+    };
+    const auto fq = by_group(f_log);
+    const auto tq = by_group(t_log);
     for (unsigned g = 0; g < n_groups; ++g) {
-        if (!fq[g].empty() || !tq[g].empty()) {
+        const std::size_t matched = std::min(fq[g].size(), tq[g].size());
+        for (std::size_t k = 0; k < matched; ++k) {
+            const auto &f = *fq[g][k];
+            const auto &t = *tq[g][k];
+            if (f.index != t.index || !(f.inst == t.inst)) {
+                sink.add("lockstep mismatch in group ", g, ": ",
+                         functional_.name(), " retired index ", f.index,
+                         " (", f.inst.toString(), "), ", timing_.name(),
+                         " retired index ", t.index, " (",
+                         t.inst.toString(), ")");
+            }
+        }
+        report.lockstepComparisons += matched;
+        if (fq[g].size() != tq[g].size()) {
             sink.add("group ", g, " retirement counts differ: ",
-                     functional_.name(), " has ", fq[g].size(),
+                     functional_.name(), " has ", fq[g].size() - matched,
                      " unmatched, ", timing_.name(), " has ",
-                     tq[g].size());
+                     tq[g].size() - matched);
         }
     }
 
@@ -305,9 +287,6 @@ LockstepCosim::run(const compiler::Program &program, const Job &job)
         else if (const auto *sb = dynamic_cast<ShardedBackend *>(backend))
             checkSharded(program, *sb, sink);
     }
-
-    report.functional = functional_.finish();
-    report.timing = timing_.finish();
 
     // End-of-program ciphertext correctness vs. the library reference.
     if (options_.referenceKeys != nullptr && job.inputs != nullptr &&
@@ -341,6 +320,34 @@ LockstepCosim::run(const compiler::Program &program, const Job &job)
             " further diagnostics suppressed");
     }
     return report;
+}
+
+CosimError::CosimError(CosimReport report)
+    : std::runtime_error(report.summary()),
+      report_(std::make_shared<const CosimReport>(std::move(report)))
+{
+}
+
+CosimBackend::CosimBackend(std::unique_ptr<ExecutionBackend> functional,
+                           std::unique_ptr<ExecutionBackend> timing,
+                           CosimOptions options)
+    : functional_(std::move(functional)), timing_(std::move(timing)),
+      options_(options)
+{
+}
+
+ExecutionResult
+CosimBackend::run(const compiler::Program &program, const Job &job)
+{
+    CosimReport report =
+        LockstepCosim(*functional_, *timing_, options_).run(program, job);
+    if (!report.ok())
+        throw CosimError(std::move(report));
+    ExecutionResult result = std::move(report.functional);
+    result.backend = name();
+    result.report = std::move(report.timing.report);
+    result.hasReport = report.timing.hasReport;
+    return result;
 }
 
 } // namespace morphling::exec

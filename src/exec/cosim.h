@@ -1,12 +1,12 @@
 /**
  * @file
- * Lockstep co-simulation: retire a functional and a timing backend
- * over the same compiled Program, cross-checking as they go.
+ * Co-simulation: run a functional and a timing backend over the same
+ * compiled Program and cross-check their two complete results.
  *
  * Checks performed (docs/execution_model.md):
- *  - lockstep per-group order: both backends retire the identical
- *    instruction sequence within every scheduling group, matched
- *    incrementally as the two retirement streams advance;
+ *  - per-group order: both backends retire the identical instruction
+ *    sequence within every scheduling group (the Fig. 6 reorder-buffer
+ *    view: groups may interleave differently, each group may not);
  *  - coverage: each backend retires every program instruction exactly
  *    once;
  *  - program order: each backend's per-group retirement sequence equals
@@ -24,13 +24,17 @@
  *
  * Mismatches are collected as readable diagnostics in CosimReport, not
  * panics — the co-simulator is the test oracle, so it must survive a
- * broken backend to describe it.
+ * broken backend to describe it. CosimBackend wraps the pair as an
+ * ordinary ExecutionBackend (BackendKind::kCosim) that throws
+ * CosimError on divergence.
  */
 
 #ifndef MORPHLING_EXEC_COSIM_H
 #define MORPHLING_EXEC_COSIM_H
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,7 +59,7 @@ struct CosimReport
 {
     std::vector<std::string> errors;
     std::uint64_t instructions = 0;        //!< program size
-    std::uint64_t lockstepComparisons = 0; //!< matched retirement pairs
+    std::uint64_t lockstepComparisons = 0; //!< per-group matched pairs
     ExecutionResult functional;
     ExecutionResult timing;
 
@@ -66,7 +70,7 @@ struct CosimReport
 };
 
 /**
- * Drives two backends instruction-by-instruction over one program.
+ * Runs two backends over one program and cross-checks the results.
  * The first backend must produce outputs (hasOutputs), the second a
  * report (hasReport) — conventionally FunctionalBackend and
  * TimingBackend, but any ExecutionBackend pair satisfying the
@@ -79,12 +83,48 @@ class LockstepCosim
     LockstepCosim(ExecutionBackend &functional,
                   ExecutionBackend &timing, CosimOptions options = {});
 
-    /** Execute `program` on both backends in lockstep. */
+    /** Run `program` on both backends and check the two results. */
     CosimReport run(const compiler::Program &program, const Job &job);
 
   private:
     ExecutionBackend &functional_;
     ExecutionBackend &timing_;
+    CosimOptions options_;
+};
+
+/** A co-simulation that found a divergence; carries the full report. */
+class CosimError : public std::runtime_error
+{
+  public:
+    explicit CosimError(CosimReport report);
+
+    const CosimReport &report() const { return *report_; }
+
+  private:
+    std::shared_ptr<const CosimReport> report_; //!< nothrow copies
+};
+
+/**
+ * A co-simulated backend (BackendKind::kCosim): run() runs both owned
+ * backends through a LockstepCosim and returns the functional outputs
+ * and log together with the timing report, or throws CosimError when
+ * any check fails.
+ */
+class CosimBackend final : public ExecutionBackend
+{
+  public:
+    CosimBackend(std::unique_ptr<ExecutionBackend> functional,
+                 std::unique_ptr<ExecutionBackend> timing,
+                 CosimOptions options = {});
+
+    std::string_view name() const override { return "cosim"; }
+
+    ExecutionResult run(const compiler::Program &program,
+                        const Job &job) override;
+
+  private:
+    std::unique_ptr<ExecutionBackend> functional_;
+    std::unique_ptr<ExecutionBackend> timing_;
     CosimOptions options_;
 };
 

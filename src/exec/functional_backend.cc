@@ -11,6 +11,7 @@ namespace morphling::exec {
 
 using compiler::Opcode;
 
+#if MORPHLING_TELEMETRY_ENABLED
 namespace {
 
 /** Span name per opcode: string literals, as the telemetry ring
@@ -46,6 +47,7 @@ spanNameFor(Opcode op)
 }
 
 } // namespace
+#endif
 
 FunctionalBackend::FunctionalBackend(const tfhe::EvaluationKeys &keys)
     : params_(keys.params), bsk_(keys.bsk), ksk_(keys.ksk)
@@ -62,14 +64,10 @@ FunctionalBackend::reset()
 {
     program_ = nullptr;
     inputs_ = nullptr;
-    loaded_ = false;
     chunks_.clear();
     groups_.clear();
     outputs_.clear();
     log_.clear();
-    pendingRetire_.clear();
-    seq_ = 0;
-    rr_ = 0;
 }
 
 void
@@ -170,17 +168,6 @@ FunctionalBackend::bindProgram(const compiler::Program &program,
     }
 }
 
-void
-FunctionalBackend::load(const compiler::Program &program, const Job &job)
-{
-    reset();
-    bindProgram(program, job);
-    // Keep pointers only after binding succeeded.
-    program_ = &program;
-    inputs_ = job.inputs;
-    loaded_ = true;
-}
-
 bool
 FunctionalBackend::allFinished() const
 {
@@ -189,23 +176,6 @@ FunctionalBackend::allFinished() const
             return false;
     }
     return true;
-}
-
-bool
-FunctionalBackend::done() const
-{
-    return loaded_ && pendingRetire_.empty() && allFinished();
-}
-
-RetiredInstruction
-FunctionalBackend::makeRetired(std::size_t index)
-{
-    RetiredInstruction r;
-    r.index = index;
-    r.inst = program_->at(index);
-    r.seq = seq_++;
-    r.tick = 0;
-    return r;
 }
 
 void
@@ -231,51 +201,10 @@ FunctionalBackend::releaseBarrier()
                      inst.operand, ", expected ", barrier_id);
         }
     }
-    for (unsigned g = 0; g < groups_.size(); ++g) {
-        auto &gs = groups_[g];
-        pendingRetire_.push_back(makeRetired(gs.stream[gs.pc].index));
-        ++gs.pc;
+    for (auto &gs : groups_) {
+        const std::size_t index = gs.stream[gs.pc++].index;
+        log_.push_back({index, program_->at(index), log_.size(), 0});
     }
-}
-
-std::optional<RetiredInstruction>
-FunctionalBackend::step()
-{
-    panic_if(!loaded_, "step() before load()");
-    if (!pendingRetire_.empty()) {
-        auto r = pendingRetire_.front();
-        pendingRetire_.pop_front();
-        log_.push_back(r);
-        return r;
-    }
-
-    const auto n_groups = static_cast<unsigned>(groups_.size());
-    for (unsigned i = 0; i < n_groups; ++i) {
-        const unsigned g = (rr_ + i) % n_groups;
-        auto &gs = groups_[g];
-        if (gs.pc >= gs.stream.size())
-            continue;
-        const auto &ref = gs.stream[gs.pc];
-        if (program_->at(ref.index).op == Opcode::Barrier)
-            continue; // waits for the rendezvous
-        execute(ref, tfhe::BootstrapWorkspace::forThisThread());
-        ++gs.pc;
-        rr_ = (g + 1) % n_groups;
-        auto r = makeRetired(ref.index);
-        log_.push_back(r);
-        return r;
-    }
-
-    if (allFinished())
-        return std::nullopt;
-
-    // Nothing runnable and work remains: every unfinished group sits
-    // at a barrier (the only blocking instruction).
-    releaseBarrier();
-    auto r = pendingRetire_.front();
-    pendingRetire_.pop_front();
-    log_.push_back(r);
-    return r;
 }
 
 void
@@ -385,7 +314,7 @@ FunctionalBackend::execute(const InstrRef &ref,
 }
 
 void
-FunctionalBackend::runParallel(unsigned threads)
+FunctionalBackend::runSegments(unsigned threads)
 {
     const auto n_groups = static_cast<unsigned>(groups_.size());
     while (!allFinished()) {
@@ -403,14 +332,10 @@ FunctionalBackend::runParallel(unsigned threads)
 
         if (active.empty()) {
             releaseBarrier();
-            while (!pendingRetire_.empty()) {
-                log_.push_back(pendingRetire_.front());
-                pendingRetire_.pop_front();
-            }
             continue;
         }
 
-        std::vector<std::vector<RetiredInstruction>> logs(n_groups);
+        std::vector<std::vector<std::size_t>> logs(n_groups);
         std::atomic<std::size_t> next{0};
         auto worker = [&]() {
             auto &ws = tfhe::BootstrapWorkspace::forThisThread();
@@ -425,10 +350,7 @@ FunctionalBackend::runParallel(unsigned threads)
                     if (program_->at(ref.index).op == Opcode::Barrier)
                         break;
                     execute(ref, ws);
-                    RetiredInstruction r;
-                    r.index = ref.index;
-                    r.inst = program_->at(ref.index);
-                    logs[g].push_back(r);
+                    logs[g].push_back(ref.index);
                     ++gs.pc;
                 }
             }
@@ -449,11 +371,9 @@ FunctionalBackend::runParallel(unsigned threads)
         }
 
         // Deterministic merge: group order within the segment.
-        for (unsigned g = 0; g < n_groups; ++g) {
-            for (auto &r : logs[g]) {
-                r.seq = seq_++;
-                log_.push_back(r);
-            }
+        for (const auto &indices : logs) {
+            for (const std::size_t index : indices)
+                log_.push_back({index, program_->at(index), log_.size(), 0});
         }
     }
 }
@@ -461,24 +381,16 @@ FunctionalBackend::runParallel(unsigned threads)
 ExecutionResult
 FunctionalBackend::run(const compiler::Program &program, const Job &job)
 {
-    load(program, job);
+    reset();
+    bindProgram(program, job);
+    program_ = &program;
+    inputs_ = job.inputs;
+    log_.reserve(program.size());
     unsigned threads = job.options.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
-    if (threads <= 1) {
-        while (step())
-            ;
-    } else {
-        runParallel(threads);
-    }
-    return finish();
-}
+    runSegments(threads);
 
-ExecutionResult
-FunctionalBackend::finish()
-{
-    panic_if(!loaded_, "finish() before load()");
-    panic_if(!done(), "finish() before the program fully retired");
     ExecutionResult result;
     result.backend = name();
     result.outputs = std::move(outputs_);

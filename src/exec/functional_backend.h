@@ -9,8 +9,15 @@
  * blind rotation. Because each chunk executes the exact stage sequence
  * of tfhe::bootstrapInto (mod-switch -> workspace blind rotation ->
  * sample extraction -> key switching), the outputs are bit-identical
- * to the library reference — the property the lockstep co-simulator
- * asserts.
+ * to the library reference — the property the co-simulator asserts.
+ *
+ * run() walks the program one barrier-delimited segment at a time:
+ * the groups with work before their next barrier run to it (in
+ * parallel at Job::options.threads > 1, inline otherwise), then the
+ * barrier retires for every group. The log lists each segment's groups
+ * in ascending id, each in program order, then the segment's barrier
+ * retirements in group order — one order at every thread count, and
+ * the order ShardedBackend merges its timing shards into.
  *
  * The backend doubles as an IR validity checker: a stream that loads a
  * chunk twice, rotates before mod-switching, stores before
@@ -22,7 +29,6 @@
 #define MORPHLING_EXEC_FUNCTIONAL_BACKEND_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "exec/backend.h"
@@ -45,19 +51,8 @@ class FunctionalBackend final : public ExecutionBackend
 
     std::string_view name() const override { return "functional"; }
 
-    void load(const compiler::Program &program,
-              const Job &job) override;
-    std::optional<RetiredInstruction> step() override;
-    bool done() const override;
-    ExecutionResult finish() override;
-
-    /** Fast path: barrier-delimited segments execute their groups in
-     *  parallel (Job::options.threads workers, each with its own
-     *  workspace) while preserving per-group program order; the merged
-     *  log lists each segment's groups in ascending id, so every thread
-     *  count above 1 retires in one order. Falls back to sequential
-     *  stepping for 1 thread. Outputs are byte-equal at every thread
-     *  count. */
+    /** Outputs and retirement log are byte-equal at every thread
+     *  count (0 = hardware concurrency). */
     ExecutionResult run(const compiler::Program &program,
                         const Job &job) override;
 
@@ -100,11 +95,10 @@ class FunctionalBackend final : public ExecutionBackend
     void reset();
     void bindProgram(const compiler::Program &program, const Job &job);
     void execute(const InstrRef &ref, tfhe::BootstrapWorkspace &ws);
-    RetiredInstruction makeRetired(std::size_t index);
     /** All unfinished groups sit at the same barrier: retire it for
-     *  every group (into pendingRetire_) and advance past it. */
+     *  every group and advance past it. */
     void releaseBarrier();
-    void runParallel(unsigned threads);
+    void runSegments(unsigned threads);
     bool allFinished() const;
 
     const tfhe::TfheParams &params_;
@@ -113,15 +107,11 @@ class FunctionalBackend final : public ExecutionBackend
 
     const compiler::Program *program_ = nullptr;
     const std::vector<tfhe::LweCiphertext> *inputs_ = nullptr;
-    bool loaded_ = false;
     tfhe::TorusPolynomial testPoly_;
     std::vector<Chunk> chunks_;
     std::vector<Group> groups_;
     std::vector<tfhe::LweCiphertext> outputs_;
     std::vector<RetiredInstruction> log_;
-    std::deque<RetiredInstruction> pendingRetire_;
-    std::uint64_t seq_ = 0;
-    unsigned rr_ = 0; //!< round-robin group cursor for step()
 };
 
 } // namespace morphling::exec

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -49,28 +50,16 @@ isRetryable(RemoteErrorKind kind)
 
 RemoteBackend::RemoteBackend(const tfhe::EvaluationKeys &keys,
                              RemoteClientConfig config)
-    : keys_(&keys), config_(std::move(config)),
+    : keys_(keys), config_(std::move(config)),
       fingerprint_(config_.fingerprint)
 {
-    fatal_if(config_.port == 0,
-             "RemoteBackend: config.port must name the server's TCP "
-             "port (0 is not a destination)");
-    fatal_if(config_.maxAttempts == 0,
-             "RemoteBackend: maxAttempts must be >= 1");
-}
-
-RemoteBackend::RemoteBackend(const tfhe::KeySet &keys,
-                             RemoteClientConfig config)
-    : keys_(nullptr), config_(std::move(config)),
-      fingerprint_(config_.fingerprint)
-{
-    fatal_if(config_.port == 0,
-             "RemoteBackend: config.port must name the server's TCP "
-             "port (0 is not a destination)");
-    fatal_if(config_.maxAttempts == 0,
-             "RemoteBackend: maxAttempts must be >= 1");
-    ownedKeys_ = tfhe::EvaluationKeys::fromKeySet(keys);
-    keys_ = &*ownedKeys_;
+    if (config_.port == 0)
+        throw std::invalid_argument(
+            "RemoteBackend: config.port must name the server's TCP "
+            "port (0 is not a destination)");
+    if (config_.maxAttempts == 0)
+        throw std::invalid_argument(
+            "RemoteBackend: maxAttempts must be >= 1");
 }
 
 RemoteBackend::~RemoteBackend() = default;
@@ -79,7 +68,7 @@ tfhe::KeyFingerprint
 RemoteBackend::fingerprint() const
 {
     if (!fingerprint_.has_value())
-        fingerprint_ = tfhe::fingerprintEvaluationKeys(*keys_);
+        fingerprint_ = tfhe::fingerprintEvaluationKeys(keys_);
     return *fingerprint_;
 }
 
@@ -87,53 +76,6 @@ void
 RemoteBackend::closeConnection()
 {
     socket_.close();
-}
-
-void
-RemoteBackend::load(const compiler::Program &program, const Job &job)
-{
-    retired_.clear();
-    outputs_.clear();
-    hasOutputs_ = false;
-    cursor_ = 0;
-    loaded_ = false;
-    serverExecutions_ = 0;
-    bytesSent_ = 0;
-    bytesReceived_ = 0;
-    executeRemote(program, job);
-    loaded_ = true;
-}
-
-std::optional<RetiredInstruction>
-RemoteBackend::step()
-{
-    panic_if(!loaded_, "step() before load()");
-    if (cursor_ >= retired_.size())
-        return std::nullopt;
-    return retired_[cursor_++];
-}
-
-bool
-RemoteBackend::done() const
-{
-    return loaded_ && cursor_ >= retired_.size();
-}
-
-ExecutionResult
-RemoteBackend::finish()
-{
-    panic_if(!loaded_, "finish() before load()");
-    panic_if(!done(), "finish() before the program fully retired");
-    ExecutionResult result;
-    result.backend = name();
-    result.outputs = std::move(outputs_);
-    result.hasOutputs = hasOutputs_;
-    result.retired = std::move(retired_);
-    outputs_.clear();
-    retired_.clear();
-    cursor_ = 0;
-    loaded_ = false;
-    return result;
 }
 
 std::vector<std::uint8_t>
@@ -185,7 +127,7 @@ void
 RemoteBackend::enroll(remote::Deadline deadline)
 {
     const std::vector<std::uint8_t> payload =
-        remote::encodeEvaluationKeys(*keys_);
+        remote::encodeEvaluationKeys(keys_);
     remote::sendFrame(socket_, FrameType::kEnrollKeys, payload,
                       deadline);
     bytesSent_ += payload.size() + kFrameOverhead;
@@ -209,75 +151,67 @@ RemoteBackend::enroll(remote::Deadline deadline)
                 " — serialization disagreement between peers"));
 }
 
-bool
+std::optional<ExecutionResult>
 RemoteBackend::receiveResponse(const compiler::Program &program,
                                remote::Deadline deadline)
 {
-    for (;;) {
-        Frame frame = remote::recvFrame(socket_, deadline);
-        bytesReceived_ += frame.payload.size() + kFrameOverhead;
-        switch (frame.type) {
-        case FrameType::kRetire: {
-            WireReader r(frame.payload);
-            const std::uint64_t id = r.u64();
-            if (id != requestId_)
-                throw RemoteError(RemoteErrorKind::kProtocol,
-                                  "retirement frame for a different "
-                                  "request id");
-            const std::uint32_t count = r.u32();
-            for (std::uint32_t i = 0; i < count; ++i) {
-                RetiredInstruction ri;
-                ri.index = static_cast<std::size_t>(r.u64());
-                ri.seq = r.u64();
-                ri.tick = r.u64();
-                if (ri.index >= program.size())
-                    throw RemoteError(
-                        RemoteErrorKind::kProtocol,
-                        "retired instruction index out of range");
-                ri.inst = program.at(ri.index);
-                retired_.push_back(ri);
-            }
-            r.expectEnd();
-            break;
-        }
-        case FrameType::kResult: {
-            WireReader r(frame.payload);
-            const std::uint64_t id = r.u64();
-            if (id != requestId_)
-                throw RemoteError(RemoteErrorKind::kProtocol,
-                                  "result frame for a different "
-                                  "request id");
-            serverExecutions_ = r.u64();
-            hasOutputs_ = r.u8() != 0;
-            const std::uint32_t count = r.u32();
-            outputs_.clear();
-            outputs_.reserve(count);
-            for (std::uint32_t i = 0; i < count; ++i)
-                outputs_.push_back(remote::readCiphertext(r));
-            r.expectEnd();
-            return true;
-        }
-        case FrameType::kError: {
-            RemoteError err = remote::decodeError(frame);
-            if (err.kind() == RemoteErrorKind::kUnknownKey &&
-                config_.autoEnroll)
-                return false; // caller enrolls and resends
-            throw err;
-        }
-        default:
-            throw RemoteError(RemoteErrorKind::kProtocol,
-                              morphling::detail::concat(
-                                  "unexpected frame type ",
-                                  static_cast<int>(frame.type),
-                                  " in response position"));
-        }
+    Frame frame = remote::recvFrame(socket_, deadline);
+    bytesReceived_ += frame.payload.size() + kFrameOverhead;
+    if (frame.type == FrameType::kError) {
+        RemoteError err = remote::decodeError(frame);
+        if (err.kind() == RemoteErrorKind::kUnknownKey &&
+            config_.autoEnroll)
+            return std::nullopt; // caller enrolls and resends
+        throw err;
     }
+    if (frame.type != FrameType::kResult)
+        throw RemoteError(RemoteErrorKind::kProtocol,
+                          morphling::detail::concat(
+                              "unexpected frame type ",
+                              static_cast<int>(frame.type),
+                              " in response position"));
+
+    WireReader r(frame.payload);
+    if (r.u64() != requestId_)
+        throw RemoteError(RemoteErrorKind::kProtocol,
+                          "result frame for a different request id");
+    serverExecutions_ = r.u64();
+    ExecutionResult result;
+    result.backend = name();
+    result.hasOutputs = r.u8() != 0;
+    const std::uint32_t outputs = r.u32();
+    if (outputs > program.totalBlindRotations())
+        throw RemoteError(RemoteErrorKind::kProtocol,
+                          "more outputs than blind-rotation slots");
+    result.outputs.reserve(outputs);
+    for (std::uint32_t i = 0; i < outputs; ++i)
+        result.outputs.push_back(remote::readCiphertext(r));
+    const std::uint32_t retired = r.u32();
+    if (retired > program.size())
+        throw RemoteError(RemoteErrorKind::kProtocol,
+                          "more retirements than instructions");
+    result.retired.reserve(retired);
+    for (std::uint32_t i = 0; i < retired; ++i) {
+        RetiredInstruction ri;
+        ri.index = static_cast<std::size_t>(r.u64());
+        ri.seq = r.u64();
+        ri.tick = r.u64();
+        if (ri.index >= program.size())
+            throw RemoteError(RemoteErrorKind::kProtocol,
+                              "retired instruction index out of range");
+        ri.inst = program.at(ri.index);
+        result.retired.push_back(ri);
+    }
+    r.expectEnd();
+    return result;
 }
 
-void
-RemoteBackend::executeRemote(const compiler::Program &program,
-                             const Job &job)
+ExecutionResult
+RemoteBackend::run(const compiler::Program &program, const Job &job)
 {
+    serverExecutions_ = 0;
+    bytesSent_ = 0;
+    bytesReceived_ = 0;
     requestId_ = nextRequestId();
     const std::vector<std::uint8_t> payload =
         encodeExecute(program, job);
@@ -291,12 +225,11 @@ RemoteBackend::executeRemote(const compiler::Program &program,
         ++attempts_;
         try {
             ensureConnected(deadline);
-            retired_.clear(); // partial stream from a failed attempt
             remote::sendFrame(socket_, FrameType::kExecute, payload,
                               deadline);
             bytesSent_ += payload.size() + kFrameOverhead;
-            if (receiveResponse(program, deadline))
-                return;
+            if (auto result = receiveResponse(program, deadline))
+                return std::move(*result);
             // Server does not hold our keys: enroll once, resend the
             // same request id on the same connection and attempt.
             if (enrolledThisRequest)
@@ -306,12 +239,11 @@ RemoteBackend::executeRemote(const compiler::Program &program,
                     "enrollment");
             enroll(deadline);
             enrolledThisRequest = true;
-            retired_.clear();
             remote::sendFrame(socket_, FrameType::kExecute, payload,
                               deadline);
             bytesSent_ += payload.size() + kFrameOverhead;
-            if (receiveResponse(program, deadline))
-                return;
+            if (auto result = receiveResponse(program, deadline))
+                return std::move(*result);
             throw RemoteError(
                 RemoteErrorKind::kUnknownKey,
                 "server still rejects our key fingerprint after "

@@ -130,8 +130,17 @@ setNonBlocking(int fd)
 bool
 validFrameType(std::uint8_t type)
 {
-    return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-           type <= static_cast<std::uint8_t>(FrameType::kEnrollAck);
+    switch (static_cast<FrameType>(type)) {
+      case FrameType::kHello:
+      case FrameType::kHelloAck:
+      case FrameType::kExecute:
+      case FrameType::kResult:
+      case FrameType::kError:
+      case FrameType::kEnrollKeys:
+      case FrameType::kEnrollAck:
+        return true;
+    }
+    return false;
 }
 
 bool

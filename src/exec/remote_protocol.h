@@ -2,9 +2,10 @@
  * @file
  * Wire protocol shared by exec::RemoteBackend and exec::RemoteServer:
  * a length-framed TCP protocol carrying compiled Programs, ciphertext
- * batches and LUT tables to a server-hosted execution backend, with
- * retirements streamed back incrementally (docs/execution_model.md,
- * remote backend section).
+ * batches and LUT tables to a server-hosted execution backend, which
+ * answers each request with one kResult frame holding the output
+ * ciphertexts and the retirement log (docs/execution_model.md, remote
+ * backend section).
  *
  * Framing: every message is [u32 payload bytes][u8 frame type][payload],
  * little-endian throughout. A connection opens with a Hello/HelloAck
@@ -41,7 +42,7 @@ constexpr std::uint32_t kProtocolMagic = 0x4D525043;
 
 /** Protocol version; bumped on any frame-layout change. A mismatch is
  *  rejected at the handshake, before any request bytes flow. */
-constexpr std::uint32_t kProtocolVersion = 1;
+constexpr std::uint32_t kProtocolVersion = 2;
 
 /** Upper bound on one frame's payload. Generous enough for a full
  *  evaluation-key enrollment (BSK dominates, tens of MiB for
@@ -55,8 +56,9 @@ enum class FrameType : std::uint8_t
     kHello = 1,      //!< client -> server: magic + version
     kHelloAck = 2,   //!< server -> client: magic + version
     kExecute = 3,    //!< client -> server: one execution request
-    kRetire = 4,     //!< server -> client: a batch of retirements
-    kResult = 5,     //!< server -> client: final outputs
+    // 4 stays unassigned: frame numbers are never reused across
+    // protocol versions.
+    kResult = 5,     //!< server -> client: outputs + retirement log
     kError = 6,      //!< server -> client: typed failure
     kEnrollKeys = 7, //!< client -> server: serialized EvaluationKeys
     kEnrollAck = 8   //!< server -> client: fingerprint of stored keys

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -36,6 +37,27 @@ constexpr std::size_t kFrameOverhead = 5;
  *  remote_protocol.cc — a lying count cannot force a huge reserve. */
 constexpr std::uint32_t kMaxInputs = 1u << 24;
 
+/** A kResult payload: outputs, then the retirement log. */
+std::vector<std::uint8_t>
+encodeResult(std::uint64_t request_id, std::uint64_t executions,
+             const ExecutionResult &result)
+{
+    WireWriter w;
+    w.u64(request_id);
+    w.u64(executions);
+    w.u8(result.hasOutputs ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(result.outputs.size()));
+    for (const tfhe::LweCiphertext &ct : result.outputs)
+        remote::writeCiphertext(w, ct);
+    w.u32(static_cast<std::uint32_t>(result.retired.size()));
+    for (const RetiredInstruction &r : result.retired) {
+        w.u64(r.index);
+        w.u64(r.seq);
+        w.u64(r.tick);
+    }
+    return w.take();
+}
+
 } // namespace
 
 RemoteServer::RemoteServer(RemoteServerConfig config)
@@ -62,9 +84,6 @@ void RemoteServer::start()
             "RemoteServer: inner backend must be kFunctional, got ",
             backendKindName(config_.inner.kind)));
     }
-    if (config_.retireChunk == 0)
-        throw std::invalid_argument(
-            "RemoteServer: retireChunk must be positive");
 
     struct addrinfo hints;
     std::memset(&hints, 0, sizeof(hints));
@@ -319,50 +338,17 @@ void RemoteServer::handleEnroll(Connection *conn,
     stats_.bytesOut += ack.size() + kFrameOverhead;
 }
 
-bool RemoteServer::streamResult(Connection *conn,
-                                std::uint64_t request_id,
-                                const CachedResult &result)
+void RemoteServer::sendResult(Connection *conn,
+                              const std::vector<std::uint8_t> &payload)
 {
     try {
-        std::size_t sent = 0;
-        while (sent < result.retired.size()) {
-            const std::size_t count = std::min<std::size_t>(
-                config_.retireChunk, result.retired.size() - sent);
-            WireWriter w;
-            w.u64(request_id);
-            w.u32(static_cast<std::uint32_t>(count));
-            for (std::size_t i = 0; i < count; ++i) {
-                const CachedRetirement &e = result.retired[sent + i];
-                w.u64(e.index);
-                w.u64(e.seq);
-                w.u64(e.tick);
-            }
-            const std::vector<std::uint8_t> payload = w.take();
-            remote::sendFrame(conn->socket, FrameType::kRetire, payload,
-                              remote::deadlineAfter(config_.frameTimeout));
-            {
-                std::lock_guard<std::mutex> lock(statsMu_);
-                stats_.bytesOut += payload.size() + kFrameOverhead;
-            }
-            sent += count;
-        }
-        WireWriter w;
-        w.u64(request_id);
-        w.u64(result.executions);
-        w.u8(result.hasOutputs ? 1 : 0);
-        w.u32(static_cast<std::uint32_t>(result.outputs.size()));
-        for (const tfhe::LweCiphertext &ct : result.outputs)
-            remote::writeCiphertext(w, ct);
-        const std::vector<std::uint8_t> payload = w.take();
         remote::sendFrame(conn->socket, FrameType::kResult, payload,
                           remote::deadlineAfter(config_.frameTimeout));
         std::lock_guard<std::mutex> lock(statsMu_);
         stats_.bytesOut += payload.size() + kFrameOverhead;
-        return true;
     } catch (const RemoteError &) {
         std::lock_guard<std::mutex> lock(statsMu_);
         ++stats_.dropped;
-        return false;
     }
 }
 
@@ -399,7 +385,7 @@ void RemoteServer::cacheInsertLocked(std::uint64_t request_id,
                 evicted = true;
                 break;
             }
-            if (entry->second.done) {
+            if (entry->second.response) {
                 cache_.erase(entry);
                 cacheOrder_.erase(it);
                 evicted = true;
@@ -419,7 +405,9 @@ void RemoteServer::handleExecute(Connection *conn,
     const std::uint64_t fingerprint = r.u64();
     const bool signLut = r.u8() != 0;
     tfhe::BatchOptions options;
-    options.threads = r.u32();
+    // Never more workers than this host has, whatever the peer asks.
+    options.threads = std::min(
+        r.u32(), std::max(1u, std::thread::hardware_concurrency()));
     options.checkNoise = r.u8() != 0;
     options.minSlotSigmas = r.f64();
     const std::vector<tfhe::Torus32> lut = remote::readTorusVector(r);
@@ -520,20 +508,20 @@ void RemoteServer::handleExecute(Connection *conn,
         if (it != cache_.end()) {
             cacheCv_.wait(lock, [&] {
                 auto entry = cache_.find(requestId);
-                return entry == cache_.end() || entry->second.done ||
+                return entry == cache_.end() || entry->second.response ||
                        stopping_.load();
             });
             if (stopping_.load())
                 return;
             auto entry = cache_.find(requestId);
             if (entry != cache_.end()) {
-                CachedResult copy = entry->second;
+                const auto response = entry->second.response;
                 lock.unlock();
                 {
                     std::lock_guard<std::mutex> slock(statsMu_);
                     ++stats_.replays;
                 }
-                streamResult(conn, requestId, copy);
+                sendResult(conn, *response);
                 return;
             }
             // Evicted between completion and wake-up (needs
@@ -541,7 +529,6 @@ void RemoteServer::handleExecute(Connection *conn,
             // through and execute again.
         }
         CachedResult placeholder;
-        placeholder.done = false;
         placeholder.executions = 1;
         cacheInsertLocked(requestId, std::move(placeholder));
     }
@@ -550,76 +537,14 @@ void RemoteServer::handleExecute(Connection *conn,
         ++stats_.executions;
     }
 
-    // Execute, streaming retirements as they land. A send failure (or
-    // the injected drop) marks the connection broken but never aborts
-    // the execution: the result still reaches the cache so the
-    // client's retry replays instead of re-executing.
-    bool connBroken = false;
-    int retireFramesSent = 0;
-    const bool injectDrop = config_.dropAfterRetireFrames >= 0 &&
-                            !dropFired_.exchange(true);
-    std::vector<CachedRetirement> retired;
-    std::vector<CachedRetirement> pending;
-    CachedResult final;
+    // Execute, then cache the encoded result before sending it: a
+    // client whose connection dies before the result arrives retries
+    // and gets it replayed instead of re-executed.
+    ExecutionResult result;
     try {
-        Job job = signLut ? Job::sign(inputs, lut, options)
-                          : Job::batch(inputs, lut, options);
-        FunctionalBackend backend(*keys);
-        backend.load(*program, job);
-
-        auto flushPending = [&]() {
-            if (pending.empty())
-                return;
-            if (injectDrop && !connBroken &&
-                retireFramesSent == config_.dropAfterRetireFrames) {
-                conn->socket.shutdownBoth();
-                connBroken = true;
-                std::lock_guard<std::mutex> lock(statsMu_);
-                ++stats_.dropped;
-            }
-            if (!connBroken) {
-                WireWriter w;
-                w.u64(requestId);
-                w.u32(static_cast<std::uint32_t>(pending.size()));
-                for (const CachedRetirement &e : pending) {
-                    w.u64(e.index);
-                    w.u64(e.seq);
-                    w.u64(e.tick);
-                }
-                const std::vector<std::uint8_t> frame = w.take();
-                try {
-                    remote::sendFrame(
-                        conn->socket, FrameType::kRetire, frame,
-                        remote::deadlineAfter(config_.frameTimeout));
-                    ++retireFramesSent;
-                    std::lock_guard<std::mutex> lock(statsMu_);
-                    stats_.bytesOut += frame.size() + kFrameOverhead;
-                } catch (const RemoteError &) {
-                    connBroken = true;
-                    std::lock_guard<std::mutex> lock(statsMu_);
-                    ++stats_.dropped;
-                }
-            }
-            pending.clear();
-        };
-
-        while (std::optional<RetiredInstruction> step = backend.step()) {
-            CachedRetirement entry;
-            entry.index = step->index;
-            entry.seq = step->seq;
-            entry.tick = step->tick;
-            retired.push_back(entry);
-            pending.push_back(entry);
-            if (pending.size() >= config_.retireChunk)
-                flushPending();
-        }
-        flushPending();
-
-        ExecutionResult result = backend.finish();
-        final.retired = std::move(retired);
-        final.outputs = std::move(result.outputs);
-        final.hasOutputs = result.hasOutputs;
-        final.done = true;
+        const Job job = signLut ? Job::sign(inputs, lut, options)
+                                : Job::batch(inputs, lut, options);
+        result = FunctionalBackend(*keys).run(*program, job);
     } catch (const std::exception &e) {
         // Execution failed: forget the in-flight entry (a retry gets
         // the same deterministic failure) and report it.
@@ -629,42 +554,29 @@ void RemoteServer::handleExecute(Connection *conn,
             cacheOrder_.remove(requestId);
         }
         cacheCv_.notify_all();
-        if (!connBroken)
-            sendErrorCounted(conn, WireErrorCode::kExecutionFailed,
-                             e.what());
+        sendErrorCounted(conn, WireErrorCode::kExecutionFailed, e.what());
         return;
     }
 
+    std::shared_ptr<const std::vector<std::uint8_t>> response;
     {
         // The in-flight placeholder is never evicted, so it still
         // holds this request's execution count.
         std::lock_guard<std::mutex> lock(cacheMu_);
         CachedResult &entry = cache_[requestId];
-        final.executions = entry.executions;
-        entry = final; // keep a copy to stream from
+        response = std::make_shared<const std::vector<std::uint8_t>>(
+            encodeResult(requestId, entry.executions, result));
+        entry.response = response;
     }
     cacheCv_.notify_all();
 
-    if (connBroken)
-        return;
-    WireWriter w;
-    w.u64(requestId);
-    w.u64(final.executions);
-    w.u8(final.hasOutputs ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(final.outputs.size()));
-    for (const tfhe::LweCiphertext &ct : final.outputs)
-        remote::writeCiphertext(w, ct);
-    const std::vector<std::uint8_t> resultPayload = w.take();
-    try {
-        remote::sendFrame(conn->socket, FrameType::kResult,
-                          resultPayload,
-                          remote::deadlineAfter(config_.frameTimeout));
-        std::lock_guard<std::mutex> lock(statsMu_);
-        stats_.bytesOut += resultPayload.size() + kFrameOverhead;
-    } catch (const RemoteError &) {
+    if (config_.dropFirstResult && !dropFired_.exchange(true)) {
+        conn->socket.shutdownBoth();
         std::lock_guard<std::mutex> lock(statsMu_);
         ++stats_.dropped;
+        return;
     }
+    sendResult(conn, *response);
 }
 
 } // namespace morphling::exec

@@ -11,21 +11,21 @@
  * names the fingerprint it runs under, so one server serves many
  * tenants' keys the way service::TenantRegistry does in-process.
  *
- * Execution streams retirements back incrementally: each request's
- * FunctionalBackend is single-stepped and every `retireChunk`
- * retirements ship as one kRetire frame, followed by a kResult frame
- * with the output ciphertexts. The retirement order is the stepped
- * order — for the default single-threaded job this is bit-identical
- * to a local FunctionalBackend run (asserted in tests/test_remote.cc).
+ * Each request runs FunctionalBackend::run() over the whole program,
+ * at the request's thread count clamped to the host's hardware
+ * concurrency, and is answered with one kResult frame carrying the
+ * output ciphertexts and the retirement log. Outputs and log are
+ * bit-identical to a local FunctionalBackend run at any thread count
+ * (asserted in tests/test_remote.cc).
  *
  * Idempotency: completed requests are cached by request id (bounded
- * LRU). A client that lost its connection mid-stream retries with the
- * same id and gets the cached response replayed — the request is
- * never executed twice, even when the disconnect raced the final
- * frames. A request whose original execution is still in flight
- * blocks the retry until the result lands, then replays it. If the
- * connection dies mid-execution the server finishes and caches the
- * result anyway, so the retry finds it.
+ * LRU) as their encoded kResult payload. A client that lost its
+ * connection before the result arrived retries with the same id and
+ * gets the cached response replayed — the request is never executed
+ * twice. A request whose original execution is still in flight blocks
+ * the retry until the result lands, then replays it. If the connection
+ * dies mid-execution the server finishes and caches the result anyway,
+ * so the retry finds it.
  */
 
 #ifndef MORPHLING_EXEC_REMOTE_SERVER_H
@@ -66,9 +66,6 @@ struct RemoteServerConfig
      *  other kind. */
     BackendSpec inner;
 
-    /** Retirements per kRetire frame. */
-    unsigned retireChunk = 32;
-
     /** Completed requests kept for idempotent retry (LRU). */
     std::size_t maxCachedResults = 64;
 
@@ -80,12 +77,12 @@ struct RemoteServerConfig
     std::chrono::milliseconds idleTimeout{60000};
 
     /**
-     * Fault injection for the transport-failure tests: when >= 0, the
-     * first execution closes the connection abruptly after this many
-     * kRetire frames (execution still completes and caches, modeling
-     * a link that died mid-stream). Fires once per server.
+     * Fault injection for the transport-failure tests: when set, the
+     * first execution caches its result and then closes the connection
+     * instead of sending it (a link that died before the result
+     * arrived). Fires once per server.
      */
-    int dropAfterRetireFrames = -1;
+    bool dropFirstResult = false;
 };
 
 /** Observable counters (tests and the roundtrip bench). */
@@ -149,20 +146,12 @@ class RemoteServer
     std::uint64_t executionsFor(std::uint64_t requestId) const;
 
   private:
-    struct CachedRetirement
-    {
-        std::uint64_t index = 0;
-        std::uint64_t seq = 0;
-        std::uint64_t tick = 0;
-    };
-
     struct CachedResult
     {
-        std::vector<CachedRetirement> retired;
-        std::vector<tfhe::LweCiphertext> outputs;
-        bool hasOutputs = false;
+        /** The encoded kResult payload; null while the first
+         *  execution runs. */
+        std::shared_ptr<const std::vector<std::uint8_t>> response;
         std::uint64_t executions = 0;
-        bool done = false; //!< false while the first execution runs
     };
 
     struct Connection
@@ -177,17 +166,17 @@ class RemoteServer
     void acceptLoop();
     void serveConnection(Connection *conn);
 
-    /** One kExecute frame: parse, dedup, execute, stream, cache. */
+    /** One kExecute frame: parse, dedup, execute, cache, respond. */
     void handleExecute(Connection *conn,
                        const std::vector<std::uint8_t> &payload);
     void handleEnroll(Connection *conn,
                       const std::vector<std::uint8_t> &payload);
 
-    /** Stream a cached (or just-computed) response. Returns false if
-     *  the connection broke mid-stream (the cache keeps the result
+    /** Send a cached (or just-computed) kResult payload; a broken
+     *  connection only counts as dropped (the cache keeps the result
      *  for the retry). */
-    bool streamResult(Connection *conn, std::uint64_t request_id,
-                      const CachedResult &result);
+    void sendResult(Connection *conn,
+                    const std::vector<std::uint8_t> &payload);
 
     void sendErrorCounted(Connection *conn, remote::WireErrorCode code,
                           const std::string &message);

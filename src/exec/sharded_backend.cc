@@ -55,26 +55,15 @@ ShardedBackend::shardBackend(unsigned s) const
     return *shards_[s];
 }
 
-void
-ShardedBackend::reset()
+ExecutionResult
+ShardedBackend::run(const compiler::Program &program, const Job &)
 {
+    MORPHLING_SPAN("exec", "sharded.run");
     slices_.clear();
     stats_.clear();
-    merged_.clear();
-    report_ = arch::SimReport{};
-    hasReport_ = false;
     makespan_ = 0;
-    cursor_ = 0;
-    loaded_ = false;
     fleetReport_ = arch::FleetReport{};
     shardCompletions_.clear();
-}
-
-void
-ShardedBackend::load(const compiler::Program &program, const Job &)
-{
-    MORPHLING_SPAN("exec", "sharded.load");
-    reset();
 
     const unsigned n_shards = numShards();
     const unsigned n_groups = program.numGroups();
@@ -102,12 +91,14 @@ ShardedBackend::load(const compiler::Program &program, const Job &)
     else
         runShardsThreaded(results);
 
+    ExecutionResult merged;
+    merged.backend = name();
     MORPHLING_TELEMETRY_ONLY(
         const auto merge0 = std::chrono::steady_clock::now();)
     {
         MORPHLING_SPAN("exec", "sharded.merge");
-        mergeRetirement(program, results);
-        mergeReports(results);
+        merged.retired = mergeRetirement(program, results);
+        mergeReports(results, merged);
     }
 
     MORPHLING_TELEMETRY_ONLY({
@@ -144,7 +135,7 @@ ShardedBackend::load(const compiler::Program &program, const Job &)
         }
     })
 
-    loaded_ = true;
+    return merged;
 }
 
 void
@@ -153,10 +144,7 @@ ShardedBackend::runShardsThreaded(std::vector<ExecutionResult> &results)
     const unsigned n_shards = numShards();
     auto run_shard = [&](unsigned s) {
         MORPHLING_SPAN("exec", "sharded.shard");
-        // A shard beyond the program's group count stays idle: the
-        // cycle model cannot run an empty program.
-        if (slices_[s].program.size() > 0)
-            results[s] = shards_[s]->run(slices_[s].program, Job{});
+        results[s] = shards_[s]->run(slices_[s].program, Job{});
         auto &st = stats_[s];
         st.shard = s;
         st.groups = slices_[s].groups;
@@ -221,9 +209,10 @@ ShardedBackend::runShardsFleet(std::vector<ExecutionResult> &results)
     }
 }
 
-void
+std::vector<RetiredInstruction>
 ShardedBackend::mergeRetirement(const compiler::Program &program,
-                                std::vector<ExecutionResult> &results)
+                                const std::vector<ExecutionResult> &results)
+    const
 {
     const unsigned n_groups = program.numGroups();
     // Per-group queues in global coordinates. Each shard retires its
@@ -249,16 +238,17 @@ ShardedBackend::mergeRetirement(const compiler::Program &program,
     }
 
     // Deterministic interleave, reproducing FunctionalBackend's
-    // group-parallel order exactly: per barrier-delimited segment,
+    // retirement order exactly: per barrier-delimited segment,
     // groups ascending, program order within a group, then the
     // segment's barrier retirements in group order.
-    merged_.reserve(program.size());
+    std::vector<RetiredInstruction> merged;
+    merged.reserve(program.size());
     std::vector<std::size_t> head(n_groups, 0);
     auto emit = [&](const RetiredInstruction &r) {
-        merged_.push_back(r);
-        merged_.back().seq = merged_.size() - 1;
+        merged.push_back(r);
+        merged.back().seq = merged.size() - 1;
     };
-    while (merged_.size() < program.size()) {
+    while (merged.size() < program.size()) {
         for (unsigned g = 0; g < n_groups; ++g) {
             auto &q = queue[g];
             while (head[g] < q.size() &&
@@ -274,36 +264,38 @@ ShardedBackend::mergeRetirement(const compiler::Program &program,
                 released = true;
             }
         }
-        if (!released && merged_.size() < program.size())
-            panic("sharded merge stalled at ", merged_.size(), " of ",
+        if (!released && merged.size() < program.size())
+            panic("sharded merge stalled at ", merged.size(), " of ",
                   program.size(), " instructions");
     }
+    return merged;
 }
 
 void
-ShardedBackend::mergeReports(std::vector<ExecutionResult> &results)
+ShardedBackend::mergeReports(const std::vector<ExecutionResult> &results,
+                             ExecutionResult &merged)
 {
     // Fleet view over the shards: the run finishes when the
     // slowest shard does (makespan = max), work counters sum across
     // chips, utilizations are re-derived against the fleet makespan.
     // Per-chip detail stays available through shardStats() and the
     // shard backends.
+    const ExecutionResult *first = nullptr;
     unsigned reporting = 0;
     std::uint64_t bootstraps = 0;
     for (const auto &r : results) {
         if (!r.hasReport)
             continue;
         if (reporting == 0)
-            report_ = r.report; // param echo, breakdown maps
+            first = &r;
         ++reporting;
         makespan_ = std::max(makespan_, r.report.cycles);
         bootstraps += r.report.bootstraps;
     }
-    hasReport_ = reporting > 0;
-    if (!hasReport_)
+    if (first == nullptr)
         return;
 
-    arch::SimReport fleet = report_;
+    arch::SimReport fleet = first->report; // param echo, breakdown maps
     fleet.cycles = makespan_;
     fleet.seconds = 0;
     fleet.bootstraps = bootstraps;
@@ -358,38 +350,8 @@ ShardedBackend::mergeReports(std::vector<ExecutionResult> &results)
                                   1e6;
         }
     }
-    report_ = fleet;
-}
-
-std::optional<RetiredInstruction>
-ShardedBackend::step()
-{
-    panic_if(!loaded_, "step() before load()");
-    if (cursor_ >= merged_.size())
-        return std::nullopt;
-    return merged_[cursor_++];
-}
-
-bool
-ShardedBackend::done() const
-{
-    return loaded_ && cursor_ >= merged_.size();
-}
-
-ExecutionResult
-ShardedBackend::finish()
-{
-    panic_if(!loaded_, "finish() before load()");
-    panic_if(!done(), "finish() before the program fully retired");
-    ExecutionResult result;
-    result.backend = name();
-    result.report = report_;
-    result.hasReport = hasReport_;
-    result.retired = std::move(merged_);
-    merged_.clear();
-    cursor_ = 0;
-    loaded_ = false;
-    return result;
+    merged.report = fleet;
+    merged.hasReport = true;
 }
 
 } // namespace morphling::exec

@@ -21,10 +21,10 @@
  * recombined segment by segment — within every barrier-delimited
  * segment, groups in ascending global id, each group's instructions in
  * program order, then the segment's barrier retirements, again in
- * group order. This is the order FunctionalBackend's group-parallel
- * run() produces, and it is independent of shard count and of how the
- * shards interleaved their groups — so a 1-shard, 2-shard and 4-shard
- * run of the same Program emit identical retirement logs.
+ * group order. This is the order FunctionalBackend::run() produces at
+ * every thread count, and it is independent of shard count and of how
+ * the shards interleaved their groups — so a 1-shard, 2-shard and
+ * 4-shard run of the same Program emit identical retirement logs.
  *
  * Shards have independent virtual clocks in private mode and one
  * shared clock in fleet mode (RetiredInstruction::tick reads the
@@ -48,7 +48,7 @@
 
 namespace morphling::exec {
 
-/** Per-shard outcome of the last load(); see
+/** Per-shard outcome of the last run(); see
  *  ShardedBackend::shardStats(). */
 struct ShardStats
 {
@@ -63,10 +63,9 @@ struct ShardStats
 /**
  * Fans a Program out over N simulated accelerators, runs the shards,
  * and presents the merged execution through the ordinary
- * ExecutionBackend interface: load() executes everything eagerly (like
- * TimingBackend), step() replays the deterministically merged
- * retirement log, finish() returns the fleet SimReport. The Job's
- * ciphertext data is ignored (the cycle model is data-free).
+ * ExecutionBackend interface: run() returns the deterministically
+ * merged retirement log and the fleet SimReport. The Job's ciphertext
+ * data is ignored (the cycle model is data-free).
  */
 class ShardedBackend final : public ExecutionBackend
 {
@@ -90,10 +89,8 @@ class ShardedBackend final : public ExecutionBackend
     std::string_view name() const override { return "sharded"; }
 
     /** Slice, run every shard, merge. */
-    void load(const compiler::Program &program, const Job &job) override;
-    std::optional<RetiredInstruction> step() override;
-    bool done() const override;
-    ExecutionResult finish() override;
+    ExecutionResult run(const compiler::Program &program,
+                        const Job &job) override;
 
     unsigned numShards() const
     {
@@ -104,13 +101,13 @@ class ShardedBackend final : public ExecutionBackend
     /** True when this backend runs shards over the shared fabric. */
     bool fleetMode() const { return fleetMode_; }
 
-    /** Fleet broadcast telemetry of the last load(); only valid in
-     *  fleet mode after a load. */
+    /** Fleet broadcast telemetry of the last run(); only valid in
+     *  fleet mode after a run. */
     const arch::FleetReport &fleetReport() const { return fleetReport_; }
 
     /**
      * Raw per-shard completion logs (slice-local indices, shared-clock
-     * ticks) of the last fleet-mode load(); the co-simulator checks
+     * ticks) of the last fleet-mode run(); the co-simulator checks
      * dependency order against these since fleet shards have no inner
      * TimingBackend. Empty outside fleet mode.
      */
@@ -120,12 +117,12 @@ class ShardedBackend final : public ExecutionBackend
         return shardCompletions_;
     }
 
-    /** Per-shard outcome of the last load(); valid until the next
-     *  load(). */
+    /** Per-shard outcome of the last run(); valid until the next
+     *  run(). */
     const std::vector<ShardStats> &shardStats() const { return stats_; }
 
     /** The sub-program shard `s` executed; valid until the next
-     *  load(). */
+     *  run(). */
     const compiler::ProgramSlice &slice(unsigned s) const;
 
     /** The private accelerator of shard `s` (the co-simulator reaches
@@ -139,12 +136,14 @@ class ShardedBackend final : public ExecutionBackend
   private:
     ShardedBackend() = default; //!< the factories fill it in
 
-    void reset();
     void runShardsThreaded(std::vector<ExecutionResult> &results);
     void runShardsFleet(std::vector<ExecutionResult> &results);
-    void mergeRetirement(const compiler::Program &program,
-                         std::vector<ExecutionResult> &results);
-    void mergeReports(std::vector<ExecutionResult> &results);
+    std::vector<RetiredInstruction>
+    mergeRetirement(const compiler::Program &program,
+                    const std::vector<ExecutionResult> &results) const;
+    /** Fill merged.report/hasReport and makespan_ from the shards. */
+    void mergeReports(const std::vector<ExecutionResult> &results,
+                      ExecutionResult &merged);
 
     /** Private-memory shards; empty in fleet mode. */
     std::vector<std::unique_ptr<TimingBackend>> shards_;
@@ -158,15 +157,10 @@ class ShardedBackend final : public ExecutionBackend
     arch::FleetReport fleetReport_{};
     std::vector<std::vector<RetiredInstruction>> shardCompletions_;
 
-    // State of the last load(), cleared by the next one.
+    // State of the last run(), cleared by the next one.
     std::vector<compiler::ProgramSlice> slices_;
     std::vector<ShardStats> stats_;
-    std::vector<RetiredInstruction> merged_;
-    arch::SimReport report_;
-    bool hasReport_ = false;
     std::uint64_t makespan_ = 0;
-    std::size_t cursor_ = 0;
-    bool loaded_ = false;
 };
 
 } // namespace morphling::exec

@@ -57,62 +57,26 @@ TimingBackend::TimingBackend(arch::ArchConfig config,
 {
 }
 
-void
-TimingBackend::load(const compiler::Program &program, const Job &job)
+ExecutionResult
+TimingBackend::run(const compiler::Program &program, const Job &)
 {
-    (void)job; // the cycle model carries no ciphertext data
     completions_.clear();
-    retireOrder_.clear();
-    cursor_ = 0;
+    report_ = arch::SimReport{};
+    ExecutionResult result;
+    result.backend = name();
+    if (program.size() == 0)
+        return result; // nothing to simulate, nothing to report
 
     report_ = accel_.run(
         program,
         [this](std::size_t index, const compiler::Instruction &inst,
                std::uint64_t tick) {
-            RetiredInstruction r;
-            r.index = index;
-            r.inst = inst;
-            r.seq = completions_.size();
-            r.tick = tick;
-            completions_.push_back(r);
+            completions_.push_back({index, inst, completions_.size(),
+                                    tick});
         });
-
-    // Architectural retirement: per group in program order, each
-    // instruction retiring at the running max of its group's
-    // completion ticks (ROB view over the overlapping chains).
-    retireOrder_ = architecturalRetirement(program, completions_);
-
-    loaded_ = true;
-}
-
-std::optional<RetiredInstruction>
-TimingBackend::step()
-{
-    panic_if(!loaded_, "step() before load()");
-    if (cursor_ >= retireOrder_.size())
-        return std::nullopt;
-    return retireOrder_[cursor_++];
-}
-
-bool
-TimingBackend::done() const
-{
-    return loaded_ && cursor_ >= retireOrder_.size();
-}
-
-ExecutionResult
-TimingBackend::finish()
-{
-    panic_if(!loaded_, "finish() before load()");
-    panic_if(!done(), "finish() before the program fully retired");
-    ExecutionResult result;
-    result.backend = name();
     result.report = report_;
     result.hasReport = true;
-    result.retired = std::move(retireOrder_);
-    retireOrder_.clear();
-    cursor_ = 0;
-    loaded_ = false;
+    result.retired = architecturalRetirement(program, completions_);
     return result;
 }
 

@@ -3,17 +3,17 @@
  * The timing execution backend: wraps the arch::Accelerator cycle
  * model behind the ExecutionBackend interface, semantics unchanged.
  *
- * load() runs the event-driven simulation eagerly (the cycle model is
- * not single-steppable from outside the event queue) and records the
- * raw per-instruction completion events via the scheduler's retire
- * hook. Completion order within a group is NOT program order — the HW
+ * run() runs the event-driven simulation and records the raw
+ * per-instruction completion events via the scheduler's retire hook.
+ * Completion order within a group is NOT program order — the HW
  * scheduler keeps up to three chunk chains of a group in flight, so
- * chunk t+1's head may complete while chunk t drains its tail. step()
- * therefore replays the *architectural* retirement: per group, program
- * order, each instruction retiring at the running maximum of its
- * group's completion ticks (a reorder-buffer view), groups interleaved
- * by retire tick. The raw completion log stays available through
- * completionOrder() for dependency-order verification.
+ * chunk t+1's head may complete while chunk t drains its tail. The
+ * result's log is therefore the *architectural* retirement: per group,
+ * program order, each instruction retiring at the running maximum of
+ * its group's completion ticks (a reorder-buffer view), groups
+ * interleaved by retire tick. The raw completion log stays available
+ * through completionOrder() for dependency-order verification. An
+ * empty program retires nothing and has no report.
  */
 
 #ifndef MORPHLING_EXEC_TIMING_BACKEND_H
@@ -39,7 +39,7 @@ std::vector<RetiredInstruction>
 architecturalRetirement(const compiler::Program &program,
                         const std::vector<RetiredInstruction> &completions);
 
-/** Replays the cycle model's retirement through the backend API. */
+/** Runs the cycle model through the backend API. */
 class TimingBackend final : public ExecutionBackend
 {
   public:
@@ -50,28 +50,23 @@ class TimingBackend final : public ExecutionBackend
 
     /** Runs the full simulation; the Job's ciphertext data is ignored
      *  (the cycle model is data-free). */
-    void load(const compiler::Program &program,
-              const Job &job) override;
-    std::optional<RetiredInstruction> step() override;
-    bool done() const override;
-    ExecutionResult finish() override;
+    ExecutionResult run(const compiler::Program &program,
+                        const Job &job) override;
 
-    /** Raw completion events in simulator order: tick = the event
-     *  queue time each instruction's resource finished. */
+    /** Raw completion events of the last run in simulator order:
+     *  tick = the event queue time each instruction's resource
+     *  finished. */
     const std::vector<RetiredInstruction> &completionOrder() const
     {
         return completions_;
     }
 
-    /** The cycle-model report of the loaded run. */
+    /** The cycle-model report of the last run. */
     const arch::SimReport &report() const { return report_; }
 
   private:
     arch::Accelerator accel_;
-    bool loaded_ = false;
     std::vector<RetiredInstruction> completions_;
-    std::vector<RetiredInstruction> retireOrder_;
-    std::size_t cursor_ = 0;
     arch::SimReport report_;
 };
 

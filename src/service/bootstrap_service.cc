@@ -1,13 +1,11 @@
 #include "bootstrap_service.h"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 
 #include "common/logging.h"
 #include "exec/circuit_executor.h"
-#include "exec/cosim.h"
-#include "exec/functional_backend.h"
-#include "exec/timing_backend.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -569,11 +567,7 @@ BootstrapService::runLowered(const circuit::LoweredCircuit &lowered,
                              const KeyPin &pin) const
 {
     exec::BackendSpec spec;
-    // kCosim's lockstep pair is driven inline in executeBatch; circuit
-    // jobs under kCosim run on the functional half.
-    spec.kind = config_.backend == exec::BackendKind::kCosim
-                    ? exec::BackendKind::kFunctional
-                    : config_.backend;
+    spec.kind = config_.backend;
     spec.timing = config_.timing;
     spec.remote = config_.remote;
     spec.remote.fingerprint = pin.fingerprint;
@@ -590,28 +584,6 @@ BootstrapService::executeBatch(
 {
     const CachedBatch &cached = batchCircuitFor(batch);
     const KeyPin &pin = batch.requests.front().pin;
-
-    if (config_.backend == exec::BackendKind::kCosim) {
-        // The lockstep pair needs both backends at once, which the
-        // single-backend CircuitExecutor cannot drive; a one-level
-        // circuit is a single Program run, so feed it directly.
-        panic_if(cached.lowered.numLevels() != 1 ||
-                     cached.lowered.levels[0].size() != 1,
-                 "single-LUT batch lowered to an unexpected shape");
-        const compiler::Program &program =
-            cached.lowered.levels[0][0].program;
-        const exec::Job job =
-            exec::Job::batch(inputs, batch.lut->values, config_.batch);
-        exec::FunctionalBackend functional(*pin.keys);
-        exec::TimingBackend timing(config_.timing, pin.keys->params);
-        exec::CosimOptions copts;
-        copts.referenceKeys = pin.keys.get();
-        exec::LockstepCosim cosim(functional, timing, copts);
-        auto report = cosim.run(program, job);
-        panic_if(!report.ok(), "service co-simulation diverged: ",
-                 report.summary());
-        return std::move(report.functional.outputs);
-    }
 
     auto outputs = runLowered(cached.lowered, inputs, pin);
     panic_if(outputs.size() != inputs.size(), "batch circuit produced ",
@@ -663,7 +635,14 @@ BootstrapService::workerMain()
         }
 
         if (batch.lut == nullptr) {
-            auto outputs = executeCircuit(circuit_job);
+            std::vector<tfhe::LweCiphertext> outputs;
+            try {
+                outputs = executeCircuit(circuit_job);
+            } catch (...) {
+                releaseFailed(*lane, circuit_job.cost);
+                circuit_job.promise.set_exception(std::current_exception());
+                continue;
+            }
             const auto t1 = ServiceClock::now();
             {
                 std::lock_guard<std::mutex> lk(mu_);
@@ -701,9 +680,17 @@ BootstrapService::workerMain()
 
         const auto t0 = ServiceClock::now();
         std::vector<tfhe::LweCiphertext> outputs;
-        {
+        try {
             MORPHLING_SPAN("service", "execute_batch");
             outputs = executeBatch(batch, inputs);
+        } catch (...) {
+            // A backend failure (a dead remote server, a cosim
+            // divergence) fails this batch's requests, not the process.
+            const std::exception_ptr error = std::current_exception();
+            releaseFailed(*lane, count);
+            for (auto &request : batch.requests)
+                request.promise.set_exception(error);
+            continue;
         }
         const auto t1 = ServiceClock::now();
         panic_if(outputs.size() != count, "batch size mismatch");
@@ -753,6 +740,19 @@ BootstrapService::workerMain()
             batch.requests[i].promise.set_value(
                 std::move(outputs[i]));
     }
+}
+
+void
+BootstrapService::releaseFailed(Lane &lane, std::size_t cost)
+{
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        lane.outstanding -= cost;
+        outstanding_ -= cost;
+        MORPHLING_TELEMETRY_ONLY(ServiceTelem::get().outstanding.set(
+            static_cast<double>(outstanding_));)
+    }
+    spaceCv_.notify_all();
 }
 
 void

@@ -118,11 +118,15 @@ struct ServiceConfig
      * Which execution backend runs a superbatch's compiled Program.
      * kFunctional is the production path (batch.threads fans a
      * superbatch's groups out inside the worker, with byte-equal
-     * outputs); kCosim additionally retires the program through the
-     * cycle model in lockstep and panics on any divergence (a deep
-     * self-check — orders of magnitude slower). kTiming is rejected by
-     * validate(): it produces no ciphertexts, so the service could
-     * never fulfil its promises.
+     * outputs); kCosim additionally runs every program (batches and
+     * circuit levels alike) through the cycle model, cross-checks the
+     * two results and the outputs against tfhe::batchBootstrap, and
+     * fails the affected futures with exec::CosimError on any
+     * divergence (a deep self-check — orders of magnitude slower).
+     * kTiming is rejected by validate(): it produces no ciphertexts,
+     * so the service could never fulfil its promises. Any exception a
+     * backend throws (exec::CosimError, remote::RemoteError) fails the
+     * futures of the batch or circuit it was running.
      */
     exec::BackendKind backend = exec::BackendKind::kFunctional;
 
@@ -224,11 +228,10 @@ class BootstrapService
      * circuit input (creation order), the future yields one ciphertext
      * per marked output. The circuit is lowered level by level and
      * executed through exec::CircuitExecutor on the configured
-     * backend (kCosim circuits run on the functional backend; the
-     * lockstep cross-check covers the single-LUT path). The circuit's
-     * bootstrap count weighs against maxOutstanding, so big circuits
-     * apply proportional backpressure; blocks at the bound like
-     * submit(). fatal() if the service has been shut down.
+     * backend (under kCosim every level is cross-checked). The
+     * circuit's bootstrap count weighs against maxOutstanding, so big
+     * circuits apply proportional backpressure; blocks at the bound
+     * like submit(). fatal() if the service has been shut down.
      */
     std::future<std::vector<tfhe::LweCiphertext>>
     submitCircuit(circuit::Circuit circuit,
@@ -405,6 +408,11 @@ class BootstrapService
     void assemblerMain();
     void workerMain();
 
+    /** Return a failed job's `cost` to its lane's and the service's
+     *  outstanding count and wake blocked submitters, so shutdown()
+     *  still drains. */
+    void releaseFailed(Lane &lane, std::size_t cost);
+
     /** The one-level circuit bootstrapping the batch through its LUT,
      *  lowered on first use and cached in the LUT by size
      *  (superbatches repeat sizes heavily: full batches always,
@@ -413,8 +421,7 @@ class BootstrapService
     const CachedBatch &batchCircuitFor(const Superbatch &batch);
 
     /** Run a lowered circuit under `pin` on a fresh backend of the
-     *  configured kind (kCosim maps to functional here; the lockstep
-     *  pair is built inline in executeBatch). */
+     *  configured kind. */
     std::vector<tfhe::LweCiphertext>
     runLowered(const circuit::LoweredCircuit &lowered,
                const std::vector<tfhe::LweCiphertext> &inputs,

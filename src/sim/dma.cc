@@ -34,7 +34,7 @@ DmaEngine::load(std::uint64_t bytes, EventQueue::Callback on_done)
     stats_.scalar("bytes", "bytes loaded from HBM") +=
         static_cast<double>(bytes);
     ++stats_.scalar("loads", "load operations issued");
-    const Tick issued = eq_.now();
+    MORPHLING_TELEMETRY_ONLY(const Tick issued = eq_.now();)
     const Tick done = hbm_.accessStriped(
         firstChannel_, numChannels_, bytes,
         [this, cb = std::move(on_done)]() {

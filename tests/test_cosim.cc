@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests of the lockstep co-simulator: a clean FunctionalBackend /
+ * Tests of the co-simulator: a clean FunctionalBackend /
  * TimingBackend pair passes all cross-checks (including the bit-exact
  * end-of-program ciphertext comparison), and scripted stub backends
  * prove each class of divergence — reordered retirement, missed
  * coverage, mismatched instructions — is actually caught and reported
- * rather than silently accepted.
+ * rather than silently accepted, and that the kCosim backend turns a
+ * divergence into a typed CosimError.
  */
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -120,7 +123,7 @@ TEST_F(CosimFixture, MultiStageBarrierProgramPasses)
 }
 
 /**
- * A backend that replays a pre-scripted retirement log verbatim —
+ * A backend that returns a pre-scripted retirement log verbatim —
  * the adversarial half of the co-sim tests: by scripting a defect we
  * prove the oracle actually fires.
  */
@@ -135,24 +138,8 @@ class ScriptedBackend final : public ExecutionBackend
 
     std::string_view name() const override { return name_; }
 
-    void
-    load(const compiler::Program &, const Job &) override
-    {
-        cursor_ = 0;
-    }
-
-    std::optional<RetiredInstruction>
-    step() override
-    {
-        if (cursor_ >= script_.size())
-            return std::nullopt;
-        return script_[cursor_++];
-    }
-
-    bool done() const override { return cursor_ >= script_.size(); }
-
     ExecutionResult
-    finish() override
+    run(const compiler::Program &, const Job &) override
     {
         ExecutionResult result;
         result.backend = name_;
@@ -163,7 +150,6 @@ class ScriptedBackend final : public ExecutionBackend
   private:
     std::string name_;
     std::vector<RetiredInstruction> script_;
-    std::size_t cursor_ = 0;
 };
 
 /** A small two-group program and its in-order retirement script. */
@@ -260,6 +246,34 @@ TEST(CosimStub, ErrorListIsBounded)
     EXPECT_FALSE(report.ok());
     // maxErrors diagnostics plus at most one suppression notice.
     EXPECT_LE(report.errors.size(), options.maxErrors + 1);
+}
+
+TEST(CosimStub, CosimBackendThrowsTypedErrorOnDivergence)
+{
+    const auto prog = tinyProgram();
+    auto reordered = scriptInProgramOrder(prog);
+    std::swap(reordered[2], reordered[3]); // group 1 out of order
+    CosimBackend clean(
+        std::make_unique<ScriptedBackend>("good",
+                                          scriptInProgramOrder(prog)),
+        std::make_unique<ScriptedBackend>("good-timing",
+                                          scriptInProgramOrder(prog)));
+    EXPECT_EQ(clean.run(prog, Job{}).retired.size(), prog.size());
+
+    CosimBackend diverging(
+        std::make_unique<ScriptedBackend>("good",
+                                          scriptInProgramOrder(prog)),
+        std::make_unique<ScriptedBackend>("bad", reordered));
+    try {
+        (void)diverging.run(prog, Job{});
+        FAIL() << "a divergence must throw CosimError";
+    } catch (const CosimError &e) {
+        EXPECT_FALSE(e.report().ok());
+        EXPECT_EQ(e.report().instructions, prog.size());
+        EXPECT_NE(std::string(e.what()).find("cosim FAILED"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

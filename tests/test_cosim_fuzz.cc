@@ -1,10 +1,11 @@
 /**
  * @file
- * Randomized co-simulation fuzz (the ROADMAP's "cosim in CI at
- * scale" item): generate random multi-stage workloads, compile them,
- * and cross-check the functional backend in lockstep against the
- * cycle model, both monolithic and split across a random number of
- * accelerators, plus its group-parallel run against its stepped one.
+ * Randomized co-simulation fuzz: generate random multi-stage
+ * workloads, compile them, and cross-check the functional backend
+ * against the cycle model, both monolithic and split across a random
+ * number of accelerators; its one-thread log must equal the sharded
+ * merge, and its 4-thread run must reproduce the one-thread outputs
+ * and log.
  * The seed comes from MORPHLING_FUZZ_SEED when set and is
  * echoed in the log either way, so any CI failure reproduces locally
  * with one env var.
@@ -120,8 +121,8 @@ TEST_F(CosimFuzz, RandomWorkloadsPassLockstepAndShardedChecks)
         job.inputs = &inputs;
         job.lut = &lut;
 
-        // Lockstep functional vs. cycle model, with the bit-exact
-        // end-of-program reference enabled.
+        // Functional vs. cycle model, with the bit-exact end-of-program
+        // reference enabled.
         FunctionalBackend functional(evalKeys());
         TimingBackend timing(arch_cfg, keys().params);
         CosimOptions options;
@@ -133,7 +134,7 @@ TEST_F(CosimFuzz, RandomWorkloadsPassLockstepAndShardedChecks)
         // A random shard count of private accelerators as the timing
         // reference: the slices partition the program, every shard
         // passes the dependency-order checks, and the merged order is
-        // the group-parallel functional run's.
+        // the functional run's.
         const unsigned n_shards = 1 + static_cast<unsigned>(rng.nextBelow(5));
         FunctionalBackend sharded_functional(evalKeys());
         auto sharded =
@@ -155,12 +156,16 @@ TEST_F(CosimFuzz, RandomWorkloadsPassLockstepAndShardedChecks)
                       report.functional.outputs[i].raw())
                 << "slot " << i << " at 4 threads";
         }
+        const auto &sequential = report.functional.retired;
         const auto &merged = sharded_report.timing.retired;
-        ASSERT_EQ(merged.size(), parallel.retired.size());
-        for (std::size_t i = 0; i < merged.size(); ++i) {
-            EXPECT_EQ(merged[i].index, parallel.retired[i].index)
+        ASSERT_EQ(merged.size(), sequential.size());
+        ASSERT_EQ(parallel.retired.size(), sequential.size());
+        for (std::size_t i = 0; i < sequential.size(); ++i) {
+            EXPECT_EQ(merged[i].index, sequential[i].index)
                 << "retirement " << i << " with " << n_shards
                 << " shards";
+            EXPECT_EQ(parallel.retired[i].index, sequential[i].index)
+                << "retirement " << i << " at 4 threads";
         }
     }
 }

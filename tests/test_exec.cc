@@ -2,9 +2,10 @@
  * @file
  * Tests of the execution backends (src/exec): the FunctionalBackend's
  * bit-exactness against the tfhe reference batch path, its retirement
- * contract (coverage, per-group program order) in both stepped and
- * parallel modes, the TimingBackend's cycle parity with a bare
- * arch::Accelerator run, and the malformed-program diagnostics.
+ * contract (coverage, per-group program order) and its one retirement
+ * order at every thread count, the TimingBackend's cycle parity with a
+ * bare arch::Accelerator run (and its empty-program result), the
+ * kCosim backend, and the malformed-program diagnostics.
  */
 
 #include <map>
@@ -72,7 +73,9 @@ class ExecFixture : public ::testing::Test
         ASSERT_EQ(log.size(), program.size());
         std::set<std::size_t> seen;
         std::map<unsigned, std::size_t> last_index;
-        for (const auto &r : log) {
+        for (std::size_t i = 0; i < log.size(); ++i) {
+            const auto &r = log[i];
+            EXPECT_EQ(r.seq, i) << "seq is the retirement position";
             EXPECT_TRUE(seen.insert(r.index).second)
                 << "instruction " << r.index << " retired twice";
             EXPECT_EQ(r.inst, program.at(r.index));
@@ -128,47 +131,30 @@ TEST_F(ExecFixture, ParallelRunMatchesSequential)
     const auto program =
         compiler::SwScheduler(keys().params).scheduleBootstrapBatch(64);
 
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-
-    FunctionalBackend seq(evalKeys());
-    const auto sequential = seq.run(program, job);
-
-    job.options.threads = 4;
-    FunctionalBackend par(evalKeys());
-    const auto parallel = par.run(program, job);
-
-    ASSERT_EQ(sequential.outputs.size(), parallel.outputs.size());
-    for (std::size_t i = 0; i < sequential.outputs.size(); ++i)
-        EXPECT_EQ(sequential.outputs[i].raw(), parallel.outputs[i].raw());
-    checkRetirementContract(program, parallel.retired);
-}
-
-TEST_F(ExecFixture, SingleSteppedRetirementHonoursContract)
-{
-    const auto inputs = encryptBatch(16);
-    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
-        return m;
-    });
-    const auto program =
-        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(16);
-
+    // One executor, one retirement order: threads 2 and 4 reproduce
+    // the inline (1-thread) run's outputs and log exactly.
     FunctionalBackend backend(evalKeys());
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-    backend.load(program, job);
-    std::vector<RetiredInstruction> log;
-    while (auto r = backend.step())
-        log.push_back(*r);
-    EXPECT_TRUE(backend.done());
-    checkRetirementContract(program, log);
-    const auto result = backend.finish();
-    ASSERT_TRUE(result.hasOutputs);
-    const auto reference = tfhe::batchBootstrap(keys(), inputs, lut);
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        EXPECT_EQ(result.outputs[i].raw(), reference[i].raw());
+    const auto sequential =
+        backend.run(program, Job::batch(inputs, lut));
+    checkRetirementContract(program, sequential.retired);
+    for (const unsigned threads : {2u, 4u}) {
+        tfhe::BatchOptions options;
+        options.threads = threads;
+        const auto parallel =
+            backend.run(program, Job::batch(inputs, lut, options));
+        ASSERT_EQ(sequential.outputs.size(), parallel.outputs.size());
+        for (std::size_t i = 0; i < sequential.outputs.size(); ++i)
+            EXPECT_EQ(sequential.outputs[i].raw(),
+                      parallel.outputs[i].raw())
+                << "slot " << i << " at " << threads << " threads";
+        ASSERT_EQ(sequential.retired.size(), parallel.retired.size());
+        for (std::size_t i = 0; i < sequential.retired.size(); ++i) {
+            EXPECT_EQ(sequential.retired[i].index,
+                      parallel.retired[i].index)
+                << "retirement " << i << " at " << threads << " threads";
+            EXPECT_EQ(sequential.retired[i].seq, parallel.retired[i].seq);
+        }
+    }
 }
 
 TEST_F(ExecFixture, MultiStageBarrierProgramExecutes)
@@ -234,15 +220,62 @@ TEST_F(ExecFixture, TimingCompletionLogCoversProgram)
     TimingBackend backend(arch::ArchConfig::morphlingDefault(), params);
     const auto program =
         compiler::SwScheduler(params).scheduleBootstrapBatch(32);
-    backend.load(program, Job{});
+    const auto result = backend.run(program, Job{});
     const auto &completions = backend.completionOrder();
     ASSERT_EQ(completions.size(), program.size());
     std::set<std::size_t> seen;
     for (const auto &c : completions)
         EXPECT_TRUE(seen.insert(c.index).second);
-    while (backend.step()) {
-    }
-    (void)backend.finish();
+    checkRetirementContract(program, result.retired);
+}
+
+TEST_F(ExecFixture, EmptyProgramRetiresNothing)
+{
+    const compiler::Program empty("empty");
+    TimingBackend timing(arch::ArchConfig::morphlingDefault(),
+                         keys().params);
+    const auto timed = timing.run(empty, Job{});
+    EXPECT_FALSE(timed.hasReport);
+    EXPECT_TRUE(timed.retired.empty());
+    EXPECT_TRUE(timing.completionOrder().empty());
+
+    FunctionalBackend functional(evalKeys());
+    const auto result = functional.run(empty, Job{});
+    EXPECT_TRUE(result.outputs.empty());
+    EXPECT_TRUE(result.retired.empty());
+}
+
+TEST_F(ExecFixture, CosimBackendReturnsBothHalves)
+{
+    const auto inputs = encryptBatch(16);
+    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+        return (m + 3) % 4;
+    });
+    const auto program =
+        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(16);
+    const Job job = Job::batch(inputs, lut);
+
+    BackendSpec spec;
+    spec.kind = BackendKind::kCosim;
+    const auto cosim = makeBackend(evalKeys(), spec);
+    EXPECT_EQ(cosim->name(), "cosim");
+    const auto result = cosim->run(program, job);
+
+    const auto functional = FunctionalBackend(evalKeys()).run(program, job);
+    ASSERT_TRUE(result.hasOutputs);
+    ASSERT_EQ(result.outputs.size(), functional.outputs.size());
+    for (std::size_t i = 0; i < result.outputs.size(); ++i)
+        EXPECT_EQ(result.outputs[i].raw(), functional.outputs[i].raw());
+    checkRetirementContract(program, result.retired);
+
+    const auto timed =
+        TimingBackend(spec.timing, keys().params).run(program, job);
+    ASSERT_TRUE(result.hasReport);
+    EXPECT_EQ(result.report.cycles, timed.report.cycles);
+    EXPECT_EQ(result.report.bootstraps, timed.report.bootstraps);
+    EXPECT_EQ(result.report.hbmBytes, timed.report.hbmBytes);
+    EXPECT_EQ(result.report.bskBytes, timed.report.bskBytes);
+    EXPECT_EQ(result.report.xpuBusyCycles, timed.report.xpuBusyCycles);
 }
 
 TEST_F(ExecFixture, BackendKindNamesAreStable)
@@ -270,7 +303,7 @@ TEST_F(ExecDeathTest, MalformedStreamIsRejected)
     job.inputs = &inputs;
     job.lut = &lut;
     FunctionalBackend backend(evalKeys());
-    EXPECT_DEATH(backend.load(program, job), "");
+    EXPECT_DEATH(backend.run(program, job), "");
 }
 
 TEST_F(ExecDeathTest, InputCountMismatchIsRejected)
@@ -285,7 +318,7 @@ TEST_F(ExecDeathTest, InputCountMismatchIsRejected)
     job.inputs = &inputs;
     job.lut = &lut;
     FunctionalBackend backend(evalKeys());
-    EXPECT_DEATH(backend.load(program, job), "");
+    EXPECT_DEATH(backend.run(program, job), "");
 }
 
 } // namespace

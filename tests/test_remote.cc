@@ -2,11 +2,12 @@
  * @file
  * Tests of the remote execution backend (src/exec/remote_*): loopback
  * bit-identity against the local FunctionalBackend (outputs AND
- * retirement log) for superbatches and circuits, idempotent retry
- * after a forced mid-stream disconnect, transport failure paths
- * (truncated payload, version mismatch, silent server, refused
- * connect), over-the-wire key enrollment, and the service layer
- * running over BackendKind::kRemote.
+ * retirement log) for superbatches and circuits at 1 and 4 threads,
+ * the server's thread clamp, idempotent retry after a disconnect that
+ * lost the result frame, transport failure paths (truncated payload,
+ * version mismatch, silent server, refused connect), typed misuse
+ * errors, over-the-wire key enrollment, and the service layer running
+ * over BackendKind::kRemote (including against a dead server).
  */
 
 #include <arpa/inet.h>
@@ -135,7 +136,8 @@ class RemoteFixture : public ::testing::Test
     sendRawExecute(std::uint16_t port, std::uint64_t requestId,
                    const std::vector<tfhe::Torus32> &lut,
                    const compiler::Program &program,
-                   const std::vector<tfhe::LweCiphertext> &inputs)
+                   const std::vector<tfhe::LweCiphertext> &inputs,
+                   std::uint32_t threads = 1)
     {
         const auto deadline =
             remote::deadlineAfter(std::chrono::seconds(10));
@@ -149,7 +151,7 @@ class RemoteFixture : public ::testing::Test
         w.u64(requestId);
         w.u64(tfhe::fingerprintEvaluationKeys(evalKeys()));
         w.u8(0);   // signLut
-        w.u32(1);  // threads
+        w.u32(threads);
         w.u8(0);   // checkNoise
         w.f64(4.0); // minSlotSigmas
         remote::writeTorusVector(w, lut);
@@ -220,21 +222,60 @@ TEST_F(RemoteFixture, SuperbatchBitIdenticalToLocalFunctional)
     });
     const auto program =
         compiler::SwScheduler(keys().params).scheduleBootstrapBatch(64);
-    const Job job = Job::batch(inputs, lut);
-
-    FunctionalBackend local(evalKeys());
-    const auto reference = local.run(program, job);
-
     RemoteBackend remote(evalKeys(), clientConfig(server->port()));
-    const auto result = remote.run(program, job);
+    FunctionalBackend local(evalKeys());
 
-    EXPECT_EQ(result.backend, "remote");
-    expectIdentical(result, reference);
-    EXPECT_EQ(remote.lastServerExecutions(), 1u);
-    EXPECT_EQ(server->stats().executions, 1u);
-    for (std::size_t i = 0; i < result.outputs.size(); ++i)
-        EXPECT_EQ(tfhe::decryptPadded(keys(), result.outputs[i], 4),
-                  (i % 4 + 1) % 4);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        tfhe::BatchOptions options;
+        options.threads = threads;
+        const Job job = Job::batch(inputs, lut, options);
+        const auto reference = local.run(program, job);
+        const auto result = remote.run(program, job);
+
+        EXPECT_EQ(result.backend, "remote");
+        expectIdentical(result, reference);
+        EXPECT_EQ(remote.lastServerExecutions(), 1u);
+        for (std::size_t i = 0; i < result.outputs.size(); ++i)
+            EXPECT_EQ(tfhe::decryptPadded(keys(), result.outputs[i], 4),
+                      (i % 4 + 1) % 4);
+    }
+    EXPECT_EQ(server->stats().executions, 2u);
+}
+
+TEST_F(RemoteFixture, WireThreadCountIsClamped)
+{
+    // A peer asking for 2^32 - 1 threads gets the host's hardware
+    // concurrency at most, and the same bytes as a local run.
+    auto server = startServer();
+    const auto inputs = encryptBatch(16);
+    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+        return (m + 2) % 4;
+    });
+    const auto program =
+        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(16);
+    const auto reference =
+        FunctionalBackend(evalKeys()).run(program, Job::batch(inputs, lut));
+
+    const auto reply = sendRawExecute(server->port(), 5, lut, program,
+                                      inputs, 0xFFFFFFFFu);
+    ASSERT_EQ(reply.type, FrameType::kResult);
+    remote::WireReader r(reply.payload);
+    EXPECT_EQ(r.u64(), 5u);          // request id
+    EXPECT_EQ(r.u64(), 1u);          // executions
+    EXPECT_EQ(r.u8(), 1u);           // hasOutputs
+    ASSERT_EQ(r.u32(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        EXPECT_EQ(remote::readCiphertext(r).raw(),
+                  reference.outputs[i].raw())
+            << "output " << i;
+    ASSERT_EQ(r.u32(), reference.retired.size());
+    for (const auto &want : reference.retired) {
+        EXPECT_EQ(r.u64(), want.index);
+        EXPECT_EQ(r.u64(), want.seq);
+        EXPECT_EQ(r.u64(), want.tick);
+    }
+    EXPECT_TRUE(r.atEnd());
 }
 
 TEST_F(RemoteFixture, SignLutJobMatchesLocal)
@@ -255,13 +296,12 @@ TEST_F(RemoteFixture, SignLutJobMatchesLocal)
 TEST_F(RemoteFixture, AdderCircuitBitIdenticalOverTheWire)
 {
     // The 8-bit adder rides submitCircuit's machinery: an
-    // exec::CircuitExecutor drives the backend level by level. A
-    // mid-stream disconnect is injected into one of the level
-    // programs' retirement streams; the retry must leave the final
-    // sums bit-identical to the all-local run.
+    // exec::CircuitExecutor drives the backend level by level. The
+    // first level program's result frame is dropped after the server
+    // cached it; the retry must replay it and leave the final sums
+    // bit-identical to the all-local run.
     RemoteServerConfig sconfig;
-    sconfig.retireChunk = 4;
-    sconfig.dropAfterRetireFrames = 1;
+    sconfig.dropFirstResult = true;
     auto server = startServer(sconfig);
 
     const auto c = adder(8);
@@ -282,7 +322,16 @@ TEST_F(RemoteFixture, AdderCircuitBitIdenticalOverTheWire)
     for (std::size_t i = 0; i < result.outputs.size(); ++i)
         EXPECT_EQ(result.outputs[i].raw(), reference.outputs[i].raw())
             << "output " << i;
-    EXPECT_GE(server->stats().dropped, 1u) << "injected drop not hit";
+    const auto stats = server->stats();
+    EXPECT_GE(stats.dropped, 1u) << "injected drop not hit";
+    // Every level program ran exactly once; the dropped one took a
+    // second attempt, answered from the cache.
+    std::size_t runs = 0;
+    for (const auto &level : result.levels)
+        runs += level.steps;
+    EXPECT_EQ(stats.executions, runs);
+    EXPECT_GE(stats.requests, runs + 1);
+    EXPECT_GE(stats.replays, 1u);
 
     unsigned sum = 0;
     for (std::size_t i = 0; i + 1 < result.outputs.size(); ++i)
@@ -296,8 +345,7 @@ TEST_F(RemoteFixture, AdderCircuitBitIdenticalOverTheWire)
 TEST_F(RemoteFixture, MidStreamDisconnectRetriesWithoutReexecution)
 {
     RemoteServerConfig sconfig;
-    sconfig.retireChunk = 8; // several frames per superbatch
-    sconfig.dropAfterRetireFrames = 2;
+    sconfig.dropFirstResult = true;
     auto server = startServer(sconfig);
 
     const auto inputs = encryptBatch(64);
@@ -690,10 +738,6 @@ TEST_F(RemoteFixture, NonFunctionalInnerRejectedAtStart)
             << backendKindName(kind);
         EXPECT_FALSE(server.running());
     }
-    RemoteServerConfig no_chunk;
-    no_chunk.retireChunk = 0;
-    RemoteServer server(no_chunk);
-    EXPECT_THROW(server.start(), std::invalid_argument);
 }
 
 TEST_F(RemoteFixture, BackendSpecBuildsRemote)
@@ -717,6 +761,58 @@ TEST_F(RemoteFixture, BackendSpecBuildsRemote)
     for (std::size_t i = 0; i < result.outputs.size(); ++i)
         EXPECT_EQ(tfhe::decryptPadded(keys(), result.outputs[i], 4),
                   3 - (i % 4));
+}
+
+TEST_F(RemoteFixture, MisconfiguredRemoteThrowsInvalidArgument)
+{
+    BackendSpec spec;
+    spec.kind = BackendKind::kRemote;
+    spec.remote = clientConfig(0);
+    EXPECT_THROW(makeBackend(evalKeys(), spec), std::invalid_argument);
+    RemoteClientConfig no_attempts = clientConfig(1234);
+    no_attempts.maxAttempts = 0;
+    EXPECT_THROW(RemoteBackend(evalKeys(), no_attempts),
+                 std::invalid_argument);
+}
+
+TEST_F(RemoteFixture, ServiceOnDeadPortFailsFuturesAndShutsDown)
+{
+    // A port nothing listens on: every batch's backend throws, which
+    // must fail the batch's futures rather than the worker thread.
+    std::uint16_t port = 0;
+    {
+        auto probe = startServer();
+        port = probe->port();
+        probe->stop();
+    }
+    service::ServiceConfig config;
+    config.backend = BackendKind::kRemote;
+    config.remote = clientConfig(port);
+    config.remote.maxAttempts = 1;
+    config.numWorkers = 2;
+    config.maxWait = std::chrono::milliseconds(1);
+    service::BootstrapService svc(evalKeys(), config);
+
+    const auto lut =
+        svc.registerLut(tfhe::makePaddedLut(4, [](std::uint32_t m) {
+            return m;
+        }));
+    std::vector<std::future<tfhe::LweCiphertext>> futures;
+    for (unsigned i = 0; i < 6; ++i)
+        futures.push_back(svc.submit(
+            tfhe::encryptPadded(keys(), i % 4, 4, rng), lut));
+    for (auto &future : futures) {
+        try {
+            (void)future.get();
+            FAIL() << "a dead server cannot have answered";
+        } catch (const RemoteError &e) {
+            EXPECT_EQ(e.kind(), RemoteErrorKind::kConnectFailed)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(svc.outstanding(), 0u);
+    svc.shutdown();
+    EXPECT_TRUE(svc.stopped());
 }
 
 TEST_F(RemoteFixture, ServiceRunsOverRemoteBackend)
