@@ -19,6 +19,7 @@
 #include "tfhe/encoding.h"
 #include "tfhe/fft.h"
 #include "tfhe/fft_dispatch.h"
+#include "tfhe/fft_kernels.h"
 #include "tfhe/workspace.h"
 
 using namespace morphling;
@@ -379,37 +380,31 @@ runChunkBlindRotate(benchmark::State &state, FftDispatchTier tier,
 }
 
 void
-runSlotTileProduct(benchmark::State &state, FftDispatchTier tier)
+runLaneTileCmux(benchmark::State &state, FftDispatchTier tier)
 {
-    // One set-I slot-lane tile (W ciphertexts, W the tier's lane width)
-    // through NegacyclicFft::slotTileProduct: forward transforms of the
-    // digit rows, the MAC and the inverse-add. Each call takes the next
-    // of 64 BSK_i (4 MiB at set I), so, as in a blind rotation, the key
-    // is never hot in L1 or L2.
+    // One set-I CMux round of a lane-resident tile (W ciphertexts, W the
+    // tier's lane width) through the tier's laneTileCmux kernel: the
+    // gathered rotate-and-decompose, the forward with the twist in stage
+    // 0, the MAC, and the inverse with the rounding store in stage 0.
+    // Each call takes the next of 64 BSK_i (4 MiB at set I) and its own
+    // rotation powers, so, as in a blind rotation, the key is never hot
+    // in L1 or L2.
     forceFftDispatchTier(tier);
     const auto &keys = keysFor("I");
-    const unsigned n = keys.params.polyDegree;
-    const unsigned cols = keys.params.glweDimension + 1;
-    const unsigned rows = cols * keys.params.bskLevels;
-    const unsigned w = blindRotateTile();
-    const auto &fft = NegacyclicFft::forDegree(n);
+    const auto &params = keys.params;
+    const unsigned cols = params.glweDimension + 1;
+    const unsigned rows = cols * params.bskLevels;
+    const detail::BatchKernels &kernels = detail::activeBatchKernels();
+    const unsigned w = kernels.width;
+    BootstrapWorkspace ws;
+    ws.ensure(params.glweDimension, params.polyDegree, params.bskLevels,
+              params.bskBaseBits, 1, w);
     Rng rng(15);
-    const std::int32_t half_base = 1 << (keys.params.bskBaseBits - 1);
-    std::vector<IntPolynomial> digits(w * rows, IntPolynomial(n));
-    std::vector<const std::int32_t *> digit_ptrs;
-    for (auto &d : digits) {
-        for (unsigned j = 0; j < n; ++j)
-            d[j] = static_cast<std::int32_t>(rng.nextU32() %
-                                             (2 * half_base)) -
-                   half_base;
-        digit_ptrs.push_back(d.data());
-    }
-    std::vector<TorusPolynomial> accs(w * cols, TorusPolynomial(n));
-    std::vector<Torus32 *> out;
-    for (auto &a : accs)
-        out.push_back(a.data());
+    for (auto &a : ws.laneAcc)
+        a = rng.nextU32();
     constexpr unsigned kKeys = 64;
     std::vector<const double *> key_re, key_im;
+    std::vector<unsigned> powers;
     for (unsigned i = 0; i < kKeys; ++i) {
         const auto &ggsw = keys.bsk.entry(i);
         for (unsigned r = 0; r < rows; ++r) {
@@ -418,18 +413,19 @@ runSlotTileProduct(benchmark::State &state, FftDispatchTier tier)
                 key_im.push_back(ggsw.at(r, c).imData());
             }
         }
+        for (unsigned t = 0; t < w; ++t)
+            powers.push_back(rng.nextU32() % (2 * params.polyDegree));
     }
-    AlignedVector<double> digit_plane(2 * std::size_t{rows} * w * n / 2);
-    AlignedVector<double> acc_plane(2 * std::size_t{cols} * w * n / 2);
+    const auto &view = NegacyclicFft::forDegree(params.polyDegree).view();
     unsigned key = 0;
     for (auto _ : state) {
-        fft.slotTileProduct(digit_ptrs.data(), rows,
-                            key_re.data() + key * rows * cols,
-                            key_im.data() + key * rows * cols, cols,
-                            out.data(), digit_plane.data(),
-                            acc_plane.data());
+        kernels.laneTileCmux(view, ws.plan, cols, powers.data() + key * w,
+                             key_re.data() + key * rows * cols,
+                             key_im.data() + key * rows * cols,
+                             ws.laneAcc.data(), ws.laneDigits.data(),
+                             ws.digitPlanes.data(), ws.accPlanes.data());
         key = (key + 1) % kKeys;
-        benchmark::DoNotOptimize(accs[0][0]);
+        benchmark::DoNotOptimize(ws.laneAcc[0]);
     }
     state.SetItemsProcessed(state.iterations() * w);
     state.SetLabel(std::string(fftDispatchTierName(tier)) + ", " +
@@ -438,25 +434,31 @@ runSlotTileProduct(benchmark::State &state, FftDispatchTier tier)
 }
 
 void
-runKeySwitch(benchmark::State &state, FftDispatchTier tier)
+runKeySwitch(benchmark::State &state, FftDispatchTier tier, unsigned count)
 {
-    // One set-I key switch (kN = 1024 masks, l_k = 2, rows of n+1 =
-    // 501 words) through the tier's row kernel.
+    // Set-I key switches (kN = 1024 masks, l_k = 2, rows of n+1 = 501
+    // words) through the tier's row kernel: one chunk-major applyBatch
+    // over `count` distinct ciphertexts, as VPU.KS runs a chunk (count
+    // 1 is applyInto).
     forceFftDispatchTier(tier);
     const auto &keys = keysFor("I");
     Rng rng(4);
-    const auto glwe_ct = GlweCiphertext::encrypt(
-        keys.glweKey,
-        constantTestPolynomial(keys.params.polyDegree, 0),
-        keys.params.glweNoiseStd, rng);
-    const auto extracted = glwe_ct.sampleExtract();
-    LweCiphertext out;
+    std::vector<LweCiphertext> extracted;
+    for (unsigned i = 0; i < count; ++i)
+        extracted.push_back(
+            GlweCiphertext::encrypt(
+                keys.glweKey,
+                constantTestPolynomial(keys.params.polyDegree, 0),
+                keys.params.glweNoiseStd, rng)
+                .sampleExtract());
+    std::vector<LweCiphertext> out(count);
     for (auto _ : state) {
-        keys.ksk.applyInto(extracted, out);
-        benchmark::DoNotOptimize(out.body());
+        keys.ksk.applyBatch(extracted.data(), out.data(), count);
+        benchmark::DoNotOptimize(out.back().body());
     }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel(std::string(fftDispatchTierName(tier)) + ", set I");
+    state.SetItemsProcessed(state.iterations() * count);
+    state.SetLabel(std::string(fftDispatchTierName(tier)) + ", " +
+                   std::to_string(count) + " LWE, set I");
     resetFftDispatchTier();
 }
 
@@ -496,12 +498,16 @@ registerDispatchTierBenchmarks()
             })
             ->Unit(benchmark::kMillisecond);
         benchmark::RegisterBenchmark(
-            ("BM_SlotTileProduct/" + tn).c_str(),
-            [tier](benchmark::State &s) { runSlotTileProduct(s, tier); })
+            ("BM_LaneTileCmux/" + tn).c_str(),
+            [tier](benchmark::State &s) { runLaneTileCmux(s, tier); })
             ->Unit(benchmark::kMicrosecond);
         benchmark::RegisterBenchmark(
             ("BM_KeySwitch/" + tn).c_str(),
-            [tier](benchmark::State &s) { runKeySwitch(s, tier); })
+            [tier](benchmark::State &s) { runKeySwitch(s, tier, 1); })
+            ->Unit(benchmark::kMicrosecond);
+        benchmark::RegisterBenchmark(
+            ("BM_KeySwitch/" + tn + "/batch16").c_str(),
+            [tier](benchmark::State &s) { runKeySwitch(s, tier, kChunk); })
             ->Unit(benchmark::kMicrosecond);
     }
 }

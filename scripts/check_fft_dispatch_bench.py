@@ -5,13 +5,13 @@ Run by the perf-smoke CI leg after `bench_cpu_primitives --json` with a
 filter covering the dispatch families. Checks:
 
   1. BM_BatchFftForward, BM_BatchFftInverse, BM_DispatchBootstrap,
-     BM_ChunkBlindRotate, BM_SlotTileProduct and BM_KeySwitch entries
+     BM_ChunkBlindRotate, BM_LaneTileCmux and BM_KeySwitch entries
      exist, including the scalar tier (always registered).
   2. When a vector tier ran on this host, the widest tier beats scalar
      by a generous margin on the batched forward FFT at N=1024 and on
      the set-I key switch, and every vector tier beats scalar on the
-     iteration-major 16-LWE chunk rotation (each tier has its own
-     slot-lane tile kernel, so a narrower tier can break on its own).
+     16-LWE chunk rotation (each tier has its own lane-tile kernel, so
+     a narrower tier can break on its own).
      The real speedups are ~2x (FFT), ~3.5x to ~4.5x (rotation) and ~4x
      (key switch) on AVX-512 hardware; the 1.15x gate only catches a
      dispatch path that silently routes wide batches through the scalar
@@ -61,7 +61,7 @@ def main():
 
     for family in ("BM_BatchFftForward", "BM_BatchFftInverse",
                    "BM_DispatchBootstrap", "BM_ChunkBlindRotate",
-                   "BM_SlotTileProduct", "BM_KeySwitch"):
+                   "BM_LaneTileCmux", "BM_KeySwitch"):
         names = [n for n in rows if n.startswith(family + "/")]
         if not names:
             fail(f"no {family} entries in report")

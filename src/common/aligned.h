@@ -18,6 +18,7 @@
 #define MORPHLING_COMMON_ALIGNED_H
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 

@@ -252,8 +252,12 @@ FunctionalBackend::execute(const InstrRef &ref,
         Chunk &chunk = chunks_[ref.chunk];
         panic_if(!chunk.modSwitched || !chunk.bskArmed || chunk.rotated,
                  "XPU.BR out of order");
-        // Iteration-major over the whole chunk: each BSK_i serves
-        // every ciphertext, as a streamed BSK_i serves a VPE row.
+        // The whole chunk in one call: each full tile of W
+        // ciphertexts takes all n CMux rounds in one lane-resident
+        // pass (each BSK_i coefficient serving W lanes, as a streamed
+        // BSK_i serves a VPE row), the rest iteration-major. The
+        // chunk's one DMA.LD_BSK is the accelerator's reuse; the CPU
+        // order does not change it.
         chunk.accs.resize(chunk.count);
         tfhe::blindRotateBatch(bsk_, testPoly_, chunk.switched.data(),
                                chunk.accs.data(), chunk.count, ws);
@@ -282,9 +286,11 @@ FunctionalBackend::execute(const InstrRef &ref,
         panic_if(!chunk.extracted || !chunk.kskLoaded ||
                      chunk.keySwitched,
                  "VPU.KS out of order");
+        // Chunk-major: each KSK row serves the whole chunk, as the
+        // chunk's one DMA.LD_KSK serves the VPU.
         chunk.results.resize(chunk.count);
-        for (unsigned i = 0; i < chunk.count; ++i)
-            ksk_.applyInto(chunk.extractedCts[i], chunk.results[i]);
+        ksk_.applyBatch(chunk.extractedCts.data(), chunk.results.data(),
+                        chunk.count);
         chunk.keySwitched = true;
         break;
       }

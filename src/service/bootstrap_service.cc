@@ -34,6 +34,9 @@ struct ServiceTelem
                     "trySubmit refusals (queue full)");
     telemetry::Counter &completed =
         reg.counter("service.requests_completed", "promises fulfilled");
+    telemetry::Counter &failed =
+        reg.counter("service.requests_failed",
+                    "promises failed by a backend exception");
     telemetry::Counter &batches =
         reg.counter("service.superbatches", "batches dispatched");
     telemetry::Counter &flushFull =
@@ -162,6 +165,7 @@ BootstrapService::BootstrapService(ServiceConfig config)
     stats_.scalar("accepted", "requests admitted past backpressure");
     stats_.scalar("rejected", "trySubmit refusals (queue full)");
     stats_.scalar("completed", "promises fulfilled");
+    stats_.scalar("failed", "promises failed by a backend exception");
     stats_.scalar("superbatches", "batches dispatched");
     stats_.scalar("fullBatches", "batches dispatched at full size");
     stats_.scalar("timerFlushes", "partial batches shipped by timer");
@@ -169,6 +173,7 @@ BootstrapService::BootstrapService(ServiceConfig config)
     stats_.scalar("deadlineMisses", "requests dispatched past deadline");
     stats_.scalar("circuits", "circuit submissions accepted");
     stats_.scalar("circuitsCompleted", "circuit promises fulfilled");
+    stats_.scalar("circuitsFailed", "circuit promises failed");
     stats_.scalar("circuitBootstraps", "bootstraps retired in circuits");
     stats_.histogram("occupancy", "requests per dispatched batch");
     stats_.histogram("queueLatencyUs", "submit -> batch assembly");
@@ -639,7 +644,7 @@ BootstrapService::workerMain()
             try {
                 outputs = executeCircuit(circuit_job);
             } catch (...) {
-                releaseFailed(*lane, circuit_job.cost);
+                releaseFailed(*lane, circuit_job.cost, true);
                 circuit_job.promise.set_exception(std::current_exception());
                 continue;
             }
@@ -687,7 +692,7 @@ BootstrapService::workerMain()
             // A backend failure (a dead remote server, a cosim
             // divergence) fails this batch's requests, not the process.
             const std::exception_ptr error = std::current_exception();
-            releaseFailed(*lane, count);
+            releaseFailed(*lane, count, false);
             for (auto &request : batch.requests)
                 request.promise.set_exception(error);
             continue;
@@ -743,14 +748,23 @@ BootstrapService::workerMain()
 }
 
 void
-BootstrapService::releaseFailed(Lane &lane, std::size_t cost)
+BootstrapService::releaseFailed(Lane &lane, std::size_t cost,
+                                bool circuit)
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
+        if (circuit)
+            ++stats_.scalar("circuitsFailed");
+        else
+            stats_.scalar("failed") += static_cast<double>(cost);
         lane.outstanding -= cost;
         outstanding_ -= cost;
-        MORPHLING_TELEMETRY_ONLY(ServiceTelem::get().outstanding.set(
-            static_cast<double>(outstanding_));)
+        MORPHLING_TELEMETRY_ONLY({
+            auto &telem = ServiceTelem::get();
+            if (!circuit)
+                telem.failed.inc(cost);
+            telem.outstanding.set(static_cast<double>(outstanding_));
+        })
     }
     spaceCv_.notify_all();
 }
@@ -810,6 +824,7 @@ BootstrapService::stats() const
     out.accepted = scalar("accepted");
     out.rejected = scalar("rejected");
     out.completed = scalar("completed");
+    out.failed = scalar("failed");
     out.superbatches = scalar("superbatches");
     out.fullBatches = scalar("fullBatches");
     out.timerFlushes = scalar("timerFlushes");
@@ -817,6 +832,7 @@ BootstrapService::stats() const
     out.deadlineMisses = scalar("deadlineMisses");
     out.circuits = scalar("circuits");
     out.circuitsCompleted = scalar("circuitsCompleted");
+    out.circuitsFailed = scalar("circuitsFailed");
     out.circuitBootstraps = scalar("circuitBootstraps");
     out.pending = pendingCount_;
     out.outstanding = outstanding_;

@@ -408,10 +408,11 @@ class BootstrapService
     void assemblerMain();
     void workerMain();
 
-    /** Return a failed job's `cost` to its lane's and the service's
-     *  outstanding count and wake blocked submitters, so shutdown()
-     *  still drains. */
-    void releaseFailed(Lane &lane, std::size_t cost);
+    /** Count a job whose backend threw as failed (a circuit once, a
+     *  batch per request), return its `cost` to its lane's and the
+     *  service's outstanding count and wake blocked submitters, so
+     *  shutdown() still drains. */
+    void releaseFailed(Lane &lane, std::size_t cost, bool circuit);
 
     /** The one-level circuit bootstrapping the batch through its LUT,
      *  lowered on first use and cached in the LUT by size

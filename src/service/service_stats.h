@@ -25,6 +25,7 @@ struct ServiceStats
     std::uint64_t accepted = 0;   //!< requests admitted past backpressure
     std::uint64_t rejected = 0;   //!< trySubmit refusals (queue full)
     std::uint64_t completed = 0;  //!< promises fulfilled
+    std::uint64_t failed = 0;     //!< promises failed by the backend
 
     // --- superbatch counters ------------------------------------------
     std::uint64_t superbatches = 0;  //!< batches dispatched in total
@@ -36,6 +37,7 @@ struct ServiceStats
     // --- circuit submissions ------------------------------------------
     std::uint64_t circuits = 0;          //!< circuits accepted
     std::uint64_t circuitsCompleted = 0; //!< circuit promises fulfilled
+    std::uint64_t circuitsFailed = 0;    //!< circuit promises failed
     std::uint64_t circuitBootstraps = 0; //!< bootstraps retired in circuits
 
     // --- instantaneous state ------------------------------------------

@@ -35,6 +35,7 @@ runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
         auto &ws = BootstrapWorkspace::forThisThread();
         std::vector<std::vector<std::uint32_t>> switched(tile);
         std::vector<GlweCiphertext> accs(tile);
+        std::vector<LweCiphertext> extracted(tile);
         for (;;) {
             const std::size_t begin =
                 next.fetch_add(tile, std::memory_order_relaxed);
@@ -47,10 +48,9 @@ runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
                               switched[t]);
             blindRotateBatch(bsk, test_poly, switched.data(), accs.data(),
                              count, ws);
-            for (unsigned t = 0; t < count; ++t) {
-                accs[t].sampleExtractAtInto(0, ws.extracted);
-                ksk.applyInto(ws.extracted, out[begin + t]);
-            }
+            for (unsigned t = 0; t < count; ++t)
+                accs[t].sampleExtractAtInto(0, extracted[t]);
+            ksk.applyBatch(extracted.data(), out.data() + begin, count);
         }
     };
 

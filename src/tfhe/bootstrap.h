@@ -86,20 +86,25 @@ void blindRotate(const BootstrapKey &bsk,
 unsigned blindRotateTile();
 
 /**
- * Iteration-major blind rotation of `count` ciphertexts: accs[j] gets
- * the rotation of switched[j] (each as in blindRotate). For each
- * i < n, every accumulator whose a~_i is nonzero goes through one CMux
- * against BSK_i before BSK_{i+1} is touched, in tiles of
- * blindRotateTile() = W accumulators (cmuxRotateTileInPlace). So BSK_i
- * is brought into cache once per call rather than once per ciphertext,
- * and each key coefficient serves all W lanes of a tile: the CPU form
- * of the transform-domain reuse across a VPE row. A full tile runs one
- * ciphertext per lane; a shorter tile (count 1 included) and every
- * tile on the scalar tier keep the row-lane batching. Outputs are
- * byte-equal to `count` blindRotate calls on every SIMD tier. `ws`
- * grows to one W-slot tile's planes plus the row-lane depth of the
- * longest short tile, never to the batch, and keeps its
- * single-ciphertext shape for count == 1; allocation-free when warm.
+ * Blind rotation of `count` ciphertexts: accs[j] gets the rotation of
+ * switched[j] (each as in blindRotate), in tiles of blindRotateTile() =
+ * W ciphertexts, one per SIMD lane, so each key coefficient serves all
+ * W lanes of a tile: the CPU form of the transform-domain reuse across
+ * a VPE row.
+ *
+ * Each full tile runs tile-major: its W accumulators are interleaved
+ * into the workspace once, take all n CMux rounds there
+ * (BatchKernels::laneTileCmux, no transpose in any round) and are
+ * de-interleaved once. A lane whose a~_i is 0 runs that round as an
+ * exact identity. The count mod W ciphertexts left over (count 1
+ * included), and every ciphertext on the scalar tier, run
+ * iteration-major through row-lane tiles (cmuxRotateTileInPlace): for
+ * each i, every one of them whose a~_i is nonzero takes its CMux against
+ * BSK_i before BSK_{i+1} is touched. Outputs are byte-equal to `count`
+ * blindRotate calls on every SIMD tier. `ws` grows to one tile's lane
+ * buffers plus the row-lane depth of the leftover tile, never to the
+ * batch, and keeps its single-ciphertext shape for count == 1;
+ * allocation-free when warm.
  */
 void blindRotateBatch(const BootstrapKey &bsk,
                       const TorusPolynomial &test_poly,

@@ -295,22 +295,6 @@ NegacyclicFft::inverseAdd(const FourierPolynomial *const *in,
     }
 }
 
-void
-NegacyclicFft::slotTileProduct(const std::int32_t *const *digits,
-                               unsigned rows, const double *const *key_re,
-                               const double *const *key_im, unsigned cols,
-                               Torus32 *const *out, double *digit_plane,
-                               double *acc_plane) const
-{
-    // Every tier needs N/2 to be a multiple of its width and of the
-    // MAC's four-position block; N >= 16 gives both.
-    panic_if(view_.half % detail::kMaxFftLanes != 0,
-             "slot-lane tiles need N >= 16, got N=", view_.n);
-    detail::activeBatchKernels().slotTileProduct(
-        view_, digits, rows, key_re, key_im, cols, out, digit_plane,
-        acc_plane);
-}
-
 const NegacyclicFft &
 NegacyclicFft::forDegree(unsigned ring_degree)
 {

@@ -211,19 +211,9 @@ class NegacyclicFft
     void inverseAdd(const FourierPolynomial *const *in,
                     TorusPolynomial *const *out, unsigned count) const;
 
-    /**
-     * Slot-lane tile external product of one full tile of W
-     * ciphertexts, W the active tier's lane width: the tier's
-     * slotTileProduct kernel (fft_kernels.h gives the layouts). Adds
-     * slot w's product column c into out[w * cols + c]. digit_plane and
-     * acc_plane are caller scratch of 2 * rows * W * N/2 and
-     * 2 * cols * W * N/2 doubles, 64-byte aligned. Needs N >= 16.
-     */
-    void slotTileProduct(const std::int32_t *const *digits, unsigned rows,
-                         const double *const *key_re,
-                         const double *const *key_im, unsigned cols,
-                         Torus32 *const *out, double *digit_plane,
-                         double *acc_plane) const;
+    /** The tables, for a kernel the engine does not wrap (a blind
+     *  rotation's lane tiles call BatchKernels::laneTileCmux). */
+    const detail::NegacyclicView &view() const { return view_; }
 
     /** Per-thread cached engine for ring degree N. */
     static const NegacyclicFft &forDegree(unsigned ring_degree);

@@ -18,10 +18,11 @@
  * tests/test_workspace.cc).
  *
  * Two layouts feed those lanes in a blind rotation. A full tile of W
- * ciphertexts runs slot-lane (slotTileProduct): lane w carries
- * ciphertext w from its digit rows, through the MAC, to its
- * accumulator, so no spectrum is transposed between the forward and
- * the inverse. A shorter tile, a lone bootstrap among them, runs
+ * ciphertexts is lane-resident (laneTileCmux): the tile's W
+ * accumulators stay interleaved in the workspace for all n CMux
+ * rounds, and lane w carries ciphertext w from its accumulator, through
+ * its digit rows, spectra and MAC, back to its accumulator, so nothing
+ * is transposed. A shorter tile, a lone bootstrap among them, runs
  * row-lane: its (k+1)*l_b digit rows fill the lanes of forwardW, the
  * spectra are transposed out for the MAC (mulAdd), and the k+1
  * accumulators are transposed back in for inverseW.
@@ -105,29 +106,35 @@ struct BatchKernels
                      double *scratch_re, double *scratch_im) = nullptr;
 
     /**
-     * Slot-lane tile external product: W ciphertexts, one per lane,
-     * from the digits to the accumulators without leaving the
-     * interleaved layout.
-     *  1. Forward: the W slots' digit row r (digits[w * rows + r]) is
-     *     folded, twisted and transformed into interleaved plane r.
-     *  2. MAC: output column c is sum over r of plane r times key
+     * One CMux round of a lane-resident tile of W ciphertexts:
+     * ACC_w += BSK_i [.] (X^powers[w] * ACC_w - ACC_w) for w < W, with
+     * no transpose. acc holds the tile's accumulators interleaved,
+     * coefficient j of component c of ciphertext w at
+     * acc[(c * N + j) * W + w], and keeps that layout.
+     *  1. Rotate and decompose: a per-lane index gather reads
+     *     X^powers[w] * ACC_w (powers in [0, 2N)) and writes the
+     *     interleaved digit rows, row r = u * plan.levels + l at
+     *     digits + r * N * W.
+     *  2. Forward: stage 0 folds and twists the digits as it loads
+     *     them; each row becomes interleaved plane r.
+     *  3. MAC: output column c is the sum over r of plane r times key
      *     polynomial (r, c) (key_re/key_im[r * cols + c]), each key
      *     coefficient broadcast across the lanes. A block of positions
      *     keeps its accumulators in registers across all rows, starting
      *     from +0.0 and adding rows in order with mulAdd's expressions,
-     *     so every slot matches the row-lane MAC bit for bit.
-     *  3. Inverse: the inverse stages run on accumulator plane c, then
-     *     the untwist-round store adds slot w into out[w * cols + c].
+     *     so every lane matches the row-lane MAC bit for bit.
+     *  4. Inverse: the later stages run on accumulator plane c, and
+     *     stage 0 untwists, rounds and adds each lane into acc.
      * digit_plane holds 2 * rows * W * N/2 doubles and acc_plane
      * 2 * cols * W * N/2 (each a real block, then an imaginary block),
-     * 64-byte aligned; N/2 must be a multiple of W and of 4.
+     * rows = cols * plan.levels; needs N >= 8.
      */
-    void (*slotTileProduct)(const NegacyclicView &t,
-                            const std::int32_t *const *digits,
-                            unsigned rows, const double *const *key_re,
-                            const double *const *key_im, unsigned cols,
-                            Torus32 *const *out, double *digit_plane,
-                            double *acc_plane) = nullptr;
+    void (*laneTileCmux)(const NegacyclicView &t, const GadgetPlan &plan,
+                         unsigned cols, const unsigned *powers,
+                         const double *const *key_re,
+                         const double *const *key_im, Torus32 *acc,
+                         std::int32_t *digits, double *digit_plane,
+                         double *acc_plane) = nullptr;
 
     /** Pointwise complex multiply-accumulate over flat SoA arrays:
      *  p += a * b (the VPE inner loop). Any count. */

@@ -40,6 +40,18 @@ struct Avx2Traits
             _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
     }
 
+    typedef std::uint32_t UVec __attribute__((vector_size(32)));
+
+    /** 8 lanes in one vpgatherdd: two positions of a lane tile. (The
+     *  all-lanes masked form: the unmasked one starts from an undefined
+     *  register, which -Wmaybe-uninitialized flags.) */
+    static UVec gather(const Torus32 *p, UVec idx)
+    {
+        return (UVec)_mm256_mask_i32gather_epi32(
+            _mm256_setzero_si256(), reinterpret_cast<const int *>(p),
+            (__m256i)idx, _mm256_set1_epi32(-1), 4);
+    }
+
     /** 4x4 in-register transpose (unpack pairs, then cross 128-bit
      *  lanes). */
     static void transpose(Vec *r)

@@ -4,7 +4,8 @@
  * Compiled with -mavx512f -ffp-contract=off on x86-64; degrades to a
  * nullptr factory elsewhere. Only AVX-512F instructions are used
  * (loads, arithmetic, unpack/shuffle_f64x2, cvtepi32_pd), so the tier
- * runs on every AVX-512 part from Skylake-SP on.
+ * runs on every AVX-512 part from Skylake-SP on. The lane tile's
+ * gather is vpgatherdd, also AVX-512F.
  *
  * No FMA intrinsics — see the bit-identity contract in
  * fft_kernels_impl.h. The TU is also compiled with
@@ -35,8 +36,8 @@ struct Avx512Traits
     static Vec sub(Vec a, Vec b) { return _mm512_sub_pd(a, b); }
     static Vec mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
 
-    // GCC 12 implements the unmasked unpack, shuffle_f64x2, convert and
-    // roundscale intrinsics with _mm512_undefined_pd(), which
+    // GCC 12 implements the unmasked unpack, shuffle_f64x2, convert,
+    // roundscale and gather intrinsics with an undefined source, which
     // -Wmaybe-uninitialized flags. Their zero-masking forms with every
     // lane selected compile to the same unmasked instructions.
     static constexpr __mmask8 kAll = 0xFF;
@@ -47,6 +48,15 @@ struct Avx512Traits
     {
         return _mm512_maskz_cvtepi32_pd(
             kAll, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)));
+    }
+
+    typedef std::uint32_t UVec __attribute__((vector_size(64)));
+
+    /** 16 lanes in one vpgatherdd: two positions of a lane tile. */
+    static UVec gather(const Torus32 *p, UVec idx)
+    {
+        return (UVec)_mm512_mask_i32gather_epi32(
+            _mm512_setzero_si512(), 0xFFFF, (__m512i)idx, p, 4);
     }
 
     /**

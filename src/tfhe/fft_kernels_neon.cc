@@ -47,6 +47,14 @@ struct NeonTraits
         r[1] = t1;
     }
 
+    typedef std::uint32_t UVec __attribute__((vector_size(16)));
+
+    /** Lane tile gather, one lane at a time (NEON has no gather). */
+    static UVec gather(const Torus32 *p, UVec idx)
+    {
+        return UVec{p[idx[0]], p[idx[1]], p[idx[2]], p[idx[3]]};
+    }
+
     /** Per-lane roundToTorus: the reference rounding, not vectorized. */
     static void addRounded(Torus32 *p, Vec v)
     {

@@ -30,6 +30,12 @@ struct ScalarTraits
     }
     static void transpose(Vec *) {} // 1x1 tile
     static void addRounded(Torus32 *p, Vec v) { *p += roundToTorus(v); }
+
+    typedef std::uint32_t UVec __attribute__((vector_size(8)));
+    static UVec gather(const Torus32 *p, UVec idx)
+    {
+        return UVec{p[idx[0]], p[idx[1]]};
+    }
 };
 
 } // namespace

@@ -192,15 +192,15 @@ externalProductSchoolbook(const GgswCiphertext &ggsw,
 namespace {
 
 /** Check a GGSW against GLWE dimension k and shape `ws` for `depth`
- *  row-lane or `slots` slot-lane ciphertexts of ring degree n. */
+ *  row-lane ciphertexts of ring degree n. */
 void
 prepareWorkspace(const FourierGgsw &ggsw, unsigned k, unsigned n,
-                 unsigned depth, unsigned slots, BootstrapWorkspace &ws)
+                 unsigned depth, BootstrapWorkspace &ws)
 {
     panic_if(ggsw.numRows() != (k + 1) * ggsw.levels(),
              "GGSW/GLWE shape mismatch");
     panic_if(ggsw.numCols() != k + 1, "GGSW column count mismatch");
-    ws.ensure(k, n, ggsw.levels(), ggsw.baseBits(), depth, slots);
+    ws.ensure(k, n, ggsw.levels(), ggsw.baseBits(), depth);
 }
 
 /**
@@ -254,7 +254,7 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
 {
     const unsigned k = input.dimension();
     const unsigned n = input.polyDegree();
-    prepareWorkspace(ggsw, k, n, 1, 0, ws);
+    prepareWorkspace(ggsw, k, n, 1, ws);
     decomposeInto(input, ws);
     NegacyclicFft::forDegree(n).forward(
         ws.batchDigits.data(), ws.batchDigitsF.data(), ggsw.numRows());
@@ -290,7 +290,7 @@ cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
 {
     const unsigned k = acc.dimension();
     const unsigned n = acc.polyDegree();
-    prepareWorkspace(ggsw, k, n, 1, 0, ws);
+    prepareWorkspace(ggsw, k, n, 1, ws);
 
     // Lambda = X^power * ACC - ACC, rotated and decomposed as separate
     // passes: this is the reference the tile CMux's fused kernel is
@@ -320,12 +320,8 @@ cmuxRotateTileInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
     const unsigned n = accs[0]->polyDegree();
     const unsigned levels = ggsw.levels();
     const unsigned rows = ggsw.numRows();
-    // A full tile of W ciphertexts runs one per lane; the scalar tier
-    // and shorter tiles batch transforms across rows instead.
     const detail::BatchKernels &kernels = detail::activeBatchKernels();
-    const bool slot_lane = count > 1 && count == kernels.width;
-    prepareWorkspace(ggsw, k, n, slot_lane ? 1 : count,
-                     slot_lane ? count : 0, ws);
+    prepareWorkspace(ggsw, k, n, count, ws);
 
     // Lambda_t = X^power_t * ACC_t - ACC_t, rotated and decomposed in
     // one pass per component into its own slot's digit rows.
@@ -336,31 +332,11 @@ cmuxRotateTileInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
             kernels.rotateDiffDecompose(
                 n, accs[t]->component(c).data(), powers[t], ws.plan,
                 ws.batchDigits.data() + (t * (k + 1) + c) * levels);
-            if (slot_lane)
-                ws.batchOut[t * (k + 1) + c] = accs[t]->component(c).data();
-            else
-                ws.batchTorus[t * (k + 1) + c] = &accs[t]->component(c);
+            ws.batchTorus[t * (k + 1) + c] = &accs[t]->component(c);
         }
     }
 
-    if (slot_lane) {
-        // ACC_t += BSK [.] Lambda_t for the whole tile in one kernel:
-        // the spectra stay lane-interleaved from the forward
-        // transforms, through the MAC, to the inverse.
-        for (unsigned r = 0; r < rows; ++r) {
-            for (unsigned c = 0; c <= k; ++c) {
-                ws.batchKeyRe[r * (k + 1) + c] = ggsw.at(r, c).reData();
-                ws.batchKeyIm[r * (k + 1) + c] = ggsw.at(r, c).imData();
-            }
-        }
-        NegacyclicFft::forDegree(n).slotTileProduct(
-            ws.batchDigits.data(), rows, ws.batchKeyRe.data(),
-            ws.batchKeyIm.data(), k + 1, ws.batchOut.data(),
-            ws.digitPlanes.data(), ws.accPlanes.data());
-        return;
-    }
-
-    // Row lanes: one forward call for the tile's count*(k+1)*l_b digit
+    // One forward call for the tile's count*(k+1)*l_b digit
     // polynomials, ...
     NegacyclicFft::forDegree(n).forward(
         ws.batchDigits.data(), ws.batchDigitsF.data(), count * rows);

@@ -182,21 +182,18 @@ void cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
                        unsigned power, BootstrapWorkspace &ws);
 
 /**
- * Tile CMux: *accs[t] += ggsw [.] (X^powers[t] * *accs[t] - *accs[t])
- * for t < count. Each accumulator component is rotated, differenced and
- * decomposed in one pass (the dispatched tier's rotateDiffDecompose).
- * A full tile, count == W > 1 for the active tier's lane width W, then
- * runs one ciphertext per lane through NegacyclicFft::slotTileProduct:
- * the spectra stay lane-interleaved from the forward transforms, through a
- * MAC whose accumulators stay in registers, to the inverse that rounds
- * straight into the accumulators. A shorter tile, and every tile on the
- * scalar tier, batches across rows instead: its count*(k+1)*l_b
- * forward transforms run as one batched call, each key polynomial is
- * multiplied into every slot while it is in cache, and the count*(k+1)
- * inverses run as one call. Every accumulator gets exactly
+ * Row-lane tile CMux: *accs[t] += ggsw [.] (X^powers[t] * *accs[t] -
+ * *accs[t]) for t < count. Each accumulator component is rotated,
+ * differenced and decomposed in one pass (the dispatched tier's
+ * rotateDiffDecompose); the tile's count*(k+1)*l_b forward transforms
+ * run as one batched call, each key polynomial is multiplied into every
+ * slot while it is in cache, and the count*(k+1) inverses run as one
+ * call that adds into the accumulators. Every accumulator gets exactly
  * cmuxRotateInPlace's arithmetic, so the results are byte-equal to
- * count separate calls. Grows `ws` to the W-slot planes or to row-lane
- * depth `count`; allocation-free once warm.
+ * count separate calls. blindRotateBatch runs its short tiles (fewer
+ * than W ciphertexts) and every tile on the scalar tier through it; a
+ * full tile stays lane-resident instead (BatchKernels::laneTileCmux).
+ * Grows `ws` to row-lane depth `count`; allocation-free once warm.
  */
 void cmuxRotateTileInPlace(const FourierGgsw &ggsw,
                            GlweCiphertext *const *accs,

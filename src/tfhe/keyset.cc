@@ -81,31 +81,44 @@ KeySwitchKey::apply(const LweCiphertext &ct) const
 void
 KeySwitchKey::applyInto(const LweCiphertext &ct, LweCiphertext &out) const
 {
-    panic_if(ct.dimension() != sourceDim_,
-             "key switch expects dimension ", sourceDim_, ", got ",
-             ct.dimension());
+    applyBatch(&ct, &out, 1);
+}
 
+void
+KeySwitchKey::applyBatch(const LweCiphertext *in, LweCiphertext *out,
+                         unsigned count) const
+{
     // c'' = (0..0, b') - sum_{i,j} digit_{i,j} * KSK_(i,j), with each
     // extracted mask a'_i decomposed into l_k unsigned digits (with a
     // rounding offset on the discarded tail). The row updates run on
     // the dispatched SIMD tier, as VPU.KS runs on the VPU's lanes.
-    out.raw().assign(static_cast<std::size_t>(targetDim_) + 1, 0);
-    out.body() = ct.body();
+    for (unsigned t = 0; t < count; ++t) {
+        panic_if(in[t].dimension() != sourceDim_,
+                 "key switch expects dimension ", sourceDim_, ", got ",
+                 in[t].dimension());
+        out[t].raw().assign(static_cast<std::size_t>(targetDim_) + 1, 0);
+        out[t].body() = in[t].body();
+    }
     const std::uint32_t mask = (1u << baseBits_) - 1;
     const unsigned tail_bits = 32 - levels_ * baseBits_;
     const Torus32 round_offset =
         tail_bits > 0 ? (Torus32{1} << (tail_bits - 1)) : 0;
     const detail::BatchKernels &kernels = detail::activeBatchKernels();
 
+    // Mask-major: KSK_(i,.) serves every ciphertext while it is in
+    // cache. Each ciphertext still takes its rows in (i, j) order.
     for (unsigned i = 0; i < sourceDim_; ++i) {
-        const Torus32 a = ct.mask(i) + round_offset;
-        for (unsigned j = 0; j < levels_; ++j) {
-            const std::uint32_t digit =
-                (a >> (32 - (j + 1) * baseBits_)) & mask;
-            if (digit == 0)
-                continue;
-            kernels.subScaledRow(targetDim_ + 1, digit,
-                                 at(i, j).raw().data(), out.raw().data());
+        for (unsigned t = 0; t < count; ++t) {
+            const Torus32 a = in[t].mask(i) + round_offset;
+            for (unsigned j = 0; j < levels_; ++j) {
+                const std::uint32_t digit =
+                    (a >> (32 - (j + 1) * baseBits_)) & mask;
+                if (digit == 0)
+                    continue;
+                kernels.subScaledRow(targetDim_ + 1, digit,
+                                     at(i, j).raw().data(),
+                                     out[t].raw().data());
+            }
         }
     }
 }

@@ -86,8 +86,20 @@ class KeySwitchKey
     LweCiphertext apply(const LweCiphertext &ct) const;
 
     /** Key switching into an existing ciphertext; allocation-free once
-     *  `out` has the target dimension. */
+     *  `out` has the target dimension. The count-1 call of applyBatch. */
     void applyInto(const LweCiphertext &ct, LweCiphertext &out) const;
+
+    /**
+     * Key-switch `count` ciphertexts chunk-major: out[j] gets in[j]
+     * switched, and each KSK row is applied to every ciphertext of the
+     * call before the next row is read, so the key streams through the
+     * cache once per call rather than once per ciphertext (the VPU's
+     * KSK reuse across a chunk, DMA.LD_KSK once per chunk). Each out[j]
+     * takes exactly applyInto(in[j])'s row updates, so the bytes match.
+     * Allocation-free once every out[j] has the target dimension.
+     */
+    void applyBatch(const LweCiphertext *in, LweCiphertext *out,
+                    unsigned count) const;
 
   private:
     std::vector<LweCiphertext> entries_;

@@ -7,7 +7,7 @@ namespace morphling::tfhe {
 void
 BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
                            unsigned levels, unsigned base_bits,
-                           unsigned depth, unsigned slots)
+                           unsigned depth, unsigned lanes)
 {
     if (plan.baseBits != base_bits || plan.levels != levels)
         plan = makeGadgetPlan(base_bits, levels);
@@ -15,22 +15,20 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
     const bool same_ring =
         glweDim_ == glwe_dim && polyDegree_ == poly_degree;
     const bool same_shape = same_ring && levels_ == levels;
-    if (same_shape && depth <= depth_ && slots <= slots_)
+    if (same_shape && depth <= depth_ && lanes <= lanes_)
         return;
     if (same_shape) {
         depth = std::max(depth, depth_);
-        slots = std::max(slots, slots_);
+        lanes = std::max(lanes, lanes_);
     }
 
     // One digit polynomial per GGSW row and tile slot: the row-lane
-    // path transforms depth*(k+1)*l_b of them in one batched call, the
-    // slot-lane path reads slots*(k+1)*l_b of them into its planes.
+    // path transforms depth*(k+1)*l_b of them in one batched call.
     const std::size_t row_count =
         static_cast<std::size_t>(glwe_dim + 1) * levels;
     const std::size_t rows = row_count * depth;
     const std::size_t cols = static_cast<std::size_t>(glwe_dim + 1) * depth;
-    const std::size_t digit_rows = row_count * std::max(depth, slots);
-    digits.resize(digit_rows);
+    digits.resize(rows);
     for (auto &p : digits) {
         if (p.degree() != poly_degree)
             p = IntPolynomial(poly_degree);
@@ -51,14 +49,18 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
     if (diff.dimension() != glwe_dim || !same_ring)
         diff = GlweCiphertext(glwe_dim, poly_degree);
 
-    const std::size_t plane = std::size_t{poly_degree / 2} * slots;
-    digitPlanes.resize(2 * row_count * plane);
-    accPlanes.resize(2 * (glwe_dim + 1) * plane);
+    // A lane tile's polynomial is N*lanes interleaved coefficients, and
+    // its spectrum N/2*lanes complex doubles.
+    const std::size_t lane_poly = std::size_t{poly_degree} * lanes;
+    laneAcc.resize((glwe_dim + 1) * lane_poly);
+    laneDigits.resize(row_count * lane_poly);
+    digitPlanes.resize(row_count * lane_poly);
+    accPlanes.resize((glwe_dim + 1) * lane_poly);
 
     // Pointer views for the batched FFT calls: targets are stable until
     // the next reshaping ensure().
-    batchDigits.resize(digit_rows);
-    for (std::size_t r = 0; r < digit_rows; ++r)
+    batchDigits.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r)
         batchDigits[r] = digits[r].data();
     batchDigitsF.resize(rows);
     for (std::size_t r = 0; r < rows; ++r)
@@ -67,15 +69,12 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
     for (std::size_t c = 0; c < cols; ++c)
         batchAccF[c] = &accF[c];
     batchTorus.resize(cols);
-    batchKeyRe.resize(row_count * (glwe_dim + 1));
-    batchKeyIm.resize(batchKeyRe.size());
-    batchOut.resize(static_cast<std::size_t>(glwe_dim + 1) * slots);
 
     glweDim_ = glwe_dim;
     polyDegree_ = poly_degree;
     levels_ = levels;
     depth_ = depth;
-    slots_ = slots;
+    lanes_ = lanes;
 }
 
 BootstrapWorkspace &

@@ -12,13 +12,14 @@
  *
  * BootstrapWorkspace owns every intermediate buffer of the pipeline.
  * ensure() (re)shapes them for one parameter geometry and the tiles
- * blindRotateBatch runs through one CMux call: a full tile of W
- * ciphertexts, one per SIMD lane, uses the two lane-interleaved planes,
- * and a shorter tile (or any tile on the scalar tier) uses the row-lane
- * buffers at its depth. ensure() is a no-op when the shapes already
- * cover the request, so a warmed-up bootstrap or batched rotation
- * through the workspace entry points performs zero heap allocations
- * (asserted by tests/test_workspace.cc). A workspace is
+ * blindRotateBatch runs: a full tile of W ciphertexts, one per SIMD
+ * lane, keeps its accumulators and all its scratch in the
+ * lane-interleaved buffers for every CMux round, and a shorter tile (or
+ * any tile on the scalar tier) uses the row-lane buffers at its depth.
+ * ensure() is a no-op when the shapes already cover the request, so a
+ * warmed-up bootstrap or batched rotation through the workspace entry
+ * points performs zero heap allocations (asserted by
+ * tests/test_workspace.cc). A workspace is
  * single-thread-only; forThisThread() hands out one instance per
  * thread, which the legacy (workspace-free) entry points use
  * transparently.
@@ -58,14 +59,14 @@ class BootstrapWorkspace
      * degree N and the given gadget: the row-lane buffers for `depth`
      * ciphertexts per CMux call (a short tile of blindRotateBatch; 1
      * for every single-ciphertext entry point), and the interleaved
-     * planes for a slot-lane tile of `slots` ciphertexts (0: none). For
-     * a fixed geometry both only grow, so the call is a no-op (and
-     * allocation-free) once the buffers cover them; a new geometry
-     * reshapes to exactly `depth` and `slots`.
+     * buffers for a lane-resident tile of `lanes` ciphertexts (0:
+     * none). For a fixed geometry both only grow, so the call is a
+     * no-op (and allocation-free) once the buffers cover them; a new
+     * geometry reshapes to exactly `depth` and `lanes`.
      */
     void ensure(unsigned glwe_dim, unsigned poly_degree, unsigned levels,
                 unsigned base_bits, unsigned depth = 1,
-                unsigned slots = 0);
+                unsigned lanes = 0);
 
     /** The calling thread's workspace. Entry points that take no
      *  explicit workspace route through this instance. */
@@ -77,16 +78,19 @@ class BootstrapWorkspace
     // single-ciphertext shape. The inverse transforms add straight into
     // the caller's ciphertexts.
     GadgetPlan plan;                   //!< hoisted decomposition consts
-    std::vector<IntPolynomial> digits; //!< max(depth,slots)*(k+1)*l_b
+    std::vector<IntPolynomial> digits; //!< depth*(k+1)*l_b
     std::vector<FourierPolynomial> digitsF; //!< depth*(k+1)*l_b transforms
     std::vector<FourierPolynomial> accF; //!< depth*(k+1) accumulators
     GlweCiphertext diff;               //!< X^a * ACC - ACC (reference CMux)
 
-    // Slot-lane tile planes (NegacyclicFft::slotTileProduct): lane w of
-    // every vector holds ciphertext w of the tile. Each is a real block
-    // then an imaginary block of slots*N/2 doubles per polynomial.
+    // Lane-resident tile buffers (BatchKernels::laneTileCmux): lane w
+    // of every vector holds ciphertext w of the tile, coefficient j of
+    // a polynomial at [j*lanes + w]. Each plane is a real block then an
+    // imaginary block of lanes*N/2 doubles per polynomial.
+    AlignedVector<Torus32> laneAcc;        //!< k+1 accumulator components
+    AlignedVector<std::int32_t> laneDigits; //!< (k+1)*l_b digit rows
     AlignedVector<double> digitPlanes; //!< (k+1)*l_b digit spectra
-    AlignedVector<double> accPlanes;   //!< k+1 accumulators
+    AlignedVector<double> accPlanes;   //!< k+1 accumulator spectra
 
     // Stable pointer views over the buffers above, preshaped by
     // ensure() so the batched FFT entry points (NegacyclicFft) and the
@@ -98,10 +102,6 @@ class BootstrapWorkspace
     std::vector<FourierPolynomial *> batchDigitsF; //!< -> digitsF
     std::vector<FourierPolynomial *> batchAccF;    //!< -> accF
     std::vector<TorusPolynomial *> batchTorus;     //!< depth*(k+1)
-    // Filled per slot-lane call: BSK_i's spectra (row r, column c at
-    // r*(k+1)+c) and the tile's accumulator components (t*(k+1)+c).
-    std::vector<const double *> batchKeyRe, batchKeyIm; //!< (k+1)^2*l_b
-    std::vector<Torus32 *> batchOut;                    //!< slots*(k+1)
 
     // --- bootstrap pipeline scratch ----------------------------------
     GlweCiphertext acc;                 //!< blind-rotation accumulator
@@ -114,7 +114,7 @@ class BootstrapWorkspace
     unsigned polyDegree_ = 0;
     unsigned levels_ = 0;
     unsigned depth_ = 0;
-    unsigned slots_ = 0;
+    unsigned lanes_ = 0;
 };
 
 } // namespace morphling::tfhe

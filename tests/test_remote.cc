@@ -811,6 +811,11 @@ TEST_F(RemoteFixture, ServiceOnDeadPortFailsFuturesAndShutsDown)
         }
     }
     EXPECT_EQ(svc.outstanding(), 0u);
+    // Every request is counted as failed, none as completed.
+    const auto stats = svc.stats();
+    EXPECT_EQ(stats.failed, 6u);
+    EXPECT_EQ(stats.completed, 0u);
+    EXPECT_EQ(stats.circuitsFailed, 0u);
     svc.shutdown();
     EXPECT_TRUE(svc.stopped());
 }

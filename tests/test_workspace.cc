@@ -5,8 +5,9 @@
  * negacyclic FFT engine against the radix-2 reference, the planned gadget
  * decomposition and in-place rotations against their scalar originals,
  * every SIMD tier's batched transforms, rounding store and integer
- * kernels against the scalar references, the iteration-major batched
- * blind rotation against the per-ciphertext CMux loop on every tier,
+ * kernels against the scalar references, the batched blind rotation
+ * (lane-resident tiles and row-lane leftovers) against the
+ * per-ciphertext CMux loop on every tier,
  * and an operator-new hook asserting that a warmed-up bootstrap (and
  * batched rotation) through the workspace performs zero heap
  * allocations on every tier.
@@ -619,7 +620,7 @@ TEST(Alignment, WorkspaceScratchBuffersAreAligned)
     BootstrapWorkspace ws;
     ws.ensure(/*glwe_dim=*/2, /*poly_degree=*/512, /*levels=*/3,
               /*base_bits=*/6, /*depth=*/1,
-              /*slots=*/tfhe::detail::kMaxFftLanes);
+              /*lanes=*/tfhe::detail::kMaxFftLanes);
     for (const auto &fp : ws.digitsF) {
         EXPECT_TRUE(isSimdAligned(fp.reData()));
         EXPECT_TRUE(isSimdAligned(fp.imData()));
@@ -628,7 +629,12 @@ TEST(Alignment, WorkspaceScratchBuffersAreAligned)
         EXPECT_TRUE(isSimdAligned(fp.reData()));
         EXPECT_TRUE(isSimdAligned(fp.imData()));
     }
-    // Each interleaved plane: its real block, then its imaginary block.
+    // The lane tile's interleaved buffers; each plane is its real
+    // block, then its imaginary block.
+    ASSERT_FALSE(ws.laneAcc.empty());
+    EXPECT_TRUE(isSimdAligned(ws.laneAcc.data()));
+    ASSERT_FALSE(ws.laneDigits.empty());
+    EXPECT_TRUE(isSimdAligned(ws.laneDigits.data()));
     for (const auto *planes : {&ws.digitPlanes, &ws.accPlanes}) {
         ASSERT_FALSE(planes->empty());
         EXPECT_TRUE(isSimdAligned(planes->data()));
@@ -970,8 +976,9 @@ TEST(IntegerKernelTiers, RotateDiffDecomposeMatchesTwoPassReference)
 
 TEST(IntegerKernelTiers, KeySwitchByteEqualAcrossTiers)
 {
-    // KeySwitchKey::applyInto on every tier against the scalar tier, at
-    // TEST (l_k = 6, base 2^2) and set I (l_k = 2, base 2^8).
+    // KeySwitchKey::applyInto and the chunk-major applyBatch on every
+    // tier against the scalar tier's applyInto, at TEST (l_k = 6, base
+    // 2^2) and set I (l_k = 2, base 2^8).
     for (const char *name : {"TEST", "I"}) {
         const auto &params = paramsByName(name);
         Rng rng(0x5C5C);
@@ -1001,14 +1008,21 @@ TEST(IntegerKernelTiers, KeySwitchByteEqualAcrossTiers)
                     << "set " << name << ' ' << fftDispatchTierName(tier)
                     << " message " << i;
             }
+            std::vector<LweCiphertext> batch(inputs.size());
+            ksk.applyBatch(inputs.data(), batch.data(),
+                           static_cast<unsigned>(inputs.size()));
+            for (std::size_t i = 0; i < inputs.size(); ++i)
+                EXPECT_EQ(batch[i].raw(), want[i].raw())
+                    << "set " << name << ' ' << fftDispatchTierName(tier)
+                    << " batch message " << i;
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Iteration-major batched blind rotation against the per-ciphertext
-// cmuxRotateInPlace loop (exact integer equality), its workspace shape
-// and its allocation behaviour.
+// Batched blind rotation against the per-ciphertext cmuxRotateInPlace
+// loop (exact integer equality), its workspace shape and its
+// allocation behaviour.
 // ---------------------------------------------------------------------
 
 /** A bootstrapping key of `entries` GGSWs at `params`' ring geometry:
@@ -1025,8 +1039,9 @@ shortBsk(const TfheParams &params, unsigned entries, Rng &rng)
 
 /** `count` mod-switched ciphertexts for an n-entry key, uniform in
  *  [0, 2N). On even iterations every third mask is zero (staggered per
- *  ciphertext), so the CMux skip path leaves short tiles; odd
- *  iterations keep whole tiles whole. */
+ *  ciphertext): a lane-resident tile runs those lanes' rounds as
+ *  identities, and the row-lane path skips them, which leaves short
+ *  tiles; odd iterations keep whole tiles whole. */
 std::vector<std::vector<std::uint32_t>>
 randomSwitched(unsigned count, unsigned n, unsigned poly_degree, Rng &rng)
 {
@@ -1063,21 +1078,25 @@ cmuxLoopRotation(const BootstrapKey &bsk, const TorusPolynomial &tp,
 
 TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
 {
-    // TEST (k = 1, l_b = 3), set B (k = 2), set I (k = 1, l_b = 2,
-    // the number of record), set III (N = 2048: no radix-2 tail) and
-    // set A (N = 4096: a tail, and planes four times set I's). Per tier
-    // of width W the counts give a short row-lane tile alone (1, W-1),
-    // a full slot-lane tile (W), and calls that mix both (W+1, 2W, 16
-    // with the skipped masks). One workspace per tier serves every
-    // count, and stale accumulators from the previous count must be
-    // rebuilt.
-    for (const char *name : {"TEST", "B", "I", "III", "A"}) {
+    // TEST (k = 1, l_b = 3), set B (k = 2), set C (k = 3, l_b = 3),
+    // set I (k = 1, l_b = 2, the number of record), set III (N = 2048:
+    // no radix-2 tail) and set A (N = 4096: a tail, and planes four
+    // times set I's). Per tier of width W the counts give the row-lane
+    // leftover alone (1, W-1), one lane-resident tile (W), and calls
+    // that mix both (W+1, 2W, 3W-1, 16, 64). Every ciphertext has some
+    // zero masks, so every lane of a full tile runs an identity round.
+    // One workspace per tier serves every count, and stale accumulators
+    // from the previous count must be rebuilt.
+    for (const char *name : {"TEST", "B", "C", "I", "III", "A"}) {
         const auto &params = paramsByName(name);
         Rng rng(0xBA7C4);
         const auto bsk = shortBsk(params, 24, rng);
         const auto tp = randomTorusPoly(params.polyDegree, rng);
         const auto switched =
-            randomSwitched(16, bsk.size(), params.polyDegree, rng);
+            randomSwitched(64, bsk.size(), params.polyDegree, rng);
+        for (const auto &sw : switched)
+            ASSERT_NE(std::find(sw.begin(), sw.end() - 1, 0u), sw.end() - 1)
+                << "set " << name << ": a ciphertext without a zero mask";
         std::vector<GlweCiphertext> want;
         {
             DispatchGuard guard(FftDispatchTier::kScalar);
@@ -1089,7 +1108,8 @@ TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
             BootstrapWorkspace ws;
             std::vector<GlweCiphertext> accs(switched.size());
             const unsigned w = blindRotateTile();
-            for (const unsigned count : {1u, w - 1, w, w + 1, 2 * w, 16u}) {
+            for (const unsigned count :
+                 {1u, w - 1, w, w + 1, 2 * w, 3 * w - 1, 16u, 64u}) {
                 if (count == 0)
                     continue;
                 blindRotateBatch(bsk, tp, switched.data(), accs.data(),
@@ -1114,45 +1134,60 @@ TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
     Rng rng(0x711E);
     const auto bsk = shortBsk(params, 8, rng);
     const auto tp = randomTorusPoly(params.polyDegree, rng);
-    // Every mask odd, so nonzero: 16 ciphertexts make whole tiles only.
-    auto switched = randomSwitched(16, bsk.size(), params.polyDegree, rng);
-    for (auto &sw : switched)
-        for (auto &a : sw)
-            a |= 1;
+    const auto switched =
+        randomSwitched(19, bsk.size(), params.polyDegree, rng);
     const std::size_t cols = params.glweDimension + 1;
     const std::size_t rows = cols * params.bskLevels;
-    const std::size_t half = params.polyDegree / 2;
+    const std::size_t n = params.polyDegree;
 
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         const std::size_t w = blindRotateTile();
-        const std::size_t slots = w > 1 ? w : 0;
+        const std::size_t lanes = w > 1 ? w : 0;
+        const char *tier_name = fftDispatchTierName(tier);
 
         // A one-ciphertext rotation keeps the single-ciphertext shape:
-        // (k+1)*l_b digit spectra, k+1 accumulators and no planes.
+        // (k+1)*l_b digit spectra, k+1 accumulators and no lane buffers.
         BootstrapWorkspace ws;
         GlweCiphertext acc;
         blindRotate(bsk, tp, switched[0], acc, ws);
         EXPECT_EQ(ws.digits.size(), rows);
         EXPECT_EQ(ws.digitsF.size(), rows);
         EXPECT_EQ(ws.accF.size(), cols);
+        EXPECT_TRUE(ws.laneAcc.empty());
+        EXPECT_TRUE(ws.laneDigits.empty());
         EXPECT_TRUE(ws.digitPlanes.empty());
         EXPECT_TRUE(ws.accPlanes.empty());
 
-        // A 16-ciphertext rotation grows it to one W-slot tile, not to
-        // the batch: digit rows for W slots and the two interleaved
-        // planes, while the row-lane buffers keep their depth of 1. On
-        // the scalar tier (W = 1) every tile stays row-lane.
+        // A 16-ciphertext rotation is whole tiles only (W divides 16),
+        // zero masks included: it grows the lane buffers to one W-lane
+        // tile, not to the batch, and the row-lane buffers keep their
+        // depth of 1. On the scalar tier (W = 1) every tile is row-lane
+        // and the lane buffers stay empty.
         std::vector<GlweCiphertext> accs(switched.size());
+        const auto expectLaneBuffers = [&] {
+            EXPECT_EQ(ws.laneAcc.size(), cols * n * lanes) << tier_name;
+            EXPECT_EQ(ws.laneDigits.size(), rows * n * lanes) << tier_name;
+            EXPECT_EQ(ws.digitPlanes.size(), 2 * rows * lanes * n / 2)
+                << tier_name;
+            EXPECT_EQ(ws.accPlanes.size(), 2 * cols * lanes * n / 2)
+                << tier_name;
+        };
         blindRotateBatch(bsk, tp, switched.data(), accs.data(), 16, ws);
-        const char *tier_name = fftDispatchTierName(tier);
-        EXPECT_EQ(ws.digits.size(), w * rows) << tier_name;
+        EXPECT_EQ(ws.digits.size(), rows) << tier_name;
         EXPECT_EQ(ws.digitsF.size(), rows) << tier_name;
         EXPECT_EQ(ws.accF.size(), cols) << tier_name;
-        EXPECT_EQ(ws.digitPlanes.size(), 2 * rows * slots * half)
-            << tier_name;
-        EXPECT_EQ(ws.accPlanes.size(), 2 * cols * slots * half)
-            << tier_name;
+        expectLaneBuffers();
+
+        // 19 leaves 3 ciphertexts after the full tiles, which rotate
+        // row-lane in tiles of 3: the row-lane depth grows to 3 and the
+        // lane buffers stay one tile.
+        blindRotateBatch(bsk, tp, switched.data(), accs.data(), 19, ws);
+        const std::size_t depth = w > 1 ? 3 : 1;
+        EXPECT_EQ(ws.digits.size(), depth * rows) << tier_name;
+        EXPECT_EQ(ws.digitsF.size(), depth * rows) << tier_name;
+        EXPECT_EQ(ws.accF.size(), depth * cols) << tier_name;
+        expectLaneBuffers();
     }
 }
 
