@@ -20,7 +20,7 @@ compileBatch(const compiler::SwScheduler &scheduler,
     const auto key = compiler::ProgramCacheKey::forBatch(
         scheduler.params(), scheduler.config(), count);
     std::string why;
-    if (auto program = cache->load(key, &why))
+    if (auto program = cache->load(key, scheduler.params(), &why))
         return std::move(*program);
     auto program = scheduler.scheduleBootstrapBatch(count);
     cache->store(key, program);

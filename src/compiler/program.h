@@ -6,7 +6,9 @@
  * A Program is a flat list of instructions; instructions of the same
  * group execute in list order, different groups are independent (the
  * HW scheduler interleaves them). Serialization round-trips through the
- * 64-bit encoding so streams could be shipped to a device.
+ * 64-bit encoding so streams could be shipped to a device. Which
+ * Programs are runnable is defined once, by compiler::verify
+ * (compiler/verify.h).
  */
 
 #ifndef MORPHLING_COMPILER_PROGRAM_H

@@ -8,6 +8,7 @@
 #include <system_error>
 
 #include "common/logging.h"
+#include "compiler/verify.h"
 
 namespace morphling::compiler {
 
@@ -68,7 +69,8 @@ ProgramDiskCache::ProgramDiskCache(std::string dir)
 }
 
 std::optional<Program>
-ProgramDiskCache::load(const ProgramCacheKey &key, std::string *why)
+ProgramDiskCache::load(const ProgramCacheKey &key,
+                       const tfhe::TfheParams &params, std::string *why)
 {
     auto miss = [&](const std::string &reason) {
         if (why != nullptr)
@@ -104,18 +106,21 @@ ProgramDiskCache::load(const ProgramCacheKey &key, std::string *why)
     std::string error;
     auto program =
         Program::tryDeserializeFramed(key.fileName(), words, &error);
-    if (!program.has_value()) {
+    std::optional<ProgramPlan> plan;
+    if (program.has_value())
+        plan = verify(*program, params, &error);
+    if (!plan.has_value()) {
         ++rejects_;
-        return miss("rejected cached container: " + error);
+        return miss("rejected cached program: " + error);
     }
     // Stale-entry guard: the decoded program must actually be the
     // batch the key describes (a schema-compatible file from an older
     // scheduler would decode fine but mean something else).
-    if (program->totalBlindRotations() != key.batchSize) {
+    if (plan->slots != key.batchSize) {
         ++rejects_;
         std::ostringstream oss;
-        oss << "stale cached program: " << program->totalBlindRotations()
-            << " blind rotations, key expects " << key.batchSize;
+        oss << "stale cached program: " << plan->slots
+            << " slots, key expects " << key.batchSize;
         return miss(oss.str());
     }
     ++hits_;

@@ -8,9 +8,11 @@
  * — not by LUT contents (the instruction stream encodes slots, the
  * test polynomial is job data). The cache therefore keys entries by
  * exactly that triple and stores the hardened framed container
- * (Program::serializeFramed), which tryDeserializeFramed re-validates
- * on every load: a corrupt, truncated or stale file is reported and
- * treated as a miss, never trusted.
+ * (Program::serializeFramed). Every load decodes it with
+ * tryDeserializeFramed and verifies the result (compiler::verify): a
+ * corrupt, truncated, unrunnable or stale file counts as a reject and
+ * is treated as a miss, so the caller recompiles it; it is never
+ * trusted.
  *
  * Thread safety: none. The service consults the cache under its
  * program-cache mutex; standalone users must serialize externally.
@@ -63,13 +65,15 @@ class ProgramDiskCache
     const std::string &dir() const { return dir_; }
 
     /**
-     * Load a cached Program. Returns nullopt on a missing file, an
-     * unreadable file, a container tryDeserializeFramed rejects, or a
-     * decoded program whose blind-rotation count disagrees with the
-     * key (a stale entry from an incompatible build); the reason lands
-     * in *why when given.
+     * Load a cached Program for the key's parameter set `params`.
+     * Returns nullopt on a missing file, an unreadable file, a
+     * container tryDeserializeFramed rejects, a decoded program that
+     * does not verify under `params`, or one whose slot count
+     * disagrees with the key (a stale entry from an incompatible
+     * build); the reason lands in *why when given.
      */
     std::optional<Program> load(const ProgramCacheKey &key,
+                                const tfhe::TfheParams &params,
                                 std::string *why = nullptr);
 
     /** Persist a compiled Program under its key (atomic rename so a
@@ -88,7 +92,7 @@ class ProgramDiskCache
     bool enabled_ = false;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t rejects_ = 0; //!< present but corrupt/stale
+    std::uint64_t rejects_ = 0; //!< present but corrupt/unrunnable/stale
     std::uint64_t stores_ = 0;
 };
 

@@ -8,26 +8,6 @@
 
 namespace morphling::exec {
 
-namespace {
-
-Job
-makeJob(const std::vector<tfhe::LweCiphertext> &inputs,
-        const std::vector<tfhe::Torus32> &lut, bool sign_lut,
-        tfhe::BatchOptions options)
-{
-    panic_if(sign_lut && lut.size() != 1,
-             "sign jobs carry exactly one LUT entry (mu), got ",
-             lut.size());
-    Job job;
-    job.inputs = &inputs;
-    job.lut = &lut;
-    job.signLut = sign_lut;
-    job.options = options;
-    return job;
-}
-
-} // namespace
-
 const char *
 backendKindName(BackendKind kind)
 {
@@ -49,14 +29,48 @@ Job::batch(const std::vector<tfhe::LweCiphertext> &inputs,
            const std::vector<tfhe::Torus32> &lut,
            tfhe::BatchOptions options)
 {
-    return makeJob(inputs, lut, false, options);
+    return Job{&inputs, &lut, false, options};
 }
 
 Job
 Job::sign(const std::vector<tfhe::LweCiphertext> &inputs,
           const std::vector<tfhe::Torus32> &mu, tfhe::BatchOptions options)
 {
-    return makeJob(inputs, mu, true, options);
+    return Job{&inputs, &mu, true, options};
+}
+
+std::optional<std::string>
+validateJob(const compiler::ProgramPlan &plan, const Job &job,
+            const tfhe::TfheParams &params)
+{
+    const std::size_t inputs = job.inputs ? job.inputs->size() : 0;
+    if (inputs != plan.slots) {
+        return detail::concat("job has ", inputs,
+                              " inputs for a program of ", plan.slots,
+                              " slots");
+    }
+    for (std::size_t i = 0; i < inputs; ++i) {
+        if ((*job.inputs)[i].dimension() != params.lweDimension) {
+            return detail::concat("input ", i, " has dimension ",
+                                  (*job.inputs)[i].dimension(),
+                                  " but the keys expect n = ",
+                                  params.lweDimension);
+        }
+    }
+    const std::size_t entries = job.lut ? job.lut->size() : 0;
+    if (plan.slots > 0 && entries == 0)
+        return std::string("a program with slots needs a LUT");
+    if (job.signLut && entries != 1) {
+        return detail::concat("sign jobs carry exactly one LUT entry "
+                              "(mu), got ",
+                              entries);
+    }
+    if (!job.signLut && 2 * entries > params.polyDegree) {
+        return detail::concat("LUT of ", entries,
+                              " entries does not fit N = ",
+                              params.polyDegree);
+    }
+    return std::nullopt;
 }
 
 std::unique_ptr<ExecutionBackend>

@@ -31,6 +31,7 @@
 
 #include "arch/accelerator.h"
 #include "compiler/program.h"
+#include "compiler/verify.h"
 #include "tfhe/batch.h"
 #include "tfhe/lwe.h"
 #include "tfhe/serialize.h"
@@ -111,6 +112,20 @@ struct Job
                     const std::vector<tfhe::Torus32> &mu,
                     tfhe::BatchOptions options = {});
 };
+
+/**
+ * The one check of a Job's shape against a verified Program's plan
+ * (compiler::verify): the input count equals the plan's slot count,
+ * every input has the keys' LWE dimension n, a plan with slots has a
+ * LUT, a sign job's LUT holds exactly one entry (mu), and any other
+ * job's LUT fits the test polynomial (2 * |lut| <= N). Returns the
+ * diagnostic, or nullopt when the job fits. FunctionalBackend::run
+ * throws it as std::invalid_argument; RemoteServer answers it with
+ * kBadProgram.
+ */
+std::optional<std::string> validateJob(const compiler::ProgramPlan &plan,
+                                       const Job &job,
+                                       const tfhe::TfheParams &params);
 
 /** What one backend produced over one program execution. */
 struct ExecutionResult

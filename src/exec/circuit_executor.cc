@@ -1,6 +1,7 @@
 #include "circuit_executor.h"
 
 #include <chrono>
+#include <stdexcept>
 
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
@@ -24,8 +25,11 @@ CircuitExecutor::run(const circuit::LoweredCircuit &lowered,
     MORPHLING_SPAN("exec", "circuit.run");
     panic_if(lowered.circuit == nullptr, "lowered circuit has no source");
     const auto &c = *lowered.circuit;
-    panic_if(inputs.size() != c.numInputs(), "circuit has ",
-             c.numInputs(), " inputs, got ", inputs.size());
+    if (inputs.size() != c.numInputs()) {
+        throw std::invalid_argument(morphling::detail::concat(
+            "CircuitExecutor: circuit has ", c.numInputs(),
+            " inputs, got ", inputs.size()));
+    }
 
     CircuitResult result;
     result.totalBootstraps = lowered.totalBootstraps;

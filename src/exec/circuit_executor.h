@@ -80,7 +80,8 @@ class CircuitExecutor
                     tfhe::BatchOptions options = {});
 
     /** Execute a lowered circuit on `inputs` (one ciphertext per
-     *  circuit input, creation order). */
+     *  circuit input, creation order). Throws std::invalid_argument
+     *  when the input count differs from the circuit's. */
     CircuitResult run(const circuit::LoweredCircuit &lowered,
                       const std::vector<tfhe::LweCiphertext> &inputs);
 

@@ -137,27 +137,32 @@ checkCompletionOrder(const compiler::Program &program,
         chain_last[g] = std::max(chain_last[g], tick_of[i]);
     }
 
-    // Barrier segmentation: every instruction after a barrier set must
-    // complete no earlier than the rendezvous released.
-    std::uint64_t floor = 0;
-    std::uint64_t pending_floor = 0;
-    bool pending = false;
+    // Barrier segmentation: an instruction after its group's k-th
+    // barrier must complete no earlier than rendezvous k released (the
+    // latest k-th barrier of any group). Groups interleave freely in
+    // the flat program, so the segment is counted per group.
+    std::vector<std::uint64_t> released;
+    std::vector<std::size_t> met(program.numGroups(), 0);
     for (std::size_t i = 0; i < instrs.size(); ++i) {
+        if (instrs[i].op != Opcode::Barrier)
+            continue;
+        const std::size_t k = met[instrs[i].group]++;
+        if (k == released.size())
+            released.push_back(0);
+        released[k] = std::max(released[k], tick_of[i]);
+    }
+    std::fill(met.begin(), met.end(), 0);
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        std::size_t &k = met[instrs[i].group];
         if (instrs[i].op == Opcode::Barrier) {
-            pending_floor = std::max(pending_floor, tick_of[i]);
-            pending = true;
+            ++k;
             continue;
         }
-        if (pending) {
-            floor = std::max(floor, pending_floor);
-            pending = false;
-            pending_floor = 0;
-        }
-        if (tick_of[i] < floor) {
+        if (k > 0 && tick_of[i] < released[k - 1]) {
             sink.add("timing completed ", instrs[i].toString(),
                      " (index ", i, ") at tick ", tick_of[i],
                      ", before the preceding barrier released at ",
-                     floor);
+                     released[k - 1]);
         }
     }
 }

@@ -15,6 +15,7 @@
 
 #include "common/logging.h"
 #include "compiler/program.h"
+#include "compiler/verify.h"
 #include "exec/functional_backend.h"
 
 namespace morphling::exec {
@@ -445,59 +446,26 @@ void RemoteServer::handleExecute(Connection *conn,
         return;
     }
 
-    // Decode and pre-validate before touching the idempotency cache:
-    // a request the server will reject must be rejectable on every
+    // Decode and validate before touching the idempotency cache: a
+    // request the server will reject must be rejectable on every
     // retry, not remembered as in-flight.
     std::string error;
     std::optional<compiler::Program> program =
         compiler::Program::tryDeserializeFramed("remote", words, &error);
-    if (!program.has_value()) {
+    std::optional<compiler::ProgramPlan> plan;
+    if (program.has_value())
+        plan = compiler::verify(*program, keys->params, &error);
+    if (!plan.has_value()) {
         sendErrorCounted(conn, WireErrorCode::kBadProgram,
-                         morphling::detail::concat(
-                             "program rejected: ", error));
+                         "program rejected: " + error);
         return;
     }
-    const std::uint64_t rotations = program->totalBlindRotations();
-    if (rotations != inputs.size()) {
-        sendErrorCounted(
-            conn, WireErrorCode::kBadProgram,
-            morphling::detail::concat(
-                "program performs ", rotations,
-                " blind rotations but the request carries ",
-                inputs.size(), " input ciphertexts"));
-        return;
-    }
-    if (signLut && lut.size() != 1) {
+    const Job job = signLut ? Job::sign(inputs, lut, options)
+                            : Job::batch(inputs, lut, options);
+    if (const auto job_error = validateJob(*plan, job, keys->params)) {
         sendErrorCounted(conn, WireErrorCode::kBadProgram,
-                         "sign-mode requests carry exactly one LUT "
-                         "entry (mu)");
+                         "request rejected: " + *job_error);
         return;
-    }
-    if (rotations > 0 && lut.empty()) {
-        sendErrorCounted(conn, WireErrorCode::kBadProgram,
-                         "program performs blind rotations but the "
-                         "request carries no LUT");
-        return;
-    }
-    const tfhe::TfheParams &params = keys->params;
-    if (!signLut && 2 * lut.size() > params.polyDegree) {
-        sendErrorCounted(conn, WireErrorCode::kBadProgram,
-                         morphling::detail::concat(
-                             "LUT of ", lut.size(),
-                             " entries does not fit N = ",
-                             params.polyDegree));
-        return;
-    }
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (inputs[i].dimension() != params.lweDimension) {
-            sendErrorCounted(conn, WireErrorCode::kBadProgram,
-                             morphling::detail::concat(
-                                 "input ", i, " has dimension ",
-                                 inputs[i].dimension(),
-                                 " but the keys expect n = ",
-                                 params.lweDimension));
-            return;
-        }
     }
 
     // Idempotency gate: a known id replays; an in-flight id waits for
@@ -542,8 +510,6 @@ void RemoteServer::handleExecute(Connection *conn,
     // and gets it replayed instead of re-executed.
     ExecutionResult result;
     try {
-        const Job job = signLut ? Job::sign(inputs, lut, options)
-                                : Job::batch(inputs, lut, options);
         result = FunctionalBackend(*keys).run(*program, job);
     } catch (const std::exception &e) {
         // Execution failed: forget the in-flight entry (a retry gets

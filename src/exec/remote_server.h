@@ -18,6 +18,11 @@
  * bit-identical to a local FunctionalBackend run at any thread count
  * (asserted in tests/test_remote.cc).
  *
+ * Validation: a request's program must decode and verify
+ * (compiler::verify) and its job must fit the program's plan
+ * (validateJob); otherwise the server answers kBadProgram before the
+ * idempotency gate, so the rejection leaves no cache state.
+ *
  * Idempotency: completed requests are cached by request id (bounded
  * LRU) as their encoded kResult payload. A client that lost its
  * connection before the result arrived retries with the same id and

@@ -21,6 +21,7 @@ ShardedBackend::timing(const arch::ArchConfig &config,
 {
     fatal_if(numShards == 0, "sharded backend needs >= 1 shard");
     ShardedBackend b;
+    b.params_ = &params;
     b.shards_.reserve(numShards);
     for (unsigned s = 0; s < numShards; ++s)
         b.shards_.push_back(std::make_unique<TimingBackend>(config, params));
@@ -37,7 +38,7 @@ ShardedBackend::fleetTiming(const arch::ArchConfig &config,
     b.fleetMode_ = true;
     b.fleetShards_ = numShards;
     b.fleetConfig_ = config;
-    b.fleetParams_ = &params;
+    b.params_ = &params;
     return b;
 }
 
@@ -59,6 +60,7 @@ ExecutionResult
 ShardedBackend::run(const compiler::Program &program, const Job &)
 {
     MORPHLING_SPAN("exec", "sharded.run");
+    compiler::verifyOrThrow(program, *params_);
     slices_.clear();
     stats_.clear();
     makespan_ = 0;
@@ -170,7 +172,7 @@ ShardedBackend::runShardsFleet(std::vector<ExecutionResult> &results)
 {
     MORPHLING_SPAN("exec", "sharded.fleet");
     const unsigned n_shards = numShards();
-    arch::AcceleratorFleet fleet(fleetConfig_, *fleetParams_, n_shards);
+    arch::AcceleratorFleet fleet(fleetConfig_, *params_, n_shards);
     std::vector<const compiler::Program *> programs;
     std::vector<arch::RetireHook> hooks;
     programs.reserve(n_shards);

@@ -70,7 +70,8 @@ struct ShardStats
 class ShardedBackend final : public ExecutionBackend
 {
   public:
-    /** N independent simulated accelerators of identical geometry. */
+    /** N independent simulated accelerators of identical geometry.
+     *  `params` must outlive the backend. */
     static ShardedBackend timing(const arch::ArchConfig &config,
                                  const tfhe::TfheParams &params,
                                  unsigned numShards);
@@ -88,7 +89,8 @@ class ShardedBackend final : public ExecutionBackend
 
     std::string_view name() const override { return "sharded"; }
 
-    /** Slice, run every shard, merge. */
+    /** Verify (compiler::verify; std::invalid_argument on failure),
+     *  slice, run every shard, merge. */
     ExecutionResult run(const compiler::Program &program,
                         const Job &job) override;
 
@@ -153,9 +155,10 @@ class ShardedBackend final : public ExecutionBackend
     bool fleetMode_ = false;
     unsigned fleetShards_ = 0;
     arch::ArchConfig fleetConfig_{};
-    const tfhe::TfheParams *fleetParams_ = nullptr;
     arch::FleetReport fleetReport_{};
     std::vector<std::vector<RetiredInstruction>> shardCompletions_;
+
+    const tfhe::TfheParams *params_ = nullptr;
 
     // State of the last run(), cleared by the next one.
     std::vector<compiler::ProgramSlice> slices_;

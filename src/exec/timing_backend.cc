@@ -60,6 +60,7 @@ TimingBackend::TimingBackend(arch::ArchConfig config,
 ExecutionResult
 TimingBackend::run(const compiler::Program &program, const Job &)
 {
+    compiler::verifyOrThrow(program, accel_.params());
     completions_.clear();
     report_ = arch::SimReport{};
     ExecutionResult result;

@@ -13,7 +13,9 @@
  * its group's completion ticks (a reorder-buffer view), groups
  * interleaved by retire tick. The raw completion log stays available
  * through completionOrder() for dependency-order verification. An
- * empty program retires nothing and has no report.
+ * empty program retires nothing and has no report; a program that does
+ * not verify (compiler::verify) throws std::invalid_argument before
+ * anything is simulated.
  */
 
 #ifndef MORPHLING_EXEC_TIMING_BACKEND_H

@@ -20,7 +20,7 @@ toMicros(ServiceClock::duration d)
 }
 
 #if MORPHLING_TELEMETRY_ENABLED
-/** Process-wide scrapeable mirror of the per-service StatSet: the
+/** Process-wide scrapeable mirror of the per-service ServiceStats: the
  *  registry view a metrics endpoint exposes (docs/observability.md).
  *  Resolved once; all update paths are lock-free. */
 struct ServiceTelem
@@ -160,27 +160,6 @@ BootstrapService::BootstrapService(ServiceConfig config)
             config_.programCacheDir);
     }
 
-    // Create every stat up front so snapshots can lookup() them even
-    // before the first request.
-    stats_.scalar("accepted", "requests admitted past backpressure");
-    stats_.scalar("rejected", "trySubmit refusals (queue full)");
-    stats_.scalar("completed", "promises fulfilled");
-    stats_.scalar("failed", "promises failed by a backend exception");
-    stats_.scalar("superbatches", "batches dispatched");
-    stats_.scalar("fullBatches", "batches dispatched at full size");
-    stats_.scalar("timerFlushes", "partial batches shipped by timer");
-    stats_.scalar("drainFlushes", "partial batches shipped by drain");
-    stats_.scalar("deadlineMisses", "requests dispatched past deadline");
-    stats_.scalar("circuits", "circuit submissions accepted");
-    stats_.scalar("circuitsCompleted", "circuit promises fulfilled");
-    stats_.scalar("circuitsFailed", "circuit promises failed");
-    stats_.scalar("circuitBootstraps", "bootstraps retired in circuits");
-    stats_.histogram("occupancy", "requests per dispatched batch");
-    stats_.histogram("queueLatencyUs", "submit -> batch assembly");
-    stats_.histogram("batchLatencyUs", "batch assembly -> completion");
-    stats_.histogram("requestLatencyUs", "submit -> completion");
-    stats_.histogram("circuitLatencyUs", "submitCircuit -> completion");
-
     assembler_ = std::thread(&BootstrapService::assemblerMain, this);
     workers_.reserve(config_.numWorkers);
     for (unsigned w = 0; w < config_.numWorkers; ++w)
@@ -245,7 +224,10 @@ BootstrapService::registerLut(std::size_t lane,
     table->values = std::move(lut);
 
     std::lock_guard<std::mutex> lk(mu_);
-    fatal_if(draining_, "registerLut on a shut-down BootstrapService");
+    if (draining_) {
+        throw std::logic_error(
+            "BootstrapService: registerLut on a shut-down service");
+    }
     // Reclaim the ids whose owner expired (every request routed under
     // them has completed), and reuse the first free slot, so bucket
     // scans stay as long as the most ids ever held at once.
@@ -302,16 +284,22 @@ BootstrapService::awaitSpaceLocked(std::unique_lock<std::mutex> &lk,
     if (!block) {
         if (!draining_ && lane.outstanding < config_.maxOutstanding)
             return true;
-        ++stats_.scalar("rejected");
+        ++stats_.rejected;
         MORPHLING_TELEMETRY_ONLY(ServiceTelem::get().rejected.inc();)
         return false;
     }
-    fatal_if(draining_, what, " on a shut-down BootstrapService");
+    if (draining_) {
+        throw std::logic_error(std::string("BootstrapService: ") + what +
+                               " on a shut-down service");
+    }
     spaceCv_.wait(lk, [&] {
         return draining_ || lane.outstanding < config_.maxOutstanding;
     });
-    fatal_if(draining_, "BootstrapService shut down under a blocked ",
-             what);
+    if (draining_) {
+        throw std::logic_error(
+            std::string("BootstrapService: shut down under a blocked ") +
+            what);
+    }
     return true;
 }
 
@@ -321,8 +309,12 @@ BootstrapService::enqueueCircuit(std::size_t lane, KeyPin pin,
                                  std::vector<tfhe::LweCiphertext> inputs)
 {
     MORPHLING_SPAN("service", "submit_circuit");
-    panic_if(inputs.size() != circuit.numInputs(), "circuit has ",
-             circuit.numInputs(), " inputs, got ", inputs.size());
+    if (inputs.size() != circuit.numInputs()) {
+        throw std::invalid_argument(
+            "BootstrapService: circuit has " +
+            std::to_string(circuit.numInputs()) + " inputs, got " +
+            std::to_string(inputs.size()));
+    }
 
     CircuitJob job;
     // A circuit's admission weight is its bootstrap count, so a large
@@ -340,7 +332,7 @@ BootstrapService::enqueueCircuit(std::size_t lane, KeyPin pin,
         job.submitted = ServiceClock::now();
         target.outstanding += job.cost;
         outstanding_ += job.cost;
-        ++stats_.scalar("circuits");
+        ++stats_.circuits;
         MORPHLING_TELEMETRY_ONLY({
             auto &telem = ServiceTelem::get();
             telem.circuits.inc();
@@ -380,7 +372,7 @@ BootstrapService::enqueue(
         ++pendingCount_;
         ++lane.outstanding;
         ++outstanding_;
-        ++stats_.scalar("accepted");
+        ++stats_.accepted;
         MORPHLING_TELEMETRY_ONLY({
             auto &telem = ServiceTelem::get();
             telem.accepted.inc();
@@ -419,21 +411,20 @@ BootstrapService::assembleLocked(LutId lut, FlushReason reason)
     const auto now = ServiceClock::now();
     for (std::size_t i = 0; i < take; ++i) {
         Request &request = bucket.front();
-        stats_.histogram("queueLatencyUs")
-            .sample(toMicros(now - request.submitted));
+        stats_.queueLatencyUs.sample(toMicros(now - request.submitted));
         if (request.deadline && now > *request.deadline)
-            ++stats_.scalar("deadlineMisses");
+            ++stats_.deadlineMisses;
         batch.requests.push_back(std::move(request));
         bucket.pop_front();
     }
     pendingCount_ -= take;
 
-    ++stats_.scalar("superbatches");
-    stats_.histogram("occupancy").sample(static_cast<double>(take));
+    ++stats_.superbatches;
+    stats_.occupancy.sample(static_cast<double>(take));
     const bool full = reason == FlushReason::kFull;
     const bool timer = reason == FlushReason::kTimer;
-    ++stats_.scalar(full ? "fullBatches" : timer ? "timerFlushes"
-                                                 : "drainFlushes");
+    ++(full ? stats_.fullBatches
+            : timer ? stats_.timerFlushes : stats_.drainFlushes);
     MORPHLING_TELEMETRY_ONLY({
         auto &telem = ServiceTelem::get();
         telem.batches.inc();
@@ -651,11 +642,11 @@ BootstrapService::workerMain()
             const auto t1 = ServiceClock::now();
             {
                 std::lock_guard<std::mutex> lk(mu_);
-                ++stats_.scalar("circuitsCompleted");
-                stats_.scalar("circuitBootstraps") += static_cast<double>(
-                    circuit_job.circuit.bootstrapCount());
-                stats_.histogram("circuitLatencyUs")
-                    .sample(toMicros(t1 - circuit_job.submitted));
+                ++stats_.circuitsCompleted;
+                stats_.circuitBootstraps +=
+                    circuit_job.circuit.bootstrapCount();
+                stats_.circuitLatencyUs.sample(
+                    toMicros(t1 - circuit_job.submitted));
                 lane->outstanding -= circuit_job.cost;
                 outstanding_ -= circuit_job.cost;
                 MORPHLING_TELEMETRY_ONLY({
@@ -704,12 +695,11 @@ BootstrapService::workerMain()
         // that sees its future ready also sees it counted.
         {
             std::lock_guard<std::mutex> lk(mu_);
-            stats_.scalar("completed") += static_cast<double>(count);
-            stats_.histogram("batchLatencyUs")
-                .sample(toMicros(t1 - t0));
+            stats_.completed += count;
+            stats_.batchLatencyUs.sample(toMicros(t1 - t0));
             for (const auto &request : batch.requests) {
-                stats_.histogram("requestLatencyUs")
-                    .sample(toMicros(t1 - request.submitted));
+                stats_.requestLatencyUs.sample(
+                    toMicros(t1 - request.submitted));
             }
             lane->outstanding -= count;
             outstanding_ -= count;
@@ -754,9 +744,9 @@ BootstrapService::releaseFailed(Lane &lane, std::size_t cost,
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (circuit)
-            ++stats_.scalar("circuitsFailed");
+            ++stats_.circuitsFailed;
         else
-            stats_.scalar("failed") += static_cast<double>(cost);
+            stats_.failed += cost;
         lane.outstanding -= cost;
         outstanding_ -= cost;
         MORPHLING_TELEMETRY_ONLY({
@@ -810,30 +800,7 @@ ServiceStats
 BootstrapService::stats() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    ServiceStats out;
-    auto scalar = [&](const char *name) {
-        return static_cast<std::uint64_t>(stats_.lookup(name).value());
-    };
-    auto histogram = [&](const char *name) {
-        for (const auto *h : stats_.histograms()) {
-            if (h->name() == name)
-                return *h;
-        }
-        panic("no histogram '", name, "' in service stats");
-    };
-    out.accepted = scalar("accepted");
-    out.rejected = scalar("rejected");
-    out.completed = scalar("completed");
-    out.failed = scalar("failed");
-    out.superbatches = scalar("superbatches");
-    out.fullBatches = scalar("fullBatches");
-    out.timerFlushes = scalar("timerFlushes");
-    out.drainFlushes = scalar("drainFlushes");
-    out.deadlineMisses = scalar("deadlineMisses");
-    out.circuits = scalar("circuits");
-    out.circuitsCompleted = scalar("circuitsCompleted");
-    out.circuitsFailed = scalar("circuitsFailed");
-    out.circuitBootstraps = scalar("circuitBootstraps");
+    ServiceStats out = stats_;
     out.pending = pendingCount_;
     out.outstanding = outstanding_;
     out.luts = static_cast<std::uint64_t>(std::count_if(
@@ -842,12 +809,6 @@ BootstrapService::stats() const
     out.elapsedSeconds = std::chrono::duration<double>(
                              ServiceClock::now() - start_)
                              .count();
-    out.occupancy = histogram("occupancy");
-    out.queueLatencyUs = histogram("queueLatencyUs");
-    out.batchLatencyUs = histogram("batchLatencyUs");
-    out.requestLatencyUs = histogram("requestLatencyUs");
-    out.circuitLatencyUs = histogram("circuitLatencyUs");
-    out.raw = stats_;
     return out;
 }
 

@@ -34,8 +34,9 @@
  *
  * Shutdown: shutdown() (or the destructor) stops admission, flushes
  * every partial batch, completes every accepted request, and joins all
- * threads. Submitting after shutdown is a fatal() usage error — do not
- * race submitters against shutdown().
+ * threads. Registering a LUT or submitting after shutdown throws
+ * std::logic_error, and so does a blocked submit() or submitCircuit()
+ * that shutdown() wakes — do not race submitters against shutdown().
  *
  * Thread safety: every public method may be called from any thread.
  * Key material is read-only once pinned; each worker drives its own
@@ -198,7 +199,8 @@ class BootstrapService
      * reference it by the returned id. Batches never mix LUTs
      * (mirroring the per-LUT test polynomial the hardware holds
      * resident during a group's blind rotations). Throws
-     * std::invalid_argument for an empty LUT or one with 2·|lut| > N.
+     * std::invalid_argument for an empty LUT or one with 2·|lut| > N,
+     * and std::logic_error once the service has been shut down.
      */
     LutId registerLut(std::vector<tfhe::Torus32> lut);
 
@@ -206,8 +208,8 @@ class BootstrapService
      * Submit one request, blocking while the service is at its
      * maxOutstanding bound. The future is fulfilled when the
      * containing superbatch completes. Throws std::out_of_range for
-     * an unregistered LUT id; fatal() if the service has been shut
-     * down.
+     * an unregistered LUT id, and std::logic_error if the service has
+     * been shut down (or shuts down while this call waits).
      */
     std::future<tfhe::LweCiphertext>
     submit(tfhe::LweCiphertext ct, LutId lut,
@@ -231,7 +233,9 @@ class BootstrapService
      * backend (under kCosim every level is cross-checked). The
      * circuit's bootstrap count weighs against maxOutstanding, so big
      * circuits apply proportional backpressure; blocks at the bound
-     * like submit(). fatal() if the service has been shut down.
+     * like submit(). Throws std::invalid_argument when `inputs` does
+     * not match the circuit's input count, and std::logic_error like
+     * submit().
      */
     std::future<std::vector<tfhe::LweCiphertext>>
     submitCircuit(circuit::Circuit circuit,
@@ -462,7 +466,9 @@ class BootstrapService
     bool flushRequested_ = false;
     bool assemblerDone_ = false;
     bool stopped_ = false;
-    sim::StatSet stats_{"service"};
+    /** The counters and distributions; stats() adds the
+     *  instantaneous fields to a copy. */
+    ServiceStats stats_;
 
     std::mutex shutdownMu_; //!< serializes shutdown() callers (joins)
     std::thread assembler_;

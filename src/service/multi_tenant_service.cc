@@ -88,7 +88,10 @@ MultiTenantService::addTenant(const TenantId &tenant,
 {
     validateQuota(quota);
     std::unique_lock<std::mutex> lk(mu_);
-    fatal_if(stopped_, "addTenant on a shut-down MultiTenantService");
+    if (stopped_) {
+        throw std::logic_error(
+            "MultiTenantService: addTenant on a shut-down service");
+    }
     auto [it, inserted] = tenants_.try_emplace(tenant);
     if (inserted) {
         auto t = std::make_unique<Tenant>();
@@ -198,8 +201,10 @@ MultiTenantService::admit(Tenant &t, double cost, bool block)
             t.throttled->inc();
             return false;
         }
-        fatal_if(stopped_,
-                 "submit on a shut-down MultiTenantService");
+        if (stopped_) {
+            throw std::logic_error(
+                "MultiTenantService: submit on a shut-down service");
+        }
         // Tokens accrue with wall time only: sleep until the deficit
         // is covered (plus a tick), then re-check.
         const double deficit = need - t.tokens;
@@ -339,8 +344,9 @@ MultiTenantService::shutdown()
 {
     stopped_ = true;
     {
-        // Wake blocked admitters; they fatal() on the stopped flag,
-        // matching BootstrapService's submit-after-shutdown contract.
+        // Wake blocked admitters; they throw std::logic_error on the
+        // stopped flag, matching BootstrapService's
+        // submit-after-shutdown contract.
         std::lock_guard<std::mutex> alk(admitMu_);
         admitCv_.notify_all();
     }

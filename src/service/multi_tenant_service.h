@@ -73,7 +73,7 @@ class MultiTenantService
      * they were admitted with. Throws std::invalid_argument on a
      * degenerate quota (negative rate/SLO, zero burst with a rate,
      * zero weight) or when a registered LUT does not fit the new
-     * keys' parameters.
+     * keys' parameters, and std::logic_error after shutdown().
      */
     tfhe::KeyFingerprint addTenant(const TenantId &tenant,
                                    const tfhe::EvaluationKeys &keys,
@@ -87,7 +87,9 @@ class MultiTenantService
 
     /** Submit one bootstrap, blocking first on the tenant's token
      *  bucket, then on its lane's backpressure. Throws
-     *  std::out_of_range for an unknown tenant or LUT id. */
+     *  std::out_of_range for an unknown tenant or LUT id, and
+     *  std::logic_error when the service is (or, while this call
+     *  waits, gets) shut down. */
     std::future<tfhe::LweCiphertext>
     submit(const TenantId &tenant, tfhe::LweCiphertext ct, LutId lut,
            std::optional<ServiceClock::time_point> deadline =

@@ -2,17 +2,16 @@
  * @file
  * Point-in-time statistics snapshot of a BootstrapService.
  *
- * The service aggregates its counters in a sim::StatSet (the same
- * machinery every simulator component uses) guarded by the service
- * mutex; stats() copies the set plus convenience fields into this
- * value type, so readers never race the worker threads.
+ * The service accumulates its counters and distributions directly in
+ * one ServiceStats member guarded by the service mutex; stats() copies
+ * it and fills in the instantaneous fields, so readers never race the
+ * worker threads.
  */
 
 #ifndef MORPHLING_SERVICE_SERVICE_STATS_H
 #define MORPHLING_SERVICE_SERVICE_STATS_H
 
 #include <cstdint>
-#include <iosfwd>
 
 #include "sim/stats.h"
 
@@ -53,9 +52,6 @@ struct ServiceStats
     sim::Histogram requestLatencyUs; //!< submit -> completion
     sim::Histogram circuitLatencyUs; //!< submitCircuit -> completion
 
-    /** Everything above in stat-set form, for dump(). */
-    sim::StatSet raw{"service"};
-
     /** Sustained completion rate over the service lifetime. */
     double
     throughputBs() const
@@ -70,13 +66,6 @@ struct ServiceStats
         if (superbatch_size == 0 || occupancy.count() == 0)
             return 0.0;
         return occupancy.mean() / superbatch_size;
-    }
-
-    /** Render "service.name = value" lines (StatSet format). */
-    void
-    dump(std::ostream &os) const
-    {
-        raw.dump(os);
     }
 };
 

@@ -7,9 +7,10 @@
  *
  * Thread safety: none — a StatSet belongs to exactly one component and
  * is mutated from one thread at a time, like the simulator's event
- * loop. Components whose stats are updated from several threads must
- * serialize externally (service::BootstrapService guards its StatSet
- * with a mutex and hands out snapshots by value).
+ * loop. Code whose stats are updated from several threads must
+ * serialize externally (service::BootstrapService guards the
+ * sim::Histogram fields of its ServiceStats with a mutex and hands out
+ * snapshots by value).
  */
 
 #ifndef MORPHLING_SIM_STATS_H

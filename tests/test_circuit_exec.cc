@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -299,6 +300,9 @@ TEST_F(CircuitExecFixture, LinearOnlyCircuitNeedsNoBackendWork)
     EXPECT_TRUE(result.retired.empty());
     EXPECT_TRUE(tfhe::decryptBit(keys(), result.outputs[0]));
     EXPECT_TRUE(tfhe::decryptBit(keys(), result.outputs[1]));
+
+    // One input ciphertext per circuit input, or a typed error.
+    EXPECT_THROW((void)executor.run(c, {}), std::invalid_argument);
 }
 
 } // namespace

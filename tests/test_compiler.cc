@@ -5,14 +5,17 @@
  */
 
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "compiler/isa.h"
 #include "compiler/program.h"
 #include "compiler/sw_scheduler.h"
+#include "compiler/verify.h"
 #include "tfhe/params.h"
 
 namespace morphling::compiler {
@@ -405,6 +408,167 @@ TEST(Program, NumGroups)
     EXPECT_EQ(prog.numGroups(), 1u);
     prog.add({Opcode::VpuModSwitch, 2, 1, 0});
     EXPECT_EQ(prog.numGroups(), 3u);
+}
+
+class VerifierFixture : public ::testing::Test
+{
+  protected:
+    const tfhe::TfheParams &params = tfhe::paramsTest();
+
+    /** One chunk of `count` LWEs in group 0: instructions 0..7. */
+    Program
+    batch(std::uint64_t count) const
+    {
+        return SwScheduler(params).scheduleBootstrapBatch(count);
+    }
+
+    /** Two stages of two bootstraps over two groups of one: chunks at
+     *  0 (g0) and 8 (g1), barriers 16 (g0) and 17 (g1), chunks at 18
+     *  (g0) and 26 (g1). */
+    Program
+    twoStages() const
+    {
+        SchedulerConfig config;
+        config.groupSize = 1;
+        config.numGroups = 2;
+        Workload w;
+        w.name = "two-stage";
+        w.stages = {{2, 0}, {2, 0}};
+        return SwScheduler(params, config).schedule(w);
+    }
+
+    /** `program` with its instruction list edited. */
+    static Program
+    edited(const Program &program,
+           const std::function<void(std::vector<Instruction> &)> &edit)
+    {
+        std::vector<Instruction> instrs = program.instructions();
+        edit(instrs);
+        Program out(program.name());
+        for (const auto &inst : instrs)
+            out.add(inst);
+        return out;
+    }
+
+    /** verify()'s diagnostic for a program that must not verify. */
+    std::string
+    rejection(const Program &program) const
+    {
+        std::string error;
+        EXPECT_FALSE(verify(program, params, &error).has_value());
+        EXPECT_THROW(verifyOrThrow(program, params), std::invalid_argument);
+        return error;
+    }
+};
+
+TEST_F(VerifierFixture, PlanIsTheSchedulersChunkCarving)
+{
+    // 40 LWEs over 4 groups of 16: chunks of 16, 16 and 8 in program
+    // order, slots assigned by a flat DMA.LD_LWE cursor.
+    const Program prog = batch(40);
+    const auto plan = verify(prog, params);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->slots, 40u);
+    ASSERT_EQ(plan->chunks.size(), 3u);
+    const std::size_t firsts[] = {0, 16, 32};
+    const unsigned counts[] = {16, 16, 8};
+    for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_EQ(plan->chunks[c].slotBegin, firsts[c]);
+        EXPECT_EQ(plan->chunks[c].count, counts[c]);
+    }
+    ASSERT_EQ(plan->chunkOf.size(), prog.size());
+    for (std::size_t i = 0; i < prog.size(); ++i)
+        EXPECT_EQ(plan->chunkOf[i], static_cast<int>(i / 8));
+
+    // Barriers and linear work sit outside every chunk.
+    Workload w;
+    w.name = "mixed";
+    w.stages = {{3, 100}, {5, 0}};
+    const Program mixed = SwScheduler(params).schedule(w);
+    const auto mixed_plan = verify(mixed, params);
+    ASSERT_TRUE(mixed_plan.has_value());
+    EXPECT_EQ(mixed_plan->slots, 8u);
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+        const Opcode op = mixed.at(i).op;
+        const bool outside = op == Opcode::Barrier ||
+                             op == Opcode::DmaLoadData ||
+                             op == Opcode::VpuPAlu;
+        EXPECT_EQ(mixed_plan->chunkOf[i] < 0, outside) << i;
+    }
+}
+
+TEST_F(VerifierFixture, EmptyProgramVerifiesWithNoSlots)
+{
+    const auto plan = verify(Program("empty"), params);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->slots, 0u);
+    EXPECT_TRUE(plan->chunks.empty());
+}
+
+/** One hand-written rejection per grammar rule; each diagnostic names
+ *  the offending instruction's index. */
+TEST_F(VerifierFixture, RejectsEachGrammarRule)
+{
+    const auto expectNames = [](const std::string &error,
+                                const std::string &what) {
+        EXPECT_NE(error.find(what), std::string::npos) << error;
+    };
+
+    // Outside a chunk only LD_LWE, LD_DATA, PALU and BAR may issue.
+    expectNames(rejection(edited(batch(4),
+                                 [](auto &v) { v.erase(v.begin()); })),
+                "instruction 0 (VPU.MS");
+    // LD_LWE opens a chunk of at least one slot.
+    expectNames(rejection(edited(batch(4),
+                                 [](auto &v) { v[0].count = 0; })),
+                "instruction 0 (DMA.LD_LWE");
+    // Inside a chunk the next instruction is the next stage: no
+    // LD_BSK before MS, no LD_DATA (or PALU, or BAR) mid-chunk.
+    expectNames(rejection(edited(batch(4),
+                                 [](auto &v) { v.erase(v.begin() + 1); })),
+                "instruction 1 (DMA.LD_BSK");
+    expectNames(rejection(edited(batch(4),
+                                 [](auto &v) {
+                                     v.insert(v.begin() + 3,
+                                              Instruction{Opcode::DmaLoadData,
+                                                          0, 0, 64});
+                                 })),
+                "instruction 3 (DMA.LD_DATA");
+    // ... with the chunk head's count.
+    expectNames(rejection(edited(batch(4),
+                                 [](auto &v) { v[4].count = 3; })),
+                "instruction 4 (VPU.SE");
+    // XPU.BR runs n rounds.
+    expectNames(rejection(edited(batch(4),
+                                 [this](auto &v) {
+                                     v[3].operand = params.lweDimension - 1;
+                                 })),
+                "instruction 3 (XPU.BR");
+    // No group ends inside a chunk.
+    expectNames(rejection(edited(batch(4),
+                                 [](auto &v) { v.resize(5); })),
+                "group 0 ends inside the chunk opened at instruction 0");
+
+    // Every group meets the same barrier ids in the same order.
+    ASSERT_TRUE(verify(twoStages(), params).has_value());
+    expectNames(rejection(edited(twoStages(),
+                                 [](auto &v) { v[17].operand = 7; })),
+                "instruction 17 (CTRL.BAR g1");
+    expectNames(rejection(edited(twoStages(),
+                                 [](auto &v) { v.erase(v.begin() + 17); })),
+                "group 1 has no barrier to meet instruction 16");
+    expectNames(rejection(edited(twoStages(),
+                                 [](auto &v) { v.erase(v.begin() + 16); })),
+                "instruction 16 (CTRL.BAR g1");
+    // A group id without instructions meets no barrier at all.
+    expectNames(rejection(edited(twoStages(),
+                                 [](auto &v) {
+                                     for (auto &inst : v) {
+                                         if (inst.group == 1)
+                                             inst.group = 2;
+                                     }
+                                 })),
+                "group 1 has no barrier to meet instruction 16");
 }
 
 TEST(Workload, Totals)

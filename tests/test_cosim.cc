@@ -98,8 +98,22 @@ TEST_F(CosimFixture, MultiStageBarrierProgramPasses)
     w.name = "layers";
     w.stages.push_back({16, 500});
     w.stages.push_back({16, 0});
-    const auto program =
+    const auto scheduled =
         compiler::SwScheduler(keys().params).schedule(w);
+    // The same group streams with the groups laid out one after the
+    // other: group 0's barrier now precedes group 1's first-stage work
+    // in the flat list, which the rendezvous does not care about.
+    const compiler::Program grouped = [&] {
+        auto instrs = scheduled.instructions();
+        std::stable_sort(instrs.begin(), instrs.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.group < b.group;
+                         });
+        compiler::Program out("grouped");
+        for (const auto &inst : instrs)
+            out.add(inst);
+        return out;
+    }();
 
     std::vector<tfhe::LweCiphertext> inputs;
     for (unsigned i = 0; i < 32; ++i)
@@ -118,8 +132,11 @@ TEST_F(CosimFixture, MultiStageBarrierProgramPasses)
     Job job;
     job.inputs = &inputs;
     job.lut = &lut;
-    const auto report = cosim.run(program, job);
-    EXPECT_TRUE(report.ok()) << report.summary();
+    for (const auto *program : {&scheduled, &grouped}) {
+        const auto report = cosim.run(*program, job);
+        EXPECT_TRUE(report.ok()) << program->name() << ": "
+                                 << report.summary();
+    }
 }
 
 /**

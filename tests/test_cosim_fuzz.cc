@@ -5,22 +5,32 @@
  * against the cycle model, both monolithic and split across a random
  * number of accelerators; its one-thread log must equal the sharded
  * merge, and its 4-thread run must reproduce the one-thread outputs
- * and log.
+ * and log (CosimFuzz). Then mutate compiled Programs as a corrupted
+ * cache file or a hostile client could (ProgramFuzz): whatever the
+ * verifier rejects, both backends and a live RemoteServer reject with
+ * a typed error; whatever it accepts passes the lockstep co-simulation
+ * against the tfhe::batchBootstrap reference.
  * The seed comes from MORPHLING_FUZZ_SEED when set and is
  * echoed in the log either way, so any CI failure reproduces locally
  * with one env var.
  */
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "arch/config.h"
 #include "common/rng.h"
 #include "compiler/sw_scheduler.h"
+#include "compiler/verify.h"
 #include "exec/cosim.h"
 #include "exec/functional_backend.h"
+#include "exec/remote_backend.h"
+#include "exec/remote_server.h"
 #include "exec/sharded_backend.h"
 #include "exec/timing_backend.h"
 #include "tfhe/encoding.h"
@@ -168,6 +178,164 @@ TEST_F(CosimFuzz, RandomWorkloadsPassLockstepAndShardedChecks)
                 << "retirement " << i << " at 4 threads";
         }
     }
+}
+
+using ProgramFuzz = CosimFuzz;
+
+/** One random edit of a compiled instruction stream: drop, duplicate
+ *  or swap instructions, move one to another group, corrupt a count, a
+ *  barrier id or the XPU.BR operand, or truncate the program. */
+void
+mutate(std::vector<compiler::Instruction> &v, Rng &rng)
+{
+    if (v.empty())
+        return;
+    const std::size_t i = rng.nextBelow(v.size());
+    const auto pick = [&](compiler::Opcode op) -> compiler::Instruction * {
+        std::vector<std::size_t> found;
+        for (std::size_t j = 0; j < v.size(); ++j) {
+            if (v[j].op == op)
+                found.push_back(j);
+        }
+        return found.empty() ? nullptr
+                             : &v[found[rng.nextBelow(found.size())]];
+    };
+    switch (rng.nextBelow(8)) {
+      case 0:
+        v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      case 1: {
+        const compiler::Instruction copy = v[i];
+        v.insert(v.begin() + static_cast<std::ptrdiff_t>(
+                                 rng.nextBelow(v.size() + 1)),
+                 copy);
+        break;
+      }
+      case 2:
+        std::swap(v[i], v[rng.nextBelow(v.size())]);
+        break;
+      case 3:
+        v[i].group = static_cast<std::uint8_t>(rng.nextBelow(6));
+        break;
+      case 4:
+        v[i].count = static_cast<std::uint16_t>(
+            rng.nextBelow(std::uint64_t{v[i].count} + 3));
+        break;
+      case 5:
+        if (auto *bar = pick(compiler::Opcode::Barrier))
+            bar->operand += 1 + static_cast<std::uint32_t>(rng.nextBelow(3));
+        break;
+      case 6:
+        if (auto *br = pick(compiler::Opcode::XpuBlindRotate))
+            br->operand = rng.nextBit() ? br->operand + 1 : br->operand - 1;
+        break;
+      default:
+        v.resize(rng.nextBelow(v.size()));
+        break;
+    }
+}
+
+TEST_F(ProgramFuzz, MutantsAreRejectedTypedOrRunClean)
+{
+    const std::uint64_t seed = fuzzSeed();
+    std::printf("MORPHLING_FUZZ_SEED=%llu\n",
+                static_cast<unsigned long long>(seed));
+    Rng rng(seed);
+
+    const auto &params = keys().params;
+    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+        return (m + 3) % 4;
+    });
+    const auto arch_cfg = arch::ArchConfig::morphlingDefault();
+    RemoteServer server;
+    server.addKeys(evalKeys());
+    server.start();
+    RemoteClientConfig client;
+    client.port = server.port();
+    RemoteBackend remote(evalKeys(), client);
+
+    unsigned accepted = 0;
+    unsigned rejected = 0;
+    unsigned sent = 0;
+    for (unsigned iteration = 0; iteration < 150; ++iteration) {
+        compiler::SchedulerConfig config;
+        const unsigned sizes[] = {1, 2, 4, 16};
+        config.groupSize = sizes[rng.nextBelow(4)];
+        config.numGroups = 1 + static_cast<unsigned>(rng.nextBelow(4));
+        if (rng.nextBit())
+            config.interleave = compiler::InterleaveMode::kGroupInterleaved;
+        compiler::Workload w;
+        w.name = "mutant-" + std::to_string(iteration);
+        const unsigned stages = 1 + static_cast<unsigned>(rng.nextBelow(3));
+        for (unsigned st = 0; st < stages; ++st)
+            w.stages.push_back({rng.nextBelow(9),
+                                rng.nextBit() ? rng.nextBelow(600) : 0});
+        std::vector<compiler::Instruction> instrs =
+            compiler::SwScheduler(params, config).schedule(w).instructions();
+        const unsigned edits = 1 + static_cast<unsigned>(rng.nextBelow(2));
+        for (unsigned e = 0; e < edits; ++e)
+            mutate(instrs, rng);
+        compiler::Program mutant(w.name);
+        for (const auto &inst : instrs)
+            mutant.add(inst);
+        SCOPED_TRACE("iteration " + std::to_string(iteration) + ":\n" +
+                     mutant.disassemble());
+
+        std::vector<tfhe::LweCiphertext> inputs;
+        for (std::uint64_t i = 0; i < mutant.totalBlindRotations(); ++i) {
+            inputs.push_back(tfhe::encryptPadded(
+                keys(), static_cast<std::uint32_t>(rng.nextBelow(4)), 4,
+                rng));
+        }
+        const Job job = Job::batch(inputs, lut);
+        FunctionalBackend functional(evalKeys());
+        TimingBackend timing(arch_cfg, params);
+
+        std::string error;
+        if (!compiler::verify(mutant, params, &error).has_value()) {
+            ++rejected;
+            EXPECT_THROW(functional.run(mutant, job), std::invalid_argument);
+            EXPECT_THROW(timing.run(mutant, job), std::invalid_argument);
+            if (sent < 4 && !inputs.empty()) {
+                // Over the wire: a typed kBadProgram, nothing executed
+                // or cached, and the server keeps serving.
+                ++sent;
+                try {
+                    (void)remote.run(mutant, job);
+                    ADD_FAILURE() << "server ran a rejected program";
+                } catch (const remote::RemoteError &e) {
+                    EXPECT_EQ(e.kind(), remote::RemoteErrorKind::kBadProgram)
+                        << e.what();
+                }
+                EXPECT_EQ(server.executionsFor(remote.lastRequestId()), 0u);
+            }
+            continue;
+        }
+        ++accepted;
+        CosimOptions options;
+        options.referenceKeys = &evalKeys();
+        const auto report =
+            LockstepCosim(functional, timing, options).run(mutant, job);
+        EXPECT_TRUE(report.ok()) << report.summary();
+    }
+    std::printf("ProgramFuzz: %u accepted, %u rejected, %u sent remote\n",
+                accepted, rejected, sent);
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(sent, 0u);
+
+    // The last rejection left the server serving valid requests.
+    const auto program =
+        compiler::SwScheduler(params).scheduleBootstrapBatch(3);
+    std::vector<tfhe::LweCiphertext> inputs;
+    for (std::uint32_t m = 0; m < 3; ++m)
+        inputs.push_back(tfhe::encryptPadded(keys(), m, 4, rng));
+    const auto result = remote.run(program, Job::batch(inputs, lut));
+    ASSERT_EQ(result.outputs.size(), 3u);
+    for (std::uint32_t m = 0; m < 3; ++m)
+        EXPECT_EQ(tfhe::decryptPadded(keys(), result.outputs[m], 4),
+                  (m + 3) % 4);
+    server.stop();
 }
 
 } // namespace

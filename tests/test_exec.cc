@@ -10,6 +10,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "compiler/sw_scheduler.h"
 #include "exec/backend.h"
 #include "exec/functional_backend.h"
+#include "exec/sharded_backend.h"
 #include "exec/timing_backend.h"
 #include "tfhe/batch.h"
 #include "tfhe/encoding.h"
@@ -286,12 +288,65 @@ TEST_F(ExecFixture, BackendKindNamesAreStable)
     EXPECT_STREQ(backendKindName(BackendKind::kCosim), "cosim");
 }
 
+TEST_F(ExecFixture, UnverifiedProgramsThrowOnEveryBackend)
+{
+    // Three streams the interpreter used to abort on: a 4-LWE batch
+    // without its VPU.MS (which the cycle model used to time), and a
+    // two-stage, two-group program whose group 1 changes or drops its
+    // barrier (timed, and drained without completing, respectively).
+    const auto &params = keys().params;
+    const auto rebuilt = [](const compiler::Program &program,
+                            std::size_t index, bool drop,
+                            std::uint32_t operand) {
+        compiler::Program out(program.name());
+        for (std::size_t i = 0; i < program.size(); ++i) {
+            compiler::Instruction inst = program.at(i);
+            if (i == index && drop)
+                continue;
+            if (i == index)
+                inst.operand = operand;
+            out.add(inst);
+        }
+        return out;
+    };
+    compiler::SchedulerConfig pairs;
+    pairs.groupSize = 1;
+    pairs.numGroups = 2;
+    compiler::Workload w;
+    w.name = "two-stage";
+    w.stages = {{2, 0}, {2, 0}};
+    const auto staged = compiler::SwScheduler(params, pairs).schedule(w);
+    ASSERT_EQ(staged.at(17).op, compiler::Opcode::Barrier);
+    ASSERT_EQ(staged.at(17).group, 1u);
+    const compiler::Program mutants[] = {
+        rebuilt(compiler::SwScheduler(params).scheduleBootstrapBatch(4),
+                1, true, 0),
+        rebuilt(staged, 17, false, 7),
+        rebuilt(staged, 17, true, 0),
+    };
+    const auto cfg = arch::ArchConfig::morphlingDefault();
+    for (const auto &program : mutants) {
+        const auto inputs = encryptBatch(program.totalBlindRotations());
+        const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+            return m;
+        });
+        const Job job = Job::batch(inputs, lut);
+        SCOPED_TRACE(program.disassemble());
+        FunctionalBackend functional(evalKeys());
+        EXPECT_THROW(functional.run(program, job), std::invalid_argument);
+        TimingBackend timing(cfg, params);
+        EXPECT_THROW(timing.run(program, job), std::invalid_argument);
+        auto sharded = ShardedBackend::timing(cfg, params, 2);
+        EXPECT_THROW(sharded.run(program, job), std::invalid_argument);
+    }
+}
+
 using ExecDeathTest = ExecFixture;
 
 TEST_F(ExecDeathTest, MalformedStreamIsRejected)
 {
-    // An XPU.BR with no chunk staged: the functional backend is an IR
-    // validity checker, not a garbage generator.
+    // An XPU.BR with no chunk open does not verify: the backend throws
+    // the verifier's diagnostic instead of computing garbage.
     compiler::Program program("broken");
     program.add({compiler::Opcode::XpuBlindRotate, 0, 4,
                  keys().params.lweDimension});
@@ -303,7 +358,7 @@ TEST_F(ExecDeathTest, MalformedStreamIsRejected)
     job.inputs = &inputs;
     job.lut = &lut;
     FunctionalBackend backend(evalKeys());
-    EXPECT_DEATH(backend.run(program, job), "");
+    EXPECT_THROW(backend.run(program, job), std::invalid_argument);
 }
 
 TEST_F(ExecDeathTest, InputCountMismatchIsRejected)
@@ -318,7 +373,7 @@ TEST_F(ExecDeathTest, InputCountMismatchIsRejected)
     job.inputs = &inputs;
     job.lut = &lut;
     FunctionalBackend backend(evalKeys());
-    EXPECT_DEATH(backend.run(program, job), "");
+    EXPECT_THROW(backend.run(program, job), std::invalid_argument);
 }
 
 } // namespace

@@ -458,6 +458,36 @@ TEST_F(RemoteFixture, BadProgramRejectedTyped)
     EXPECT_EQ(server->executionsFor(2), 0u);
 }
 
+TEST_F(RemoteFixture, UnverifiedProgramRejectedTypedAndServerKeepsServing)
+{
+    // A decodable 4-LWE program without its VPU.MS passes the framed
+    // decode and every job check; it used to abort the server inside
+    // the interpreter. The verifier rejects it before the idempotency
+    // gate.
+    auto server = startServer();
+    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+        return m;
+    });
+    const auto batch =
+        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(4);
+    compiler::Program program(batch.name());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (batch.at(i).op != compiler::Opcode::VpuModSwitch)
+            program.add(batch.at(i));
+    }
+
+    const auto reply =
+        sendRawExecute(server->port(), 5, lut, program, encryptBatch(4));
+    ASSERT_EQ(reply.type, FrameType::kError);
+    const auto error = remote::decodeError(reply);
+    EXPECT_EQ(error.kind(), RemoteErrorKind::kBadProgram) << error.what();
+    EXPECT_NE(std::string(error.what()).find("instruction 1"),
+              std::string::npos)
+        << error.what();
+    EXPECT_EQ(server->executionsFor(5), 0u);
+    expectStillServes(*server);
+}
+
 TEST_F(RemoteFixture, WrongDimensionInputRejectedTyped)
 {
     // An input of dimension n+1 would reach the interpreter's dimension

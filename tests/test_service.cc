@@ -2,8 +2,9 @@
  * @file
  * Tests of the concurrent bootstrap service: flush-on-timeout under
  * light load, deadline-driven flushes, backpressure (fail-fast and
- * drain), per-client result ordering, full-batch assembly and
- * shutdown semantics. All run under the TSan label (ctest -L tsan).
+ * drain), per-client result ordering, full-batch assembly, shutdown
+ * semantics and typed misuse errors, and the program disk cache. All
+ * run under the TSan label (ctest -L tsan).
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +17,14 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "circuit/circuit.h"
 #include "common/rng.h"
+#include "compiler/program_cache.h"
+#include "compiler/sw_scheduler.h"
 #include "service/bootstrap_service.h"
 #include "tfhe/encoding.h"
 
@@ -274,6 +279,43 @@ TEST_F(ServiceFixture, ShutdownDrainsAllAcceptedRequests)
     EXPECT_TRUE(service.stopped());
 }
 
+TEST_F(ServiceFixture, MisuseThrowsTypedErrors)
+{
+    ServiceConfig config;
+    config.superbatchSize = 64;
+    config.maxOutstanding = 1;
+    config.maxWait = 10s; // nothing ships until shutdown drains
+    config.numWorkers = 1;
+    BootstrapService service(keys(), config);
+    const auto lut_values = tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
+        return m;
+    });
+    const LutId lut = service.registerLut(lut_values);
+
+    // A circuit needs one input ciphertext per circuit input.
+    circuit::Circuit c;
+    c.markOutput(c.gate(tfhe::BoolGate::And, c.bitInput(), c.bitInput()));
+    EXPECT_THROW((void)service.submitCircuit(c, {encrypt(0)}),
+                 std::invalid_argument);
+
+    // The lane is full, so this submit blocks until shutdown wakes it.
+    auto first = service.submit(encrypt(1), lut);
+    auto blocked = std::async(std::launch::async, [&] {
+        return service.submit(encrypt(2), lut);
+    });
+    std::this_thread::sleep_for(50ms);
+    service.shutdown();
+    EXPECT_THROW((void)blocked.get(), std::logic_error);
+    expectReady(first);
+    EXPECT_EQ(decrypt(first.get()), 1u);
+
+    EXPECT_THROW((void)service.submit(encrypt(0), lut), std::logic_error);
+    EXPECT_THROW((void)service.submitCircuit(c, {encrypt(0), encrypt(1)}),
+                 std::logic_error);
+    EXPECT_THROW((void)service.registerLut(lut_values), std::logic_error);
+    EXPECT_EQ(service.stats().accepted, 1u);
+}
+
 TEST_F(ServiceFixture, CosimBackendServesCorrectResults)
 {
     // The deep self-check path: every superbatch runs through the
@@ -509,6 +551,58 @@ TEST_F(ServiceFixture, ProgramDiskCacheSurvivesRestartAndCorruption)
     }
     run_once();
 
+    fs::remove_all(dir);
+}
+
+TEST_F(ServiceFixture, UnverifiedCachedProgramIsRejectedAndRecompiled)
+{
+    // A cached file that decodes but does not verify (a 1-LWE batch
+    // without its VPU.MS) used to abort the first submit; it must
+    // count as a reject and be recompiled.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "morphling_test_unverified_cache";
+    fs::remove_all(dir);
+    const auto &params = keys().params;
+    const auto key = compiler::ProgramCacheKey::forBatch(
+        params, compiler::SchedulerConfig{}, 1);
+    const auto batch = compiler::SwScheduler(params).scheduleBootstrapBatch(1);
+    compiler::Program broken(batch.name());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (batch.at(i).op != compiler::Opcode::VpuModSwitch)
+            broken.add(batch.at(i));
+    }
+    {
+        compiler::ProgramDiskCache cache(dir.string());
+        ASSERT_TRUE(cache.store(key, broken));
+        std::string why;
+        EXPECT_FALSE(cache.load(key, params, &why).has_value());
+        EXPECT_EQ(cache.rejects(), 1u);
+        EXPECT_NE(why.find("instruction 1 (DMA.LD_BSK"), std::string::npos)
+            << why;
+    }
+
+    ServiceConfig config;
+    config.superbatchSize = 1;
+    config.numWorkers = 1;
+    config.programCacheDir = dir.string();
+    {
+        BootstrapService service(keys(), config);
+        const LutId lut = service.registerLut(
+            tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
+                return (m + 1) % kSpace;
+            }));
+        auto future = service.submit(encrypt(2), lut);
+        expectReady(future);
+        EXPECT_EQ(decrypt(future.get()), 3u);
+    }
+
+    // The recompiled program replaced the broken entry.
+    compiler::ProgramDiskCache cache(dir.string());
+    const auto reloaded = cache.load(key, params);
+    ASSERT_TRUE(reloaded.has_value());
+    EXPECT_EQ(reloaded->instructions(), batch.instructions());
+    EXPECT_EQ(cache.rejects(), 0u);
     fs::remove_all(dir);
 }
 

@@ -26,7 +26,8 @@
  *  - one scheduler: backlogged tenants sharing one worker split it by
  *    weight;
  *  - misuse at the front door: an unknown LUT id or an unusable LUT
- *    throws instead of exiting the process;
+ *    throws instead of exiting the process, and so do an admission
+ *    that shutdown wakes and an addTenant after shutdown;
  *  - per-tenant telemetry: labelled metrics land in both export
  *    formats, and the quantile estimator brackets the observations.
  *
@@ -365,6 +366,33 @@ TEST_F(TenantFixture, AdmissionBucketBouncesAndRefills)
     ASSERT_EQ(f4.wait_for(60s), std::future_status::ready);
     EXPECT_EQ(tfhe::decryptPadded(keysA(), f4.get(), kSpace), 0u);
     EXPECT_EQ(front.stats("capped").completed, 4u);
+}
+
+TEST_F(TenantFixture, ShutdownWakesAdmittersWithLogicError)
+{
+    telemetry::MetricsRegistry metrics;
+    MultiTenantConfig config;
+    config.service = smallService();
+    config.metrics = &metrics;
+    MultiTenantService front(config);
+
+    // One token per 100 s: the second submit waits in admission.
+    TenantQuota quota;
+    quota.ratePerSec = 0.01;
+    quota.burst = 1;
+    front.addTenant("slow", evalA(), quota);
+    const LutId lut = front.registerLut("slow", plusOneLut());
+    auto first = front.submit("slow", encryptA(0), lut);
+    auto blocked = std::async(std::launch::async, [&] {
+        return front.submit("slow", encryptA(1), lut);
+    });
+    std::this_thread::sleep_for(50ms);
+    front.shutdown();
+    EXPECT_THROW((void)blocked.get(), std::logic_error);
+    ASSERT_EQ(first.wait_for(60s), std::future_status::ready);
+    EXPECT_EQ(tfhe::decryptPadded(keysA(), first.get(), kSpace), 1u);
+
+    EXPECT_THROW(front.addTenant("late", evalA()), std::logic_error);
 }
 
 TEST_F(TenantFixture, OversizedCircuitAdmitsAgainstSmallBucket)

@@ -1,13 +1,19 @@
 /**
  * @file
- * Tests of the application workload builders (Section VI-A models) and
- * the CPU cost model.
+ * Tests of the application workload builders (Section VI-A models),
+ * the verifier's acceptance of every Program the scheduler emits for
+ * them, and the CPU cost model.
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/cpu_cost_model.h"
 #include "apps/workloads.h"
+#include "compiler/sw_scheduler.h"
+#include "compiler/verify.h"
 #include "tfhe/params.h"
 
 namespace morphling::apps {
@@ -81,6 +87,48 @@ TEST(Workloads, Vgg9Structure)
     // last FC: 10 logits, no ReLU.
     EXPECT_EQ(w.stages[10].bootstraps, 0u);
     EXPECT_GT(w.totalBootstraps(), 200000u);
+}
+
+TEST(Workloads, EverySchedulerProgramVerifies)
+{
+    // The verifier's grammar is strict because the SW scheduler is the
+    // only producer of Programs: everything it emits, and every shard
+    // sliced from that, must verify.
+    const auto verifies = [](const compiler::Program &program,
+                             const tfhe::TfheParams &params) {
+        std::string error;
+        EXPECT_TRUE(compiler::verify(program, params, &error).has_value())
+            << error;
+    };
+    const compiler::Workload apps[] = {
+        xgboostWorkload(),   deepCnnWorkload(20), deepCnnWorkload(50),
+        deepCnnWorkload(100), vgg9Workload()};
+    for (const auto mode : {compiler::InterleaveMode::kRoundRobin,
+                            compiler::InterleaveMode::kGroupInterleaved}) {
+        for (const unsigned groups : {4u, 16u}) {
+            compiler::SchedulerConfig config;
+            config.numGroups = groups;
+            config.interleave = mode;
+            const compiler::SwScheduler set1(tfhe::paramsSetI(), config);
+            for (const auto &workload : apps) {
+                const auto program = set1.schedule(workload);
+                verifies(program, tfhe::paramsSetI());
+                for (const unsigned ways : {2u, 3u}) {
+                    for (unsigned s = 0; s < ways; ++s) {
+                        std::vector<std::uint8_t> owned;
+                        for (unsigned g = s; g < groups; g += ways)
+                            owned.push_back(static_cast<std::uint8_t>(g));
+                        verifies(program.sliceGroups("shard", owned).program,
+                                 tfhe::paramsSetI());
+                    }
+                }
+            }
+            const compiler::SwScheduler test(tfhe::paramsTest(), config);
+            for (std::uint64_t count = 1; count <= 130; ++count)
+                verifies(test.scheduleBootstrapBatch(count),
+                         tfhe::paramsTest());
+        }
+    }
 }
 
 TEST(CpuModel, PaperNumbersForPublishedSets)
