@@ -20,8 +20,11 @@ compileBatch(const compiler::SwScheduler &scheduler,
     const auto key = compiler::ProgramCacheKey::forBatch(
         scheduler.params(), scheduler.config(), count);
     std::string why;
+    const std::uint64_t rejects = cache->rejects();
     if (auto program = cache->load(key, scheduler.params(), &why))
         return std::move(*program);
+    if (cache->rejects() != rejects)
+        warn("program cache: ", why, "; recompiling");
     auto program = scheduler.scheduleBootstrapBatch(count);
     cache->store(key, program);
     return program;

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <sstream>
-
-#include "common/logging.h"
+#include <stdexcept>
 
 namespace morphling::compiler {
 
@@ -50,13 +49,16 @@ ProgramSlice
 Program::sliceGroups(const std::string &name,
                      const std::vector<std::uint8_t> &groups) const
 {
-    panic_if(groups.empty(), "sliceGroups with no groups");
+    if (groups.empty())
+        throw std::invalid_argument("sliceGroups with no groups");
     // Dense remap table: source group id -> slice-local id.
     std::array<int, 256> local;
     local.fill(-1);
     for (std::size_t i = 0; i < groups.size(); ++i) {
-        panic_if(i > 0 && groups[i] <= groups[i - 1],
-                 "sliceGroups groups must be ascending and unique");
+        if (i > 0 && groups[i] <= groups[i - 1]) {
+            throw std::invalid_argument(
+                "sliceGroups groups must be ascending and unique");
+        }
         local[groups[i]] = static_cast<int>(i);
     }
 

@@ -76,7 +76,8 @@ class Program
     /**
      * Carve out the streams of a subset of scheduling groups as a
      * standalone sub-program (see ProgramSlice). `groups` must be
-     * non-empty, sorted ascending and duplicate-free; ids beyond
+     * non-empty, sorted ascending and duplicate-free (else
+     * std::invalid_argument); ids beyond
      * numGroups() are permitted (they contribute empty streams), so a
      * fixed round-robin shard assignment works for any program.
      * Groups are data-independent between barriers, so a slice

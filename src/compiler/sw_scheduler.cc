@@ -1,7 +1,8 @@
 #include "sw_scheduler.h"
 
+#include <stdexcept>
+
 #include "common/bits.h"
-#include "common/logging.h"
 
 namespace morphling::compiler {
 
@@ -9,10 +10,12 @@ SwScheduler::SwScheduler(const tfhe::TfheParams &params,
                          SchedulerConfig config)
     : params_(params), config_(config)
 {
-    fatal_if(config.groupSize == 0 || config.numGroups == 0,
-             "scheduler needs nonzero group geometry");
-    fatal_if(config.numGroups > 16, "group id must fit the encoding");
-    fatal_if(config.kskReuse == 0, "kskReuse must be positive");
+    if (config.groupSize == 0 || config.numGroups == 0)
+        throw std::invalid_argument("scheduler needs nonzero group geometry");
+    if (config.numGroups > 16)
+        throw std::invalid_argument("group id must fit the encoding");
+    if (config.kskReuse == 0)
+        throw std::invalid_argument("kskReuse must be positive");
 }
 
 std::uint64_t

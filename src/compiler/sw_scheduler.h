@@ -66,6 +66,8 @@ struct SchedulerConfig
 class SwScheduler
 {
   public:
+    /** Throws std::invalid_argument for a zero group size or count,
+     *  more than 16 groups (the group id's encoding) or kskReuse 0. */
     explicit SwScheduler(const tfhe::TfheParams &params,
                          SchedulerConfig config = {});
 

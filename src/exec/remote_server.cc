@@ -79,7 +79,8 @@ tfhe::KeyFingerprint RemoteServer::addKeys(tfhe::EvaluationKeys keys)
 
 void RemoteServer::start()
 {
-    fatal_if(running_.load(), "RemoteServer::start: already running");
+    if (running_.load())
+        throw std::logic_error("RemoteServer::start: already running");
     if (config_.inner.kind != BackendKind::kFunctional) {
         throw std::invalid_argument(morphling::detail::concat(
             "RemoteServer: inner backend must be kFunctional, got ",

@@ -124,9 +124,9 @@ class RemoteServer
     tfhe::KeyFingerprint addKeys(tfhe::EvaluationKeys keys);
 
     /** Bind, listen, and serve until stop(). Throws
-     *  std::invalid_argument on a config the server cannot serve with
-     *  and RemoteError(kConnectFailed) when the port cannot be
-     *  bound. */
+     *  std::invalid_argument on a config the server cannot serve with,
+     *  std::logic_error when already running, and
+     *  RemoteError(kConnectFailed) when the port cannot be bound. */
     void start();
 
     /** Stop accepting, unblock and join every connection. Requests

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -19,7 +20,8 @@ ShardedBackend::timing(const arch::ArchConfig &config,
                        const tfhe::TfheParams &params,
                        unsigned numShards)
 {
-    fatal_if(numShards == 0, "sharded backend needs >= 1 shard");
+    if (numShards == 0)
+        throw std::invalid_argument("sharded backend needs >= 1 shard");
     ShardedBackend b;
     b.params_ = &params;
     b.shards_.reserve(numShards);
@@ -33,7 +35,8 @@ ShardedBackend::fleetTiming(const arch::ArchConfig &config,
                             const tfhe::TfheParams &params,
                             unsigned numShards)
 {
-    fatal_if(numShards == 0, "sharded backend needs >= 1 shard");
+    if (numShards == 0)
+        throw std::invalid_argument("sharded backend needs >= 1 shard");
     ShardedBackend b;
     b.fleetMode_ = true;
     b.fleetShards_ = numShards;

@@ -71,7 +71,8 @@ class ShardedBackend final : public ExecutionBackend
 {
   public:
     /** N independent simulated accelerators of identical geometry.
-     *  `params` must outlive the backend. */
+     *  `params` must outlive the backend. Throws
+     *  std::invalid_argument for 0 shards (so does fleetTiming). */
     static ShardedBackend timing(const arch::ArchConfig &config,
                                  const tfhe::TfheParams &params,
                                  unsigned numShards);

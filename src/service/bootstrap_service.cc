@@ -124,21 +124,10 @@ ServiceConfig::validate() const
 
 BootstrapService::BootstrapService(tfhe::EvaluationKeys keys,
                                    ServiceConfig config)
-    : BootstrapService(std::make_shared<const tfhe::EvaluationKeys>(
-                           std::move(keys)),
-                       std::move(config))
-{
-}
-
-BootstrapService::BootstrapService(
-    std::shared_ptr<const tfhe::EvaluationKeys> keys,
-    ServiceConfig config)
     : BootstrapService(std::move(config))
 {
-    if (keys == nullptr)
-        throw std::invalid_argument(
-            "BootstrapService: null key material");
-    ownKeys_.keys = std::move(keys);
+    ownKeys_.keys =
+        std::make_shared<const tfhe::EvaluationKeys>(std::move(keys));
     // Fingerprint once per service, not once per batch: every worker
     // backend the kRemote path builds would otherwise re-serialize
     // the BSK just to identify the keys.
@@ -204,6 +193,18 @@ BootstrapService::validateLut(const std::vector<tfhe::Torus32> &lut,
             "BootstrapService: a LUT needs 1 to N/2 = " +
             std::to_string(params.polyDegree / 2) + " entries, got " +
             std::to_string(lut.size()));
+    }
+}
+
+void
+BootstrapService::validateCircuitInputs(const circuit::Circuit &circuit,
+                                        std::size_t inputs)
+{
+    if (inputs != circuit.numInputs()) {
+        throw std::invalid_argument(
+            "BootstrapService: circuit has " +
+            std::to_string(circuit.numInputs()) + " inputs, got " +
+            std::to_string(inputs));
     }
 }
 
@@ -309,12 +310,7 @@ BootstrapService::enqueueCircuit(std::size_t lane, KeyPin pin,
                                  std::vector<tfhe::LweCiphertext> inputs)
 {
     MORPHLING_SPAN("service", "submit_circuit");
-    if (inputs.size() != circuit.numInputs()) {
-        throw std::invalid_argument(
-            "BootstrapService: circuit has " +
-            std::to_string(circuit.numInputs()) + " inputs, got " +
-            std::to_string(inputs.size()));
-    }
+    validateCircuitInputs(circuit, inputs.size());
 
     CircuitJob job;
     // A circuit's admission weight is its bootstrap count, so a large
@@ -799,8 +795,18 @@ BootstrapService::outstanding() const
 ServiceStats
 BootstrapService::stats() const
 {
+    std::uint64_t cache_hits = 0, cache_misses = 0, cache_rejects = 0;
+    if (diskCache_ != nullptr) {
+        std::lock_guard<std::mutex> lk(programMu_);
+        cache_hits = diskCache_->hits();
+        cache_misses = diskCache_->misses();
+        cache_rejects = diskCache_->rejects();
+    }
     std::lock_guard<std::mutex> lk(mu_);
     ServiceStats out = stats_;
+    out.programCacheHits = cache_hits;
+    out.programCacheMisses = cache_misses;
+    out.programCacheRejects = cache_rejects;
     out.pending = pendingCount_;
     out.outstanding = outstanding_;
     out.luts = static_cast<std::uint64_t>(std::count_if(

@@ -173,14 +173,6 @@ class BootstrapService
     explicit BootstrapService(tfhe::EvaluationKeys keys,
                               ServiceConfig config = {});
 
-    /** Serve shared key material without copying it — the form the
-     *  tenant registry hands out, so an LRU eviction does not tear
-     *  the keys out from under a draining service. The pointee is
-     *  treated as immutable for the service's lifetime. */
-    explicit BootstrapService(
-        std::shared_ptr<const tfhe::EvaluationKeys> keys,
-        ServiceConfig config = {});
-
     /** Convenience: serve from a full key set (extracts the
      *  evaluation half). */
     explicit BootstrapService(const tfhe::KeySet &keys,
@@ -286,6 +278,11 @@ class BootstrapService
     /** Throws std::invalid_argument for an empty LUT or 2·|lut| > N. */
     static void validateLut(const std::vector<tfhe::Torus32> &lut,
                             const tfhe::TfheParams &params);
+
+    /** Throws std::invalid_argument unless `inputs` matches the
+     *  circuit's input count. */
+    static void validateCircuitInputs(const circuit::Circuit &circuit,
+                                      std::size_t inputs);
 
     /** Register `lut` on `lane`. With an `owner`, which requests routed
      *  under the id pin (KeyPin::luts), a later registration reclaims

@@ -299,6 +299,8 @@ MultiTenantService::submitCircuit(
     std::vector<tfhe::LweCiphertext> inputs)
 {
     auto &t = find(tenant);
+    // A rejected circuit draws no tokens and counts as no submission.
+    BootstrapService::validateCircuitInputs(circuit, inputs.size());
     const auto cost = std::max<std::uint64_t>(
         1, circuit.bootstrapCount());
     admit(t, static_cast<double>(cost), /*block=*/true);

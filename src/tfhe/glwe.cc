@@ -7,10 +7,12 @@ namespace morphling::tfhe {
 
 GlweKey::GlweKey(const TfheParams &params,
                  std::vector<IntPolynomial> polys)
-    : params_(&params), polys_(std::move(polys))
+    : params_(&params)
 {
-    panic_if(polys_.size() != params.glweDimension,
+    panic_if(polys.size() != params.glweDimension,
              "GLWE key needs k polynomials");
+    polys_ = std::make_shared<const std::vector<IntPolynomial>>(
+        std::move(polys));
 }
 
 GlweKey
@@ -35,7 +37,7 @@ GlweKey::extractLweKey() const
                  params().polyDegree);
     for (unsigned i = 0; i < dimension(); ++i) {
         for (unsigned j = 0; j < params().polyDegree; ++j)
-            bits.push_back(polys_[i][j]);
+            bits.push_back(poly(i)[j]);
     }
     return LweKey(params(), std::move(bits));
 }

@@ -11,6 +11,7 @@
 #ifndef MORPHLING_TFHE_GLWE_H
 #define MORPHLING_TFHE_GLWE_H
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,9 +34,9 @@ class GlweKey
     const TfheParams &params() const { return *params_; }
     unsigned dimension() const
     {
-        return static_cast<unsigned>(polys_.size());
+        return polys_ ? static_cast<unsigned>(polys_->size()) : 0;
     }
-    const IntPolynomial &poly(unsigned i) const { return polys_[i]; }
+    const IntPolynomial &poly(unsigned i) const { return (*polys_)[i]; }
 
     /**
      * Flatten to the extracted LWE key of dimension kN
@@ -46,7 +47,8 @@ class GlweKey
 
   private:
     const TfheParams *params_ = nullptr;
-    std::vector<IntPolynomial> polys_;
+    /** Immutable and shared by every copy. */
+    std::shared_ptr<const std::vector<IntPolynomial>> polys_;
 };
 
 /** A GLWE ciphertext: k mask polynomials plus the body polynomial. */

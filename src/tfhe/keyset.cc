@@ -10,21 +10,22 @@ BootstrapKey::generate(const LweKey &lwe_key, const GlweKey &glwe_key,
                        Rng &rng)
 {
     const auto &params = glwe_key.params();
-    BootstrapKey out;
-    out.entries_.reserve(lwe_key.dimension());
+    std::vector<FourierGgsw> entries;
+    entries.reserve(lwe_key.dimension());
     for (unsigned i = 0; i < lwe_key.dimension(); ++i) {
         GgswCiphertext ggsw = GgswCiphertext::encrypt(
             glwe_key, lwe_key.bits()[i], params.glweNoiseStd, rng);
-        out.entries_.push_back(FourierGgsw::fromGgsw(ggsw));
+        entries.push_back(FourierGgsw::fromGgsw(ggsw));
     }
-    return out;
+    return fromEntries(std::move(entries));
 }
 
 BootstrapKey
 BootstrapKey::fromEntries(std::vector<FourierGgsw> entries)
 {
     BootstrapKey out;
-    out.entries_ = std::move(entries);
+    out.entries_ = std::make_shared<const std::vector<FourierGgsw>>(
+        std::move(entries));
     return out;
 }
 
@@ -33,24 +34,23 @@ KeySwitchKey::generate(const LweKey &source_key, const LweKey &target_key,
                        Rng &rng)
 {
     const auto &params = target_key.params();
-    KeySwitchKey out;
-    out.sourceDim_ = source_key.dimension();
-    out.targetDim_ = target_key.dimension();
-    out.levels_ = params.kskLevels;
-    out.baseBits_ = params.kskBaseBits;
-    out.entries_.reserve(static_cast<std::size_t>(out.sourceDim_) *
-                         out.levels_);
-    for (unsigned i = 0; i < out.sourceDim_; ++i) {
-        for (unsigned j = 0; j < out.levels_; ++j) {
+    const unsigned source_dim = source_key.dimension();
+    std::vector<LweCiphertext> entries;
+    entries.reserve(static_cast<std::size_t>(source_dim) *
+                    params.kskLevels);
+    for (unsigned i = 0; i < source_dim; ++i) {
+        for (unsigned j = 0; j < params.kskLevels; ++j) {
             // KSK_(i,j) encrypts s'_i * q / base^(j+1).
             const Torus32 message = static_cast<Torus32>(
                 static_cast<std::int64_t>(source_key.bits()[i])
-                << (32 - (j + 1) * out.baseBits_));
-            out.entries_.push_back(LweCiphertext::encrypt(
+                << (32 - (j + 1) * params.kskBaseBits));
+            entries.push_back(LweCiphertext::encrypt(
                 target_key, message, params.lweNoiseStd, rng));
         }
     }
-    return out;
+    return fromEntries(source_dim, target_key.dimension(),
+                       params.kskLevels, params.kskBaseBits,
+                       std::move(entries));
 }
 
 KeySwitchKey
@@ -63,10 +63,10 @@ KeySwitchKey::fromEntries(unsigned source_dim, unsigned target_dim,
     out.targetDim_ = target_dim;
     out.levels_ = levels;
     out.baseBits_ = base_bits;
-    out.entries_ = std::move(entries);
-    panic_if(out.entries_.size() !=
-                 static_cast<std::size_t>(source_dim) * levels,
+    panic_if(entries.size() != static_cast<std::size_t>(source_dim) * levels,
              "KSK entry count mismatch");
+    out.entries_ = std::make_shared<const std::vector<LweCiphertext>>(
+        std::move(entries));
     return out;
 }
 

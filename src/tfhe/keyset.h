@@ -3,6 +3,12 @@
  * Evaluation-key material: the bootstrapping key (BSK) and the
  * key-switching key (KSK), plus a convenience KeySet bundling all
  * secret/evaluation keys of one party.
+ *
+ * Every key is immutable once generated or decoded, and its entries
+ * live in one shared, const allocation: a copy of a key (or of a whole
+ * KeySet or EvaluationKeys) shares that storage and allocates nothing,
+ * so a process holds one resident copy of each key set however many
+ * services, backends and registries refer to it.
  */
 
 #ifndef MORPHLING_TFHE_KEYSET_H
@@ -39,12 +45,13 @@ class BootstrapKey
 
     unsigned size() const
     {
-        return static_cast<unsigned>(entries_.size());
+        return entries_ ? static_cast<unsigned>(entries_->size()) : 0;
     }
-    const FourierGgsw &entry(unsigned i) const { return entries_[i]; }
+    const FourierGgsw &entry(unsigned i) const { return (*entries_)[i]; }
 
   private:
-    std::vector<FourierGgsw> entries_; //!< BSK_1 .. BSK_n
+    /** BSK_1 .. BSK_n, shared by every copy. */
+    std::shared_ptr<const std::vector<FourierGgsw>> entries_;
 };
 
 /**
@@ -75,7 +82,7 @@ class KeySwitchKey
 
     const LweCiphertext &at(unsigned i, unsigned j) const
     {
-        return entries_[static_cast<std::size_t>(i) * levels_ + j];
+        return (*entries_)[static_cast<std::size_t>(i) * levels_ + j];
     }
 
     /**
@@ -102,7 +109,8 @@ class KeySwitchKey
                     unsigned count) const;
 
   private:
-    std::vector<LweCiphertext> entries_;
+    /** KSK_(i,j) at i * levels_ + j, shared by every copy. */
+    std::shared_ptr<const std::vector<LweCiphertext>> entries_;
     unsigned sourceDim_ = 0;
     unsigned targetDim_ = 0;
     unsigned levels_ = 0;

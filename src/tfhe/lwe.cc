@@ -5,10 +5,12 @@
 namespace morphling::tfhe {
 
 LweKey::LweKey(const TfheParams &params, std::vector<std::int32_t> bits)
-    : params_(&params), bits_(std::move(bits))
+    : params_(&params)
 {
-    for (auto b : bits_)
+    for (auto b : bits)
         panic_if(b != 0 && b != 1, "LWE key bits must be binary");
+    bits_ = std::make_shared<const std::vector<std::int32_t>>(
+        std::move(bits));
 }
 
 LweKey

@@ -12,6 +12,7 @@
 #define MORPHLING_TFHE_LWE_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -38,13 +39,14 @@ class LweKey
     const TfheParams &params() const { return *params_; }
     unsigned dimension() const
     {
-        return static_cast<unsigned>(bits_.size());
+        return bits_ ? static_cast<unsigned>(bits_->size()) : 0;
     }
-    const std::vector<std::int32_t> &bits() const { return bits_; }
+    const std::vector<std::int32_t> &bits() const { return *bits_; }
 
   private:
     const TfheParams *params_ = nullptr;
-    std::vector<std::int32_t> bits_; //!< each 0 or 1
+    /** Each 0 or 1; immutable and shared by every copy. */
+    std::shared_ptr<const std::vector<std::int32_t>> bits_;
 };
 
 /**

@@ -206,6 +206,17 @@ TEST(Program, SliceGroupsRemapsDensely)
               (std::vector<std::size_t>{1, 2, 3}));
 }
 
+TEST(Program, SliceGroupsRejectsEmptyOrUnsortedGroups)
+{
+    Program prog("p");
+    prog.add({Opcode::VpuModSwitch, 0, 1, 0});
+    EXPECT_THROW(prog.sliceGroups("none", {}), std::invalid_argument);
+    EXPECT_THROW(prog.sliceGroups("unsorted", {2, 1}),
+                 std::invalid_argument);
+    EXPECT_THROW(prog.sliceGroups("duplicate", {1, 1}),
+                 std::invalid_argument);
+}
+
 TEST(Program, GroupStreamFilters)
 {
     Program prog("p");
@@ -223,6 +234,29 @@ class SchedulerFixture : public ::testing::Test
     const tfhe::TfheParams &params = tfhe::paramsSetI();
     SwScheduler scheduler{params};
 };
+
+TEST(SchedulerConfigCheck, DegenerateGeometryThrows)
+{
+    const auto &params = tfhe::paramsTest();
+    const auto build = [&](const SchedulerConfig &config) {
+        SwScheduler scheduler(params, config);
+    };
+    SchedulerConfig zero_size;
+    zero_size.groupSize = 0;
+    EXPECT_THROW(build(zero_size), std::invalid_argument);
+    SchedulerConfig zero_groups;
+    zero_groups.numGroups = 0;
+    EXPECT_THROW(build(zero_groups), std::invalid_argument);
+    SchedulerConfig too_many;
+    too_many.numGroups = 17;
+    EXPECT_THROW(build(too_many), std::invalid_argument);
+    SchedulerConfig no_reuse;
+    no_reuse.kskReuse = 0;
+    EXPECT_THROW(build(no_reuse), std::invalid_argument);
+    SchedulerConfig widest;
+    widest.numGroups = 16;
+    EXPECT_NO_THROW(build(widest));
+}
 
 TEST_F(SchedulerFixture, BatchCoversAllCiphertexts)
 {

@@ -770,6 +770,13 @@ TEST_F(RemoteFixture, NonFunctionalInnerRejectedAtStart)
     }
 }
 
+TEST_F(RemoteFixture, SecondStartThrowsLogicError)
+{
+    auto server = startServer();
+    EXPECT_THROW(server->start(), std::logic_error);
+    EXPECT_TRUE(server->running());
+}
+
 TEST_F(RemoteFixture, BackendSpecBuildsRemote)
 {
     auto server = startServer();

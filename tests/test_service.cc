@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "compiler/program_cache.h"
 #include "compiler/sw_scheduler.h"
@@ -241,6 +242,48 @@ TEST_F(ServiceFixture, FullBatchesAssembleWithoutTimer)
     EXPECT_EQ(stats.timerFlushes, 0u);
     EXPECT_EQ(stats.occupancy.mean(), 4.0);
     EXPECT_EQ(stats.meanOccupancy(config.superbatchSize), 1.0);
+    // No programCacheDir: the cache counters stay 0.
+    EXPECT_EQ(stats.programCacheHits + stats.programCacheMisses +
+                  stats.programCacheRejects,
+              0u);
+}
+
+TEST(ServiceKeyLifetime, ServesAfterTheSourceKeysAreDestroyed)
+{
+    // Key copies share storage: a service built from a temporary
+    // evaluation half must keep the keys alive itself once every other
+    // owner is gone (a use-after-free here is what the asan-ubsan leg
+    // would report).
+    Rng rng(0x11FE);
+    auto source = std::make_unique<KeySet>(
+        KeySet::generate(tfhe::paramsTest(), rng));
+    const tfhe::LweKey secret = source->lweKey;
+    std::vector<LweCiphertext> inputs;
+    for (std::uint32_t i = 0; i < 8; ++i)
+        inputs.push_back(tfhe::encryptPadded(*source, i % kSpace, kSpace, rng));
+
+    ServiceConfig config;
+    config.superbatchSize = 8;
+    config.maxWait = 10s;
+    config.numWorkers = 2;
+    BootstrapService service(tfhe::EvaluationKeys::fromKeySet(*source),
+                             config);
+    source.reset();
+
+    const LutId lut = service.registerLut(
+        tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
+            return (m + 3) % kSpace;
+        }));
+    std::vector<std::future<LweCiphertext>> futures;
+    for (auto &ct : inputs)
+        futures.push_back(service.submit(std::move(ct), lut));
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        ASSERT_EQ(futures[i].wait_for(60s), std::future_status::ready);
+        EXPECT_EQ(tfhe::lweDecrypt(secret, futures[i].get(), 2 * kSpace),
+                  (i % kSpace + 3) % kSpace)
+            << i;
+    }
+    EXPECT_EQ(service.stats().fullBatches, 1u);
 }
 
 TEST_F(ServiceFixture, ShutdownDrainsAllAcceptedRequests)
@@ -456,13 +499,6 @@ TEST(ServiceConfigValidate, RejectsEachDegenerateCombination)
     EXPECT_NE(error->find("minSlotSigmas"), std::string::npos);
 }
 
-TEST(ServiceConfigValidate, NullSharedKeysThrow)
-{
-    std::shared_ptr<const tfhe::EvaluationKeys> null_keys;
-    EXPECT_THROW(BootstrapService service(std::move(null_keys)),
-                 std::invalid_argument);
-}
-
 TEST_F(ServiceFixture, RejectsUnusableLutsAndUnknownLutIds)
 {
     ServiceConfig config;
@@ -510,10 +546,12 @@ TEST_F(ServiceFixture, ProgramDiskCacheSurvivesRestartAndCorruption)
         fs::temp_directory_path() / "morphling_test_prog_cache";
     fs::remove_all(dir);
 
+    // Only full batches ship, so every run compiles or loads exactly one
+    // batch shape (4) and the cache counters below are exact.
     ServiceConfig config;
     config.superbatchSize = 4;
     config.numWorkers = 1;
-    config.maxWait = 5ms;
+    config.maxWait = 10s;
     config.programCacheDir = dir.string();
 
     const auto run_once = [&] {
@@ -527,12 +565,16 @@ TEST_F(ServiceFixture, ProgramDiskCacheSurvivesRestartAndCorruption)
             futures.push_back(service.submit(encrypt(m), lut));
         for (std::uint32_t m = 0; m < 4; ++m) {
             expectReady(futures[m]);
-            ASSERT_EQ(decrypt(futures[m].get()), (m + 2) % kSpace)
-                << m;
+            EXPECT_EQ(decrypt(futures[m].get()), (m + 2) % kSpace) << m;
         }
+        return service.stats();
     };
 
-    run_once(); // cold start: compiles and persists the batch shape
+    // Cold start: compiles and persists the batch shape.
+    const ServiceStats cold = run_once();
+    EXPECT_EQ(cold.programCacheMisses, 1u);
+    EXPECT_EQ(cold.programCacheHits, 0u);
+    EXPECT_EQ(cold.programCacheRejects, 0u);
     std::size_t cached = 0;
     for (const auto &entry : fs::directory_iterator(dir)) {
         if (entry.path().extension() == ".mprog")
@@ -540,7 +582,11 @@ TEST_F(ServiceFixture, ProgramDiskCacheSurvivesRestartAndCorruption)
     }
     ASSERT_GE(cached, 1u) << "no compiled program was persisted";
 
-    run_once(); // warm start: loads the persisted program
+    // Warm start: loads the persisted program.
+    const ServiceStats warm = run_once();
+    EXPECT_EQ(warm.programCacheHits, 1u);
+    EXPECT_EQ(warm.programCacheMisses, 0u);
+    EXPECT_EQ(warm.programCacheRejects, 0u);
 
     // Corrupt every cached entry; the service must fall back to
     // compilation and still produce correct results.
@@ -549,7 +595,9 @@ TEST_F(ServiceFixture, ProgramDiskCacheSurvivesRestartAndCorruption)
                          std::ios::binary | std::ios::trunc);
         os << "not a program";
     }
-    run_once();
+    const ServiceStats corrupt = run_once();
+    EXPECT_EQ(corrupt.programCacheRejects, 1u);
+    EXPECT_EQ(corrupt.programCacheHits, 0u);
 
     fs::remove_all(dir);
 }
@@ -592,9 +640,17 @@ TEST_F(ServiceFixture, UnverifiedCachedProgramIsRejectedAndRecompiled)
             tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
                 return (m + 1) % kSpace;
             }));
+        const std::size_t warnings = warnCount();
         auto future = service.submit(encrypt(2), lut);
         expectReady(future);
         EXPECT_EQ(decrypt(future.get()), 3u);
+        // The service's own stats show the reject, and the reason was
+        // reported once.
+        const ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.programCacheRejects, 1u);
+        EXPECT_EQ(stats.programCacheHits, 0u);
+        EXPECT_EQ(stats.programCacheMisses, 0u);
+        EXPECT_EQ(warnCount(), warnings + 1);
     }
 
     // The recompiled program replaced the broken entry.

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -263,6 +264,15 @@ TEST_F(ShardedFixture, EmptyProgramRetiresNothing)
         EXPECT_FALSE(st.hasReport);
         EXPECT_EQ(st.instructions, 0u);
     }
+}
+
+TEST_F(ShardedFixture, ZeroShardsThrow)
+{
+    const auto config = arch::ArchConfig::morphlingDefault();
+    EXPECT_THROW(ShardedBackend::timing(config, keys().params, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(ShardedBackend::fleetTiming(config, keys().params, 0),
+                 std::invalid_argument);
 }
 
 TEST_F(ShardedFixture, ShardStatsDescribeThePartition)

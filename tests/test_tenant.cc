@@ -368,6 +368,48 @@ TEST_F(TenantFixture, AdmissionBucketBouncesAndRefills)
     EXPECT_EQ(front.stats("capped").completed, 4u);
 }
 
+TEST_F(TenantFixture, RejectedCircuitCostsItsTenantNothing)
+{
+    telemetry::MetricsRegistry metrics;
+    MultiTenantConfig config;
+    config.service = smallService();
+    config.metrics = &metrics;
+    MultiTenantService front(config);
+
+    // One token per 100 s and a bucket of two: had the wrong-count
+    // circuit below drawn its two bootstraps, neither fail-fast
+    // submission after it would be admitted.
+    TenantQuota quota;
+    quota.ratePerSec = 0.01;
+    quota.burst = 2;
+    front.addTenant("capped", evalA(), quota);
+    const LutId lut = front.registerLut("capped", plusOneLut());
+
+    circuit::Circuit c;
+    const circuit::Wire x = c.bitInput();
+    const circuit::Wire y = c.bitInput();
+    c.markOutput(c.gate(tfhe::BoolGate::And, x, y));
+    c.markOutput(c.gate(tfhe::BoolGate::Or, x, y));
+    ASSERT_EQ(static_cast<double>(c.bootstrapCount()), quota.burst);
+    std::vector<LweCiphertext> one_input;
+    one_input.push_back(tfhe::encryptBit(keysA(), true, rng));
+    EXPECT_THROW((void)front.submitCircuit("capped", c, std::move(one_input)),
+                 std::invalid_argument);
+    EXPECT_EQ(front.stats("capped").submitted, 0u);
+
+    auto f1 = front.trySubmit("capped", encryptA(0), lut);
+    auto f2 = front.trySubmit("capped", encryptA(1), lut);
+    ASSERT_TRUE(f1.has_value());
+    ASSERT_TRUE(f2.has_value());
+    EXPECT_FALSE(front.trySubmit("capped", encryptA(2), lut).has_value());
+    ASSERT_EQ(f1->wait_for(60s), std::future_status::ready);
+    ASSERT_EQ(f2->wait_for(60s), std::future_status::ready);
+    EXPECT_EQ(tfhe::decryptPadded(keysA(), f2->get(), kSpace), 2u);
+    const TenantStats stats = front.stats("capped");
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.throttled, 1u);
+}
+
 TEST_F(TenantFixture, ShutdownWakesAdmittersWithLogicError)
 {
     telemetry::MetricsRegistry metrics;

@@ -10,7 +10,8 @@
  * per-ciphertext CMux loop on every tier,
  * and an operator-new hook asserting that a warmed-up bootstrap (and
  * batched rotation) through the workspace performs zero heap
- * allocations on every tier.
+ * allocations on every tier, and that copying a key set shares its
+ * storage instead of allocating.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "tfhe/fft_dispatch.h"
 #include "tfhe/ggsw.h"
 #include "tfhe/keyset.h"
+#include "tfhe/serialize.h"
 #include "tfhe/workspace.h"
 
 // ---------------------------------------------------------------------
@@ -572,6 +574,54 @@ TEST(AllocationGuard, WarmedUpBootstrapPerformsZeroAllocations)
         EXPECT_EQ(decryptPadded(keys, out, 4), 2u)
             << fftDispatchTierName(tier);
     }
+}
+
+// Keys are immutable and copies share their storage: copying a key set
+// or its evaluation half takes reference counts, not heap blocks, and
+// every copy reads the very same BSK spectra and KSK rows.
+TEST(AllocationGuard, KeyCopiesShareStorageAndAllocateNothing)
+{
+    Rng rng(0x5EA7ED);
+    const auto keys = KeySet::generate(paramsTest(), rng);
+    const auto eval = EvaluationKeys::fromKeySet(keys);
+
+    const auto expectShared = [&](const BootstrapKey &bsk,
+                                  const KeySwitchKey &ksk,
+                                  const char *what) {
+        EXPECT_EQ(bsk.entry(0).at(0, 0).reData(),
+                  keys.bsk.entry(0).at(0, 0).reData())
+            << what;
+        EXPECT_EQ(ksk.at(0, 0).raw().data(), keys.ksk.at(0, 0).raw().data())
+            << what;
+    };
+
+    g_allocs.store(0);
+    g_track.store(true);
+    const KeySet keys_copy = keys;
+    g_track.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u) << "KeySet copy";
+    expectShared(keys_copy.bsk, keys_copy.ksk, "KeySet copy");
+    EXPECT_EQ(&keys_copy.lweKey.bits(), &keys.lweKey.bits());
+
+    g_allocs.store(0);
+    g_track.store(true);
+    const EvaluationKeys eval_copy = eval;
+    g_track.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u) << "EvaluationKeys copy";
+    expectShared(eval_copy.bsk, eval_copy.ksk, "EvaluationKeys copy");
+
+    g_allocs.store(0);
+    g_track.store(true);
+    const auto extracted = EvaluationKeys::fromKeySet(keys);
+    g_track.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u) << "fromKeySet";
+    expectShared(extracted.bsk, extracted.ksk, "fromKeySet");
+
+    const KeyFingerprint fp = fingerprintEvaluationKeys(eval);
+    EXPECT_EQ(fingerprintEvaluationKeys(eval_copy), fp);
+    EXPECT_EQ(fingerprintEvaluationKeys(extracted), fp);
+    EXPECT_EQ(fingerprintEvaluationKeys(EvaluationKeys::fromKeySet(keys_copy)),
+              fp);
 }
 
 TEST(AllocationGuard, HookCountsAllocations)
