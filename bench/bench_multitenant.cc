@@ -170,7 +170,6 @@ main(int argc, char **argv)
         telemetry::MetricsRegistry metrics;
         MultiTenantConfig config;
         config.service = serviceTemplate();
-        config.registry.maxResident = 2;
         config.metrics = &metrics;
         MultiTenantService front(config);
         front.addTenant("a", evalA);
@@ -208,7 +207,6 @@ main(int argc, char **argv)
         telemetry::MetricsRegistry metrics;
         MultiTenantConfig config;
         config.service = serviceTemplate();
-        config.registry.maxResident = 2;
         config.metrics = &metrics;
         MultiTenantService front(config);
         LutId ids[2];

@@ -111,12 +111,12 @@ frontDoorSide(
     config.service.remote.port = server_port;
     MultiTenantService front(config);
 
-    // Enroll every tenant. The registry fingerprints the keys
-    // (content-derived, stable across restarts) and keeps the hot set
-    // resident; a modest rate quota bounds each tenant's burst. The
-    // execution server learns each tenant's keys lazily: the first
-    // superbatch under an unknown fingerprint triggers wire
-    // enrollment.
+    // Enroll every tenant. The front door fingerprints the keys
+    // (content-derived, stable across restarts) and holds one handle
+    // that shares the loaded keys' storage; a modest rate quota bounds
+    // each tenant's burst. The execution server learns each tenant's
+    // keys lazily: the first superbatch under an unknown fingerprint
+    // triggers wire enrollment.
     TenantQuota quota;
     quota.ratePerSec = 1000;
     quota.burst = 64;

@@ -17,6 +17,7 @@
 #include "compiler/program.h"
 #include "compiler/verify.h"
 #include "exec/functional_backend.h"
+#include "tfhe/verify.h"
 
 namespace morphling::exec {
 
@@ -70,6 +71,8 @@ RemoteServer::~RemoteServer() { stop(); }
 
 tfhe::KeyFingerprint RemoteServer::addKeys(tfhe::EvaluationKeys keys)
 {
+    if (const auto problem = tfhe::verify(keys))
+        throw std::invalid_argument("RemoteServer::addKeys: " + *problem);
     const tfhe::KeyFingerprint fp = tfhe::fingerprintEvaluationKeys(keys);
     std::lock_guard<std::mutex> lock(keysMu_);
     keys_[fp] =

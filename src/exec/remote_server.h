@@ -5,11 +5,13 @@
  *
  * Each connection is handled on its own thread: handshake, then a
  * loop of enrollment and execution requests. Evaluation keys are held
- * in a registry keyed by their content-derived fingerprint
- * (tfhe::fingerprintEvaluationKeys) — pre-provisioned through
- * addKeys() or enrolled over the wire — and every execution request
- * names the fingerprint it runs under, so one server serves many
- * tenants' keys the way service::TenantRegistry does in-process.
+ * in a store keyed by their content-derived fingerprint
+ * (tfhe::fingerprintEvaluationKeys), one resident copy per key set
+ * for the server's life. They are pre-provisioned through addKeys()
+ * or enrolled over the wire, and verified (tfhe::verify) either way:
+ * a key set the backend cannot run never enters the store. Every
+ * execution request names the fingerprint it runs under, so one
+ * server serves many tenants' keys.
  *
  * Each request runs FunctionalBackend::run() over the whole program,
  * at the request's thread count clamped to the host's hardware
@@ -18,8 +20,9 @@
  * bit-identical to a local FunctionalBackend run at any thread count
  * (asserted in tests/test_remote.cc).
  *
- * Validation: a request's program must decode and verify
- * (compiler::verify) and its job must fit the program's plan
+ * Validation: an enrollment must decode and pass tfhe::verify, or the
+ * server answers kMalformedFrame. A request's program must decode and
+ * verify (compiler::verify) and its job must fit the program's plan
  * (validateJob); otherwise the server answers kBadProgram before the
  * idempotency gate, so the rejection leaves no cache state.
  *
@@ -120,7 +123,8 @@ class RemoteServer
 
     /** Pre-provision evaluation keys (the fork-style deployment where
      *  the server inherits keys instead of receiving them over the
-     *  wire). Returns their fingerprint. */
+     *  wire). Returns their fingerprint; throws std::invalid_argument
+     *  with tfhe::verify's diagnostic for keys it rejects. */
     tfhe::KeyFingerprint addKeys(tfhe::EvaluationKeys keys);
 
     /** Bind, listen, and serve until stop(). Throws

@@ -8,6 +8,7 @@
 #include "exec/circuit_executor.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
+#include "tfhe/verify.h"
 
 namespace morphling::service {
 
@@ -88,6 +89,16 @@ normalized(ServiceConfig config)
     return config;
 }
 
+/** `config`, once `keys` pass tfhe::verify: the keyed constructors
+ *  refuse keys no worker could run before any worker starts. */
+ServiceConfig
+requireUsable(const tfhe::EvaluationKeys &keys, ServiceConfig config)
+{
+    if (const auto problem = tfhe::verify(keys))
+        throw std::invalid_argument("BootstrapService: " + *problem);
+    return config;
+}
+
 } // namespace
 
 std::optional<std::string>
@@ -124,7 +135,7 @@ ServiceConfig::validate() const
 
 BootstrapService::BootstrapService(tfhe::EvaluationKeys keys,
                                    ServiceConfig config)
-    : BootstrapService(std::move(config))
+    : BootstrapService(requireUsable(keys, std::move(config)))
 {
     ownKeys_.keys =
         std::make_shared<const tfhe::EvaluationKeys>(std::move(keys));

@@ -169,7 +169,8 @@ class BootstrapService
   public:
     /** Serve with evaluation keys only (the deployment-split server
      *  needs no secret material). Throws std::invalid_argument when
-     *  ServiceConfig::validate() rejects the configuration. */
+     *  tfhe::verify rejects the keys or ServiceConfig::validate()
+     *  the configuration. */
     explicit BootstrapService(tfhe::EvaluationKeys keys,
                               ServiceConfig config = {});
 

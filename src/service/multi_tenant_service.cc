@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "tfhe/verify.h"
 
 namespace morphling::service {
 
@@ -74,7 +75,6 @@ MultiTenantService::MultiTenantService(MultiTenantConfig config)
     : metrics_(config.metrics != nullptr
                    ? *config.metrics
                    : telemetry::MetricsRegistry::instance()),
-      registry_(config.registry, &metrics_),
       service_(std::move(config.service))
 {
 }
@@ -87,6 +87,9 @@ MultiTenantService::addTenant(const TenantId &tenant,
                               TenantQuota quota)
 {
     validateQuota(quota);
+    if (const auto problem = tfhe::verify(keys))
+        throw std::invalid_argument("MultiTenantService: " + *problem);
+    const tfhe::KeyFingerprint fp = tfhe::fingerprintEvaluationKeys(keys);
     std::unique_lock<std::mutex> lk(mu_);
     if (stopped_) {
         throw std::logic_error(
@@ -130,14 +133,15 @@ MultiTenantService::addTenant(const TenantId &tenant,
     // changes.
     for (const auto &table : t.luts)
         BootstrapService::validateLut(table, keys.params);
-    const auto fp = registry_.enroll(tenant, keys);
     if (t.enrollment == nullptr || t.enrollment->fp != fp) {
         // New keys, fresh service ids: work queued under the old ids
         // finishes under the keys and programs it pinned, nothing has
         // to drain, and the old ids are reclaimed once it is done.
+        if (t.enrollment != nullptr)
+            registry_.evictions.fetch_add(1, std::memory_order_relaxed);
         auto next = std::make_shared<Enrollment>();
+        next->keys = std::make_shared<const tfhe::EvaluationKeys>(keys);
         next->fp = fp;
-        next->params = keys.params;
         for (const auto &table : t.luts) {
             next->serviceLuts.push_back(
                 service_.registerLut(t.lane, table, keys.params, next));
@@ -234,14 +238,17 @@ MultiTenantService::pin(Tenant &t, std::optional<LutId> lut)
         }
         id = e.serviceLuts[*lut];
     }
-    // Queued work may still hold keys the registry has since evicted;
-    // reuse them rather than warm up a second copy.
-    auto keys = e.keys.lock();
-    if (keys == nullptr) {
-        keys = registry_.acquire(t.name);
-        e.keys = keys;
-    }
-    return {{std::move(keys), e.fp, t.enrollment}, id};
+    return {{e.keys, e.fp, t.enrollment}, id};
+}
+
+std::shared_ptr<const tfhe::EvaluationKeys>
+MultiTenantService::keys(const TenantId &tenant) const
+{
+    auto &t = find(tenant);
+    std::lock_guard<std::mutex> lk(t.enrollMu);
+    if (t.enrollment == nullptr) // its first enrollment threw
+        throwUnknownTenant(tenant);
+    return t.enrollment->keys;
 }
 
 LutId
@@ -253,7 +260,7 @@ MultiTenantService::registerLut(const TenantId &tenant,
     if (t.enrollment == nullptr) // its first enrollment threw
         throwUnknownTenant(tenant);
     t.enrollment->serviceLuts.push_back(service_.registerLut(
-        t.lane, lut, t.enrollment->params, t.enrollment));
+        t.lane, lut, t.enrollment->keys->params, t.enrollment));
     t.luts.push_back(std::move(lut));
     return static_cast<LutId>(t.luts.size() - 1);
 }
@@ -325,7 +332,6 @@ MultiTenantService::stats(const TenantId &tenant) const
     s.meanLatencyUs = t.latencyUs->mean();
     s.p50LatencyUs = histogramQuantile(*t.latencyUs, 0.50);
     s.p99LatencyUs = histogramQuantile(*t.latencyUs, 0.99);
-    s.resident = registry_.resident(t.name);
     return s;
 }
 

@@ -1,17 +1,16 @@
 /**
  * @file
  * The multi-tenant front door: routes submissions by TenantId into
- * lanes of one shared BootstrapService, with token-bucket admission, a
- * bounded key working set and per-tenant SLO accounting
- * (docs/service.md walks through it).
+ * lanes of one shared BootstrapService, with token-bucket admission,
+ * one resident copy of each tenant's keys and per-tenant SLO
+ * accounting (docs/service.md walks through it).
  *
  * Tenants never share a batch (a superbatch blind-rotates against one
  * BSK), but they share the workers: each tenant is a lane, served by
  * deficit round robin weighted by TenantQuota::weight, with its own
  * maxOutstanding bound, behind its own token bucket. Each request and
  * circuit pins the keys and LUT ids of the enrollment it was admitted
- * under until it completes, so re-enrolling needs no drain, and later
- * admissions reuse the key copy queued work holds.
+ * under until it completes, so re-enrolling needs no drain.
  *
  * Per-tenant "tenant.<name>.*" metrics reach both telemetry exporters;
  * stats(tenant) folds them into a TenantStats snapshot.
@@ -35,6 +34,7 @@
 #include "service/bootstrap_service.h"
 #include "service/tenant_registry.h"
 #include "service/tenant_stats.h"
+#include "tfhe/serialize.h"
 
 namespace morphling::service {
 
@@ -43,9 +43,6 @@ struct MultiTenantConfig
 {
     /** The shared scheduler every tenant's lane runs in. */
     ServiceConfig service;
-
-    /** Key working-set bounds (LRU capacity, warm-up accounting). */
-    TenantRegistryConfig registry;
 
     /** Metrics destination (nullptr = the process registry). */
     telemetry::MetricsRegistry *metrics = nullptr;
@@ -65,15 +62,16 @@ class MultiTenantService
     ~MultiTenantService();
 
     /**
-     * Enroll a tenant: keys go to the registry's cold storage (the
-     * caller's copy is not retained), the quota takes effect on the
-     * next admission. Re-adding an existing tenant updates quota and
-     * keys; new keys apply to every request admitted after this
-     * returns, while requests already admitted finish under the keys
-     * they were admitted with. Throws std::invalid_argument on a
-     * degenerate quota (negative rate/SLO, zero burst with a rate,
-     * zero weight) or when a registered LUT does not fit the new
-     * keys' parameters, and std::logic_error after shutdown().
+     * Enroll a tenant: the service keeps a handle that shares the
+     * caller's key storage, and the quota takes effect on the next
+     * admission. Re-adding an existing tenant updates quota and keys;
+     * new keys apply to every request admitted after this returns,
+     * while requests already admitted finish under the keys they were
+     * admitted with. Throws std::invalid_argument, before anything
+     * changes, on keys tfhe::verify rejects, on a degenerate quota
+     * (negative rate/SLO, zero burst with a rate, zero weight) or
+     * when a registered LUT does not fit the new keys' parameters,
+     * and std::logic_error after shutdown().
      */
     tfhe::KeyFingerprint addTenant(const TenantId &tenant,
                                    const tfhe::EvaluationKeys &keys,
@@ -117,7 +115,14 @@ class MultiTenantService
     /** The shared scheduler's ServiceStats, summed over tenants. */
     ServiceStats serviceStats() const;
 
-    TenantRegistry &registry() { return registry_; }
+    /** The key handle the tenant's next request runs under; it shares
+     *  the storage of the keys addTenant was given. Throws
+     *  std::out_of_range for an unknown tenant. */
+    std::shared_ptr<const tfhe::EvaluationKeys>
+    keys(const TenantId &tenant) const;
+
+    /** Key counters, kept for the benchmark probe (tenant_registry.h). */
+    const TenantRegistry &registry() const { return registry_; }
 
     /** Flush every tenant's partial batches. */
     void flush();
@@ -126,16 +131,16 @@ class MultiTenantService
     void shutdown();
 
   private:
-    /** One enrollment of a tenant's keys. Every request and circuit
-     *  admitted under it holds it until completion, as the owner of
-     *  its service LUT ids (BootstrapService::registerLut), so a
-     *  rotation's old ids are reclaimed once that work is done. */
+    /** One enrollment of a tenant's keys: the tenant's one key handle.
+     *  Every request and circuit admitted under it holds it until
+     *  completion, as the owner of its service LUT ids
+     *  (BootstrapService::registerLut), so a rotation's old keys and
+     *  ids are freed once that work is done. */
     struct Enrollment
     {
+        std::shared_ptr<const tfhe::EvaluationKeys> keys;
         tfhe::KeyFingerprint fp = 0;
-        tfhe::TfheParams params{};
         std::vector<LutId> serviceLuts; //!< by tenant LUT id
-        std::weak_ptr<const tfhe::EvaluationKeys> keys; //!< pinned copy
     };
 
     /** The quota is split across its readers' locks: re-adding a

@@ -67,10 +67,6 @@ struct TenantStats
     double meanLatencyUs = 0;
     double p50LatencyUs = 0; //!< log-bucket estimate (upper bound)
     double p99LatencyUs = 0; //!< log-bucket estimate (upper bound)
-
-    /** True while the registry holds the tenant's keys materialized
-     *  (TenantRegistry::resident); queued work keeps its own pin. */
-    bool resident = false;
 };
 
 /**

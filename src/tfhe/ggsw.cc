@@ -9,7 +9,8 @@ namespace morphling::tfhe {
 GadgetPlan
 makeGadgetPlan(unsigned base_bits, unsigned levels)
 {
-    panic_if(base_bits == 0 || levels == 0 || base_bits * levels > 32,
+    panic_if(base_bits == 0 || levels == 0 ||
+                 std::uint64_t{base_bits} * levels > 32,
              "bad gadget (base 2^", base_bits, ", ", levels, " levels)");
     GadgetPlan plan;
     plan.baseBits = base_bits;
@@ -160,6 +161,8 @@ FourierGgsw::fromRows(unsigned base_bits, unsigned levels,
     out.levels_ = levels;
     out.rows_ = std::move(rows);
     panic_if(out.rows_.empty(), "empty GGSW rows");
+    for (const auto &row : out.rows_)
+        panic_if(row.size() != out.rows_[0].size(), "ragged GGSW rows");
     return out;
 }
 

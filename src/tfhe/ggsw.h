@@ -107,7 +107,8 @@ class FourierGgsw
     /** Transform every polynomial of a GGSW ciphertext. */
     static FourierGgsw fromGgsw(const GgswCiphertext &ggsw);
 
-    /** Rebuild from raw transform-domain rows (deserialization). */
+    /** Rebuild from raw transform-domain rows (deserialization): a
+     *  matrix, so at least one row and every row equally long. */
     static FourierGgsw
     fromRows(unsigned base_bits, unsigned levels,
              std::vector<std::vector<FourierPolynomial>> rows);

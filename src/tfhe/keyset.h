@@ -77,6 +77,7 @@ class KeySwitchKey
                                     std::vector<LweCiphertext> entries);
 
     unsigned sourceDimension() const { return sourceDim_; }
+    unsigned targetDimension() const { return targetDim_; }
     unsigned levels() const { return levels_; }
     unsigned baseBits() const { return baseBits_; }
 

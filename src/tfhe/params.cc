@@ -82,13 +82,20 @@ TfheParams::firstProblem() const
         return "n must be positive";
     if (glweDimension == 0)
         return "k must be positive";
+    // The decoder refuses LWE dimensions above 2^24; the caps also
+    // keep every 32-bit shape product (k+1)*l, kN*l_k exact.
+    if (lweDimension > kMaxLweDimension)
+        return "n exceeds 2^24";
+    if (extractedLweDimension() > kMaxLweDimension)
+        return "k*N exceeds 2^24";
+    // 64-bit products: a wrapped one could pass a base of 2^31 bits.
     if (bskLevels == 0 || bskBaseBits == 0)
         return "bad BSK gadget";
-    if (bskLevels * bskBaseBits > 32)
+    if (std::uint64_t{bskLevels} * bskBaseBits > 32)
         return "BSK gadget exceeds 32-bit torus";
     if (kskLevels == 0 || kskBaseBits == 0)
         return "bad KSK gadget";
-    if (kskLevels * kskBaseBits > 32)
+    if (std::uint64_t{kskLevels} * kskBaseBits > 32)
         return "KSK gadget exceeds 32-bit torus";
     if (lweNoiseStd <= 0.0 || glweNoiseStd <= 0.0)
         return "noise stddevs must be positive";

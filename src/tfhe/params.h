@@ -22,6 +22,10 @@
 
 namespace morphling::tfhe {
 
+/** Largest LWE dimension, n or the extracted kN, that a parameter set
+ *  may have and the decoder accepts. */
+constexpr std::uint32_t kMaxLweDimension = 1u << 24;
+
 /**
  * One complete TFHE parameter set.
  *

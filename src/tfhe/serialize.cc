@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "tfhe/bootstrap.h"
+#include "tfhe/verify.h"
 
 namespace morphling::tfhe {
 
@@ -173,7 +174,7 @@ LweCiphertext
 readLwe(std::istream &is)
 {
     const std::uint32_t dim = readU32(is);
-    parseCheck(dim != 0 && dim <= (1u << 24),
+    parseCheck(dim != 0 && dim <= kMaxLweDimension,
                morphling::detail::concat("implausible LWE dimension ", dim));
     LweCiphertext ct(dim);
     readBytes(is, ct.raw().data(), ct.raw().size() * sizeof(Torus32));
@@ -183,6 +184,22 @@ readLwe(std::istream &is)
 } // namespace
 
 namespace {
+
+/** FNV-1a 64 offset basis: the hash of zero bytes. */
+constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ull;
+
+/** Fold `size` bytes into an FNV-1a 64 hash: start from kFnv1aBasis,
+ *  or pass an earlier result to continue the stream. */
+std::uint64_t
+fnv1a(const void *data, std::size_t size, std::uint64_t hash)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001B3ull; // FNV-1a 64-bit prime
+    }
+    return hash;
+}
 
 /**
  * A sink streambuf that folds every byte written into an FNV-1a hash
@@ -220,17 +237,6 @@ class HashingStreambuf final : public std::streambuf
 };
 
 } // namespace
-
-std::uint64_t
-fnv1a(const void *data, std::size_t size, std::uint64_t hash)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001B3ull; // FNV-1a 64-bit prime
-    }
-    return hash;
-}
 
 KeyFingerprint
 fingerprintEvaluationKeys(const EvaluationKeys &keys)
@@ -338,7 +344,8 @@ loadLweKey(std::istream &is, const TfheParams &params)
 {
     readHeader(is, kTagLweKey);
     const std::uint32_t dim = readU32(is);
-    fatal_if(dim == 0 || dim > (1u << 24), "implausible key dimension");
+    fatal_if(dim == 0 || dim > kMaxLweDimension,
+             "implausible key dimension");
     std::vector<std::int32_t> bits(dim);
     for (auto &bit : bits) {
         bit = static_cast<std::int32_t>(readU32(is));
@@ -395,12 +402,14 @@ loadEvaluationKeys(std::istream &is)
         const std::uint32_t levels = readU32(is);
         const std::uint32_t rows = readU32(is);
         const std::uint32_t cols = readU32(is);
-        parseCheck(rows == (keys.params.glweDimension + 1) * levels &&
-                       cols == keys.params.glweDimension + 1,
-                   "GGSW shape mismatch in stream");
         parseCheck(levels != 0 && levels <= 32 && base_bits != 0 &&
                        base_bits <= 32,
                    "implausible GGSW gadget in stream");
+        // 64-bit products: a wrapped one could match an empty GGSW.
+        const std::uint64_t k1 =
+            std::uint64_t{keys.params.glweDimension} + 1;
+        parseCheck(rows == k1 * levels && cols == k1,
+                   "GGSW shape mismatch in stream");
         std::vector<std::vector<FourierPolynomial>> data(rows);
         for (auto &row : data) {
             row.reserve(cols);
@@ -422,13 +431,16 @@ loadEvaluationKeys(std::istream &is)
                "KSK target dimension mismatch");
     parseCheck(levels != 0 && levels <= 32,
                "implausible KSK level count in stream");
+    const std::size_t ksk_count = std::size_t{source_dim} * levels;
     std::vector<LweCiphertext> ksk_entries;
-    ksk_entries.reserve(std::size_t{source_dim} * levels);
-    for (std::uint32_t i = 0; i < source_dim * levels; ++i)
+    ksk_entries.reserve(ksk_count);
+    for (std::size_t i = 0; i < ksk_count; ++i)
         ksk_entries.push_back(readLwe(is));
     keys.ksk = KeySwitchKey::fromEntries(source_dim, target_dim, levels,
                                          base_bits,
                                          std::move(ksk_entries));
+    const auto problem = verify(keys);
+    parseCheck(!problem, problem.value_or(""));
     return keys;
 }
 

@@ -60,11 +60,11 @@ EvaluationKeys loadEvaluationKeys(std::istream &is);
 /**
  * Decode evaluation keys without trusting the stream: returns nullopt
  * (with a diagnostic in *error when given) on a truncated stream, a
- * bad magic/version/tag, an implausible dimension or gadget, or
- * parameter sets violating their structural invariants — instead of
- * the fatal() the load* entry points reserve for local usage errors.
- * This is the surface a network server decodes key-enrollment frames
- * through (exec::RemoteServer).
+ * bad magic/version/tag, an implausible dimension or gadget, or a key
+ * set that tfhe::verify (tfhe/verify.h) rejects — instead of the
+ * fatal() loadEvaluationKeys reserves for local usage errors. This is
+ * the surface a network server decodes key-enrollment frames through
+ * (exec::RemoteServer).
  */
 std::optional<EvaluationKeys>
 tryLoadEvaluationKeys(std::istream &is, std::string *error = nullptr);
@@ -76,21 +76,13 @@ tryLoadEvaluationKeys(std::istream &is, std::string *error = nullptr);
  * (saveEvaluationKeys), so two processes holding the same keys agree
  * on the fingerprint without exchanging the keys themselves, and any
  * mutation of the BSK/KSK/parameters changes it. This is an identity
- * for cache keying (service::TenantRegistry's LRU), not a
- * cryptographic commitment — do not use it to authenticate keys.
+ * for keying key stores (service::MultiTenantService,
+ * exec::RemoteServer),
+ * not a cryptographic commitment — do not use it to authenticate keys.
  */
 using KeyFingerprint = std::uint64_t;
 
 KeyFingerprint fingerprintEvaluationKeys(const EvaluationKeys &keys);
-
-/** FNV-1a 64 offset basis: the hash of zero bytes. */
-inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ull;
-
-/** Fold `size` bytes into an FNV-1a 64 hash: start from kFnv1aBasis,
- *  or pass an earlier result to continue the stream. Over the bytes
- *  saveEvaluationKeys writes, it is fingerprintEvaluationKeys. */
-std::uint64_t fnv1a(const void *data, std::size_t size,
-                    std::uint64_t hash = kFnv1aBasis);
 
 /** The fingerprint as 16 lowercase hex digits (metric/file names). */
 std::string fingerprintHex(KeyFingerprint fp);

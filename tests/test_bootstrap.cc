@@ -2,8 +2,9 @@
  * @file
  * End-to-end bootstrapping tests: modulus switching, test-polynomial
  * construction, blind rotation, programmable bootstrapping round-trips
- * and noise-refresh behaviour. Runs on the reduced TEST parameter set
- * plus one spot check on paper set I.
+ * and noise-refresh behaviour. Runs on the reduced TEST parameter set,
+ * plus an identity round trip on every named set, whose generated keys
+ * must also pass the key verifier (tfhe/verify.h).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "tfhe/bootstrap.h"
 #include "tfhe/encoding.h"
 #include "tfhe/params.h"
+#include "tfhe/verify.h"
 
 namespace morphling::tfhe {
 namespace {
@@ -214,6 +216,8 @@ TEST_P(BootstrapPaperParams, IdentityBootstrapRoundTrip)
 {
     Rng rng(5150);
     const KeySet keys = KeySet::generate(paramsByName(GetParam()), rng);
+    // Every parameter family's generated keys pass the key verifier.
+    EXPECT_EQ(verify(EvaluationKeys::fromKeySet(keys)), std::nullopt);
     const std::uint32_t space = 4;
     const auto lut = makePaddedLut(space, [](std::uint32_t m) {
         return m;

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <exception>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -828,6 +829,11 @@ TEST_F(RemoteFixture, ServiceOnDeadPortFailsFuturesAndShutsDown)
     config.remote.maxAttempts = 1;
     config.numWorkers = 2;
     config.maxWait = std::chrono::milliseconds(1);
+    // A batch's futures share one exception object, whose reference
+    // count lives in the uninstrumented C++ runtime. Holding each one
+    // until the workers are joined makes this thread free it, so TSan
+    // sees no free on a worker after our reads.
+    std::vector<std::exception_ptr> failures;
     service::BootstrapService svc(evalKeys(), config);
 
     const auto lut =
@@ -843,6 +849,7 @@ TEST_F(RemoteFixture, ServiceOnDeadPortFailsFuturesAndShutsDown)
             (void)future.get();
             FAIL() << "a dead server cannot have answered";
         } catch (const RemoteError &e) {
+            failures.push_back(std::current_exception());
             EXPECT_EQ(e.kind(), RemoteErrorKind::kConnectFailed)
                 << e.what();
         }

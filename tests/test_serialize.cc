@@ -120,7 +120,8 @@ TEST_F(SerializeFixture, FingerprintStableAcrossRoundTrip)
 {
     // The fingerprint is derived from the canonical wire format, so a
     // second process that deserializes the same keys computes the same
-    // value — the property the tenant registry's LRU keying relies on.
+    // value — the property the server's key store and the remote
+    // client's enrollment check rely on.
     const EvaluationKeys eval = EvaluationKeys::fromKeySet(keys());
     const KeyFingerprint fp = fingerprintEvaluationKeys(eval);
     EXPECT_EQ(fp, fingerprintEvaluationKeys(eval)); // deterministic

@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests of the multi-tenant front door (service/multi_tenant_service.h)
- * and the tenant key registry (service/tenant_registry.h):
+ * and its key counters (service/tenant_registry.h):
  *
- *  - registry identity: enroll() agrees with the serialize-layer
- *    fingerprint, LRU eviction and warm-up counters move as specified,
- *    and concurrent warm-ups install one copy per tenant;
- *  - eviction bit-identity: a tenant evicted from the working set and
- *    re-admitted (keys warmed up from cold storage) produces
- *    bit-identical ciphertexts for identical inputs;
+ *  - key identity: addTenant() returns the serialize-layer
+ *    fingerprint;
+ *  - one copy: the tenant's key handle shares the caller's key
+ *    storage, an identical re-enrollment keeps it and a rotation
+ *    replaces it;
  *  - fairness under adversarial load: a flooding tenant exhausts its
  *    own token bucket and cannot push a trickle tenant past its SLO;
  *  - admission control: trySubmit bounces on an empty bucket, submit
@@ -19,8 +18,6 @@
  *    every later submission, while requests already queued finish
  *    under the keys they pinned — with no drain — and the old LUT ids
  *    are reclaimed once that work is done;
- *  - key copies: queued work keeps one copy of a tenant's keys that
- *    later admissions reuse, whatever the registry has evicted;
  *  - enrollment: a tenant racing its own addTenant is unknown until
  *    enrolled, never half enrolled;
  *  - one scheduler: backlogged tenants sharing one worker split it by
@@ -138,129 +135,48 @@ tfhe::EvaluationKeys *TenantFixture::evalB_ = nullptr;
 TEST_F(TenantFixture, RegistryFingerprintMatchesSerializeLayer)
 {
     telemetry::MetricsRegistry metrics;
-    TenantRegistry registry({/*maxResident=*/2}, &metrics);
-    const auto fp = registry.enroll("alice", evalA());
+    MultiTenantConfig config;
+    config.service = smallService();
+    config.metrics = &metrics;
+    MultiTenantService front(config);
+    const auto fp = front.addTenant("alice", evalA());
     EXPECT_EQ(fp, tfhe::fingerprintEvaluationKeys(evalA()));
-    EXPECT_EQ(registry.fingerprint("alice"), fp);
     EXPECT_NE(fp, tfhe::fingerprintEvaluationKeys(evalB()));
 
     // Byte-identical re-enrollment is a no-op.
-    EXPECT_EQ(registry.enroll("alice", evalA()), fp);
-    EXPECT_EQ(registry.stats().enrolled, 1u);
+    EXPECT_EQ(front.addTenant("alice", evalA()), fp);
+    EXPECT_EQ(front.registry().stats().evictions, 0u);
 }
 
-TEST_F(TenantFixture, RegistryLruEvictsAndWarmsUp)
-{
-    telemetry::MetricsRegistry metrics;
-    TenantRegistry registry({/*maxResident=*/2}, &metrics);
-    registry.enroll("a", evalA());
-    registry.enroll("b", evalB());
-    registry.enroll("c", evalA());
-    EXPECT_EQ(registry.stats().resident, 0u); // enrollment is cold
-
-    auto a = registry.acquire("a"); // warm-up 1
-    auto b = registry.acquire("b"); // warm-up 2
-    EXPECT_TRUE(registry.resident("a"));
-    EXPECT_TRUE(registry.resident("b"));
-
-    auto c = registry.acquire("c"); // warm-up 3, evicts LRU = "a"
-    EXPECT_FALSE(registry.resident("a"));
-    EXPECT_TRUE(registry.resident("b"));
-    EXPECT_TRUE(registry.resident("c"));
-
-    // The handed-out shared_ptr outlives the eviction: "a" is still
-    // usable by whoever held it.
-    EXPECT_EQ(tfhe::fingerprintEvaluationKeys(*a),
-              tfhe::fingerprintEvaluationKeys(evalA()));
-
-    // Re-acquiring "a" warms up again and evicts "b" (LRU after the
-    // "c" touch).
-    auto a2 = registry.acquire("a");
-    EXPECT_FALSE(registry.resident("b"));
-
-    const auto stats = registry.stats();
-    EXPECT_EQ(stats.warmUps, 4u);
-    EXPECT_EQ(stats.evictions, 2u);
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.resident, 2u);
-    EXPECT_GT(stats.residentBytes, 0u);
-    EXPECT_GT(stats.lastWarmUpUs, 0.0);
-
-    // A hit refreshes recency without a warm-up.
-    auto c2 = registry.acquire("c");
-    EXPECT_EQ(registry.stats().hits, 1u);
-
-    EXPECT_THROW((void)registry.acquire("nobody"), std::out_of_range);
-}
-
-TEST_F(TenantFixture, ConcurrentWarmUpsInstallOneCopy)
-{
-    telemetry::MetricsRegistry metrics;
-    TenantRegistry registry({/*maxResident=*/2}, &metrics);
-    registry.enroll("a", evalA());
-    registry.enroll("b", evalB());
-
-    // Warm-ups run outside the registry lock: two tenants load side by
-    // side, and racing acquires of one tenant end up sharing one copy.
-    std::shared_ptr<const tfhe::EvaluationKeys> a1, a2, b;
-    std::thread t1([&] { a1 = registry.acquire("a"); });
-    std::thread t2([&] { a2 = registry.acquire("a"); });
-    std::thread t3([&] { b = registry.acquire("b"); });
-    t1.join();
-    t2.join();
-    t3.join();
-    EXPECT_EQ(a1, a2);
-    EXPECT_EQ(a1, registry.acquire("a"));
-    EXPECT_EQ(b, registry.acquire("b"));
-    const auto stats = registry.stats();
-    EXPECT_EQ(stats.warmUps, 2u);
-    EXPECT_EQ(stats.hits, 3u);
-    EXPECT_EQ(stats.resident, 2u);
-}
-
-TEST_F(TenantFixture, EvictionAndWarmUpYieldBitIdenticalOutputs)
+TEST_F(TenantFixture, RegistryHoldsOneCopyOfEachTenantsKeys)
 {
     telemetry::MetricsRegistry metrics;
     MultiTenantConfig config;
     config.service = smallService();
-    config.registry.maxResident = 1;
     config.metrics = &metrics;
     MultiTenantService front(config);
 
-    front.addTenant("alice", evalA());
-    front.addTenant("bob", evalB());
-    const LutId lutA = front.registerLut("alice", plusOneLut());
-    const LutId lutB = front.registerLut("bob", plusOneLut());
+    // The tenant's handle shares the caller's key storage: enrolling
+    // a tenant copies no key material.
+    front.addTenant("a", evalA());
+    const auto held = front.keys("a");
+    EXPECT_EQ(held->bsk.entry(0).at(0, 0).reData(),
+              evalA().bsk.entry(0).at(0, 0).reData());
+    EXPECT_EQ(held->ksk.at(0, 0).raw().data(),
+              evalA().ksk.at(0, 0).raw().data());
 
-    const LweCiphertext input = encryptA(2);
-
-    auto f1 = front.submit("alice", input, lutA);
-    ASSERT_EQ(f1.wait_for(60s), std::future_status::ready);
-    const LweCiphertext out1 = f1.get();
-    EXPECT_EQ(tfhe::decryptPadded(keysA(), out1, kSpace), 3u);
-    EXPECT_TRUE(front.stats("alice").resident);
-
-    // Bob's first submission forces alice's keys out of the
-    // registry's LRU (maxResident = 1).
-    auto fB = front.submit("bob", encryptB(1), lutB);
-    ASSERT_EQ(fB.wait_for(60s), std::future_status::ready);
-    EXPECT_EQ(tfhe::decryptPadded(keysB(), fB.get(), kSpace), 2u);
-    EXPECT_FALSE(front.stats("alice").resident);
-    EXPECT_FALSE(front.registry().resident("alice"));
-
-    // Re-admission: keys warm up from cold storage, the LUT namespace
-    // replays, and the identical input produces the bit-identical
-    // ciphertext — blind rotation is deterministic in the keys.
-    auto f2 = front.submit("alice", input, lutA);
-    ASSERT_EQ(f2.wait_for(60s), std::future_status::ready);
-    const LweCiphertext out2 = f2.get();
-    EXPECT_EQ(out1.raw(), out2.raw());
-
-    const auto reg = front.registry().stats();
-    EXPECT_GE(reg.warmUps, 3u);   // alice, bob, alice again
-    EXPECT_GE(reg.evictions, 2u); // alice out, bob out
-    EXPECT_EQ(front.stats("alice").completed, 2u);
-    EXPECT_EQ(front.stats("bob").completed, 1u);
+    // Byte-identical keys keep the handle; new keys replace it.
+    front.addTenant("a", evalA());
+    EXPECT_EQ(front.keys("a"), held);
+    EXPECT_EQ(front.registry().stats().evictions, 0u);
+    front.addTenant("a", evalB());
+    const auto rotated = front.keys("a");
+    EXPECT_NE(rotated, held);
+    EXPECT_EQ(rotated->bsk.entry(0).at(0, 0).reData(),
+              evalB().bsk.entry(0).at(0, 0).reData());
+    EXPECT_EQ(front.registry().stats().evictions, 1u);
+    EXPECT_EQ(front.registry().stats().warmUps, 0u);
+    EXPECT_THROW((void)front.keys("nobody"), std::out_of_range);
 }
 
 TEST_F(TenantFixture, FloodingTenantCannotStarveTrickleTenant)
@@ -268,7 +184,6 @@ TEST_F(TenantFixture, FloodingTenantCannotStarveTrickleTenant)
     telemetry::MetricsRegistry metrics;
     MultiTenantConfig config;
     config.service = smallService();
-    config.registry.maxResident = 2;
     config.metrics = &metrics;
     MultiTenantService front(config);
 
@@ -334,9 +249,8 @@ TEST_F(TenantFixture, AdmissionBucketBouncesAndRefills)
     config.metrics = &metrics;
     MultiTenantService front(config);
 
-    // Warm-up pass with no quota: materializing the service (key
-    // deserialization, worker spin-up) must not eat into the bucket
-    // timing measured below.
+    // Warm-up pass with no quota: the first batch's compile and worker
+    // spin-up must not eat into the bucket timing measured below.
     front.addTenant("capped", evalA());
     const LutId lut = front.registerLut("capped", plusOneLut());
     auto warm = front.submit("capped", encryptA(0), lut);
@@ -500,15 +414,12 @@ TEST_F(TenantFixture, KeyRotationRefreshesLiveService)
     auto f1 = front.submit("alice", encryptA(1), lut);
     ASSERT_EQ(f1.wait_for(60s), std::future_status::ready);
     EXPECT_EQ(tfhe::decryptPadded(keysA(), f1.get(), kSpace), 2u);
-    EXPECT_TRUE(front.stats("alice").resident);
 
-    // Rotate to key set B while the service is live: the stale
-    // service must be drained and torn down, so the next submission
-    // re-materializes (replaying the LUT namespace) under the new
-    // keys instead of silently evaluating under the rotated-out ones.
+    // Rotate to key set B while the service is live: the next
+    // submission runs under the new keys, with the same tenant LUT
+    // id, instead of silently evaluating under the rotated-out ones.
     const auto fp = front.addTenant("alice", evalB());
     EXPECT_EQ(fp, tfhe::fingerprintEvaluationKeys(evalB()));
-    EXPECT_FALSE(front.stats("alice").resident);
 
     auto f2 = front.submit("alice", encryptB(2), lut);
     ASSERT_EQ(f2.wait_for(60s), std::future_status::ready);
@@ -556,48 +467,6 @@ TEST_F(TenantFixture, RotationUnderLoadKeepsEachRequestsKeys)
             << "request " << i << " admitted after the rotation";
     }
     EXPECT_EQ(front.stats("alice").completed, 2u * kPerKeySet);
-}
-
-TEST_F(TenantFixture, QueuedWorkReusesKeysTheRegistryEvicted)
-{
-    telemetry::MetricsRegistry metrics;
-    MultiTenantConfig config;
-    config.service = smallService();
-    config.service.numWorkers = 1;
-    config.service.superbatchSize = 16;
-    config.service.maxWait = 60s; // everything waits for flush()
-    config.registry.maxResident = 1;
-    config.metrics = &metrics;
-    MultiTenantService front(config);
-
-    front.addTenant("alice", evalA());
-    front.addTenant("bob", evalB());
-    const LutId lutA = front.registerLut("alice", plusOneLut());
-    const LutId lutB = front.registerLut("bob", plusOneLut());
-
-    // Bob's first submission evicts alice from the one-key working
-    // set, but her queued requests still pin her keys: interleaved
-    // submissions reuse each tenant's one copy instead of warming up
-    // another per request.
-    constexpr unsigned kPerTenant = 6;
-    std::vector<std::future<LweCiphertext>> outA, outB;
-    for (unsigned i = 0; i < kPerTenant; ++i) {
-        outA.push_back(front.submit("alice", encryptA(i % kSpace), lutA));
-        outB.push_back(front.submit("bob", encryptB(i % kSpace), lutB));
-    }
-    EXPECT_EQ(front.registry().stats().warmUps, 2u);
-    EXPECT_EQ(front.registry().stats().resident, 1u);
-
-    front.flush();
-    for (unsigned i = 0; i < kPerTenant; ++i) {
-        ASSERT_EQ(outA[i].wait_for(60s), std::future_status::ready);
-        EXPECT_EQ(tfhe::decryptPadded(keysA(), outA[i].get(), kSpace),
-                  (i + 1) % kSpace);
-        ASSERT_EQ(outB[i].wait_for(60s), std::future_status::ready);
-        EXPECT_EQ(tfhe::decryptPadded(keysB(), outB[i].get(), kSpace),
-                  (i + 1) % kSpace);
-    }
-    EXPECT_EQ(front.registry().stats().warmUps, 2u);
 }
 
 TEST_F(TenantFixture, RotationReclaimsRetiredLutIds)
@@ -691,7 +560,6 @@ TEST_F(TenantFixture, BackloggedTenantsShareOneWorkerByWeight)
     config.service.numWorkers = 1;
     constexpr unsigned kPerTenant = 240;
     config.service.maxOutstanding = kPerTenant; // never blocks submit
-    config.registry.maxResident = 2;
     config.metrics = &metrics;
     MultiTenantService front(config);
 
@@ -897,14 +765,14 @@ TEST_F(TenantFixture, PerTenantMetricsReachBothExportFormats)
               std::string::npos);
     EXPECT_NE(json.str().find("tenant.alice.completed"),
               std::string::npos);
-    EXPECT_NE(json.str().find("tenant.registry.warmups"),
+    EXPECT_NE(json.str().find("tenant.alice.bootstraps"),
               std::string::npos);
 
     std::ostringstream prom;
     metrics.writePrometheus(prom);
     EXPECT_NE(prom.str().find("morphling_tenant_alice_latency_us"),
               std::string::npos);
-    EXPECT_NE(prom.str().find("morphling_tenant_registry_warmups"),
+    EXPECT_NE(prom.str().find("morphling_tenant_alice_bootstraps"),
               std::string::npos);
 }
 
