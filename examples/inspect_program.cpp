@@ -2,14 +2,15 @@
  * @file
  * Look inside the SW scheduler (Figure 6): compile a small workload,
  * print the instruction-stream disassembly per scheduling group, the
- * opcode histogram, and the serialized machine encoding — then run it
- * on the simulator.
+ * opcode histogram, and the framed machine encoding (decoded back and
+ * compared) — then run it on the simulator.
  *
  * Usage:  ./build/examples/inspect_program [BOOTSTRAPS]
  */
 
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "arch/accelerator.h"
 #include "common/table.h"
@@ -56,14 +57,23 @@ main(int argc, char **argv)
         t.addRow({opcodeName(op), std::to_string(n)});
     t.print(std::cout);
 
-    // Machine encoding round trip.
-    const auto words = program.serialize();
-    std::cout << "serialized: " << words.size() * 8
-              << " bytes; first words:";
+    // Machine encoding round trip: the framed container the remote
+    // protocol ships, decoded back without trusting it.
+    const auto words = program.serializeFramed();
+    std::cout << "framed: " << words.size() * 8
+              << " bytes (3 header words); first words:";
     for (std::size_t i = 0; i < std::min<std::size_t>(4, words.size());
          ++i)
         std::cout << " 0x" << std::hex << words[i] << std::dec;
-    std::cout << "\n\n";
+    std::string error;
+    const auto decoded =
+        Program::tryDeserializeFramed(program.name(), words, &error);
+    if (!decoded || decoded->instructions() != program.instructions()) {
+        std::cerr << "framed round trip failed: " << error << "\n";
+        return 1;
+    }
+    std::cout << "\nround trip: " << decoded->size()
+              << " instructions decoded, identical\n\n";
 
     // Execute.
     arch::Accelerator acc(arch::ArchConfig::morphlingDefault(), params);

@@ -6,35 +6,8 @@
 
 namespace morphling::circuit {
 
-namespace {
-
-/** Compile one batch Program, going through the disk cache when one
- *  is attached (hit = compilation skipped; any rejection falls back
- *  to a fresh compile whose result refreshes the entry). */
-compiler::Program
-compileBatch(const compiler::SwScheduler &scheduler,
-             std::uint64_t count, compiler::ProgramDiskCache *cache)
-{
-    if (cache == nullptr)
-        return scheduler.scheduleBootstrapBatch(count);
-    const auto key = compiler::ProgramCacheKey::forBatch(
-        scheduler.params(), scheduler.config(), count);
-    std::string why;
-    const std::uint64_t rejects = cache->rejects();
-    if (auto program = cache->load(key, scheduler.params(), &why))
-        return std::move(*program);
-    if (cache->rejects() != rejects)
-        warn("program cache: ", why, "; recompiling");
-    auto program = scheduler.scheduleBootstrapBatch(count);
-    cache->store(key, program);
-    return program;
-}
-
-} // namespace
-
 LoweredCircuit
-lower(const Circuit &circuit, const compiler::SwScheduler &scheduler,
-      compiler::ProgramDiskCache *cache)
+lower(const Circuit &circuit, const compiler::SwScheduler &scheduler)
 {
     LoweredCircuit lowered;
     lowered.circuit = &circuit;
@@ -68,7 +41,7 @@ lower(const Circuit &circuit, const compiler::SwScheduler &scheduler,
                 key < 0 ? std::vector<tfhe::Torus32>{tfhe::boolMu()}
                         : circuit.lutTable(key).torus;
             step.program =
-                compileBatch(scheduler, step.nodes.size(), cache);
+                scheduler.scheduleBootstrapBatch(step.nodes.size());
             lowered.totalBootstraps += step.nodes.size();
             lowered.levels[l].push_back(std::move(step));
         }

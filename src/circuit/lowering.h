@@ -21,7 +21,6 @@
 
 #include "circuit/circuit.h"
 #include "compiler/program.h"
-#include "compiler/program_cache.h"
 #include "compiler/sw_scheduler.h"
 
 namespace morphling::circuit {
@@ -70,17 +69,9 @@ struct LoweredCircuit
     }
 };
 
-/**
- * Lower a circuit against a scheduler's batching geometry. When a
- * program disk cache is given, each step's batch Program is loaded
- * from it when a valid entry exists and stored after compilation
- * otherwise, so cold processes skip compilation of familiar batch
- * shapes (docs/service.md). The cache is consulted single-threaded by
- * the caller's locking discipline.
- */
+/** Lower a circuit against a scheduler's batching geometry. */
 LoweredCircuit lower(const Circuit &circuit,
-                     const compiler::SwScheduler &scheduler,
-                     compiler::ProgramDiskCache *cache = nullptr);
+                     const compiler::SwScheduler &scheduler);
 
 } // namespace morphling::circuit
 

@@ -98,16 +98,6 @@ Program::totalBlindRotations() const
 }
 
 std::vector<std::uint64_t>
-Program::serialize() const
-{
-    std::vector<std::uint64_t> words;
-    words.reserve(instrs_.size());
-    for (const auto &inst : instrs_)
-        words.push_back(inst.encode());
-    return words;
-}
-
-std::vector<std::uint64_t>
 Program::serializeFramed() const
 {
     std::vector<std::uint64_t> words;

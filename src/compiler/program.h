@@ -95,17 +95,15 @@ class Program
     /** Total ciphertexts blind-rotated by this program. */
     std::uint64_t totalBlindRotations() const;
 
-    /** Pack to 64-bit words (the unframed instruction encodings). */
-    std::vector<std::uint64_t> serialize() const;
-
     /** First word of the framed container: 'MORPHP' + format version,
      *  bumped on any layout change. */
     static constexpr std::uint64_t kFramedMagic = 0x4D4F52504850'0001ull;
 
     /**
-     * Pack to a self-describing container for the on-disk program
-     * cache: [kFramedMagic, instruction count, numGroups(),
-     * instruction words...]. The redundant header fields are what
+     * Pack to the one machine encoding of a Program, a self-describing
+     * container (the remote protocol's kExecute payload carries it):
+     * [kFramedMagic, instruction count, numGroups(), instruction
+     * words...]. The redundant header fields are what
      * tryDeserializeFramed validates against.
      */
     std::vector<std::uint64_t> serializeFramed() const;
@@ -114,8 +112,8 @@ class Program
      * Decode a framed container without trusting it: returns nullopt
      * (with a diagnostic in *error when given) on a short or oversized
      * buffer, a bad magic/version word, an invalid opcode byte, or a
-     * group count disagreeing with the header — the hardened surface a
-     * cache of on-disk programs decodes through.
+     * group count disagreeing with the header — the hardened surface
+     * a Program from another process decodes through.
      */
     static std::optional<Program>
     tryDeserializeFramed(const std::string &name,

@@ -8,9 +8,9 @@
  * DMA.LD_LWE -> VPU.MS -> DMA.LD_BSK -> XPU.BR -> VPU.SE -> DMA.LD_KSK
  * -> VPU.KS -> DMA.ST_LWE, and stage barriers separate the stages.
  * verify() checks that grammar once, for every caller: the functional,
- * timing and sharded backends at run() entry, the RemoteServer before
- * its idempotency gate, and the ProgramDiskCache on every load
- * (docs/execution_model.md, "Program verifier").
+ * timing and sharded backends at run() entry, and the RemoteServer
+ * before its idempotency gate (docs/execution_model.md, "Program
+ * verifier").
  *
  * The grammar, per scheduling group:
  *  - outside a chunk a group may issue DMA.LD_LWE, DMA.LD_DATA,

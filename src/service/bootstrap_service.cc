@@ -155,10 +155,6 @@ BootstrapService::BootstrapService(ServiceConfig config)
     // process abort: validate() returns the diagnostic, we throw it.
     if (const auto error = config_.validate())
         throw std::invalid_argument("BootstrapService: " + *error);
-    if (!config_.programCacheDir.empty()) {
-        diskCache_ = std::make_unique<compiler::ProgramDiskCache>(
-            config_.programCacheDir);
-    }
 
     assembler_ = std::thread(&BootstrapService::assemblerMain, this);
     workers_.reserve(config_.numWorkers);
@@ -232,8 +228,8 @@ BootstrapService::registerLut(std::size_t lane,
                               const std::shared_ptr<const void> &owner)
 {
     validateLut(lut, params);
-    auto table = std::make_shared<LutTable>();
-    table->values = std::move(lut);
+    auto table =
+        std::make_shared<const std::vector<tfhe::Torus32>>(std::move(lut));
 
     std::lock_guard<std::mutex> lk(mu_);
     if (draining_) {
@@ -532,40 +528,8 @@ BootstrapService::assemblerMain()
     workCv_.notify_all();
 }
 
-const BootstrapService::CachedBatch &
-BootstrapService::batchCircuitFor(const Superbatch &batch)
-{
-    const std::size_t count = batch.requests.size();
-    std::lock_guard<std::mutex> lk(programMu_);
-    auto &programs = batch.lut->programs;
-    auto it = programs.find(count);
-    if (it == programs.end()) {
-        MORPHLING_SPAN("service", "compile_batch");
-        // The one-level circuit: `count` word inputs, each bootstrapped
-        // through the registered LUT. Its single LoweredStep's Program
-        // is exactly scheduleBootstrapBatch(count), so caching by
-        // (lut, count) caches every batch shape's Program. A LUT id
-        // belongs to one key set, so its params never change.
-        CachedBatch cached;
-        cached.circuit = std::make_unique<circuit::Circuit>();
-        const circuit::LutId table_id =
-            cached.circuit->registerTorusLut(batch.lut->values);
-        for (std::size_t i = 0; i < count; ++i) {
-            const circuit::Wire in = cached.circuit->wordInput(0);
-            cached.circuit->markOutput(
-                cached.circuit->applyLut(table_id, in));
-        }
-        const compiler::SwScheduler scheduler(
-            batch.requests.front().pin.keys->params);
-        cached.lowered = circuit::lower(*cached.circuit, scheduler,
-                                        diskCache_.get());
-        it = programs.emplace(count, std::move(cached)).first;
-    }
-    return it->second;
-}
-
 std::vector<tfhe::LweCiphertext>
-BootstrapService::runLowered(const circuit::LoweredCircuit &lowered,
+BootstrapService::runCircuit(const circuit::Circuit &circuit,
                              const std::vector<tfhe::LweCiphertext> &inputs,
                              const KeyPin &pin) const
 {
@@ -577,38 +541,29 @@ BootstrapService::runLowered(const circuit::LoweredCircuit &lowered,
     const auto backend = exec::makeBackend(*pin.keys, spec);
     exec::CircuitExecutor executor(pin.keys->params, *backend,
                                    config_.batch);
-    return executor.run(lowered, inputs).outputs;
+    return executor.run(circuit, inputs).outputs;
 }
 
 std::vector<tfhe::LweCiphertext>
 BootstrapService::executeBatch(
     const Superbatch &batch,
-    const std::vector<tfhe::LweCiphertext> &inputs)
+    const std::vector<tfhe::LweCiphertext> &inputs) const
 {
-    const CachedBatch &cached = batchCircuitFor(batch);
-    const KeyPin &pin = batch.requests.front().pin;
-
-    auto outputs = runLowered(cached.lowered, inputs, pin);
+    // The one-level circuit: one word input per request, each
+    // bootstrapped through the registered LUT. Its single step's
+    // Program is scheduleBootstrapBatch(count); building and lowering
+    // it takes microseconds, next to milliseconds of execution
+    // (docs/perf.md, "Compiling each batch").
+    circuit::Circuit one_level;
+    const circuit::LutId table = one_level.registerTorusLut(*batch.lut);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const circuit::Wire in = one_level.wordInput(0);
+        one_level.markOutput(one_level.applyLut(table, in));
+    }
+    auto outputs = runCircuit(one_level, inputs, batch.requests.front().pin);
     panic_if(outputs.size() != inputs.size(), "batch circuit produced ",
              outputs.size(), " outputs for ", inputs.size(), " requests");
     return outputs;
-}
-
-std::vector<tfhe::LweCiphertext>
-BootstrapService::executeCircuit(CircuitJob &job)
-{
-    MORPHLING_SPAN("service", "execute_circuit");
-    // The disk cache is single-threaded by contract; circuit lowering
-    // from concurrent workers serializes on programMu_ only when one
-    // is attached (compilation is cheap next to execution).
-    const compiler::SwScheduler scheduler(job.pin.keys->params);
-    const auto lowered = [&] {
-        if (diskCache_ == nullptr)
-            return circuit::lower(job.circuit, scheduler);
-        std::lock_guard<std::mutex> lk(programMu_);
-        return circuit::lower(job.circuit, scheduler, diskCache_.get());
-    }();
-    return runLowered(lowered, job.inputs, job.pin);
 }
 
 void
@@ -640,7 +595,9 @@ BootstrapService::workerMain()
         if (batch.lut == nullptr) {
             std::vector<tfhe::LweCiphertext> outputs;
             try {
-                outputs = executeCircuit(circuit_job);
+                MORPHLING_SPAN("service", "execute_circuit");
+                outputs = runCircuit(circuit_job.circuit, circuit_job.inputs,
+                                     circuit_job.pin);
             } catch (...) {
                 releaseFailed(*lane, circuit_job.cost, true);
                 circuit_job.promise.set_exception(std::current_exception());
@@ -806,18 +763,8 @@ BootstrapService::outstanding() const
 ServiceStats
 BootstrapService::stats() const
 {
-    std::uint64_t cache_hits = 0, cache_misses = 0, cache_rejects = 0;
-    if (diskCache_ != nullptr) {
-        std::lock_guard<std::mutex> lk(programMu_);
-        cache_hits = diskCache_->hits();
-        cache_misses = diskCache_->misses();
-        cache_rejects = diskCache_->rejects();
-    }
     std::lock_guard<std::mutex> lk(mu_);
     ServiceStats out = stats_;
-    out.programCacheHits = cache_hits;
-    out.programCacheMisses = cache_misses;
-    out.programCacheRejects = cache_rejects;
     out.pending = pendingCount_;
     out.outstanding = outstanding_;
     out.luts = static_cast<std::uint64_t>(std::count_if(

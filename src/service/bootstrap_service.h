@@ -11,9 +11,9 @@
  *   groups compiler::kSuperbatchSize requests sharing a LUT into one
  *   Superbatch (or flushes a partial batch after maxWait, so light
  *   load still makes progress) -> worker pool lowers the batch as a
- *   one-level circuit to a Morphling Program (cached per LUT and batch
- *   size) and executes it through the ServiceConfig::backend execution
- *   backend (docs/execution_model.md) -> each request's std::future is
+ *   one-level circuit to a Morphling Program and executes it through
+ *   the ServiceConfig::backend execution backend
+ *   (docs/execution_model.md) -> each request's std::future is
  *   fulfilled.
  *
  * Whole circuits ride the same pool: submitCircuit() accepts a
@@ -39,9 +39,9 @@
  * that shutdown() wakes — do not race submitters against shutdown().
  *
  * Thread safety: every public method may be called from any thread.
- * Key material is read-only once pinned; each worker drives its own
- * execution backend instance, and the compiled-program cache is the
- * only state batches share.
+ * Key material and LUT tables are read-only once pinned, and each
+ * worker compiles every batch and circuit it runs and drives its own
+ * execution backend instance, so batches share no mutable state.
  */
 
 #ifndef MORPHLING_SERVICE_BOOTSTRAP_SERVICE_H
@@ -53,7 +53,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -63,7 +62,6 @@
 
 #include "arch/config.h"
 #include "circuit/circuit.h"
-#include "circuit/lowering.h"
 #include "compiler/sw_scheduler.h"
 #include "exec/backend.h"
 #include "service/service_stats.h"
@@ -143,16 +141,6 @@ struct ServiceConfig
 
     /** Accelerator geometry for the kCosim timing side. */
     arch::ArchConfig timing;
-
-    /**
-     * Directory of the on-disk compiled-Program cache
-     * (compiler::ProgramDiskCache). When non-empty, every batch shape
-     * the service compiles is persisted there and cold starts load it
-     * back instead of re-compiling; corrupt or stale entries fall back
-     * to compilation. Empty (the default) keeps the cache in-memory
-     * only.
-     */
-    std::string programCacheDir;
 
     /** First configuration error, or nullopt when the config can run.
      *  The BootstrapService constructor throws std::invalid_argument
@@ -309,29 +297,16 @@ class BootstrapService
         kDrain
     };
 
-    /** One cached single-LUT batch lowering: the one-level circuit
-     *  plus its compiled Program (LoweredCircuit points into the
-     *  heap-held Circuit, so entries are stable once created). */
-    struct CachedBatch
-    {
-        std::unique_ptr<circuit::Circuit> circuit;
-        circuit::LoweredCircuit lowered;
-    };
-
-    /** A registered LUT and the programs compiled for it. Batches hold
-     *  it, so a reclaimed id's table and programs go with the last
-     *  batch that ran them, and a reused slot never sees them. */
-    struct LutTable
-    {
-        std::vector<tfhe::Torus32> values;
-        std::map<std::size_t, CachedBatch> programs; //!< by size; programMu_
-    };
+    /** A registered LUT's values. Batches hold them, so a reclaimed
+     *  id's table goes with the last batch that ran it, and a reused
+     *  slot never sees it. */
+    using LutTable = std::shared_ptr<const std::vector<tfhe::Torus32>>;
 
     /** Runs under its first request's keys: the requests of one LUT id
      *  all pin the same key content (a rotation registers new ids). */
     struct Superbatch
     {
-        std::shared_ptr<LutTable> lut;
+        LutTable lut;
         std::vector<Request> requests;
     };
 
@@ -349,7 +324,7 @@ class BootstrapService
     struct LutEntry
     {
         std::size_t lane = 0;
-        std::shared_ptr<LutTable> table; //!< null: a free slot
+        LutTable table; //!< null: a free slot
         std::optional<std::weak_ptr<const void>> owner; //!< if reclaimable
         std::deque<Request> pending; //!< not yet assembled
     };
@@ -416,37 +391,24 @@ class BootstrapService
      *  shutdown() still drains. */
     void releaseFailed(Lane &lane, std::size_t cost, bool circuit);
 
-    /** The one-level circuit bootstrapping the batch through its LUT,
-     *  lowered on first use and cached in the LUT by size
-     *  (superbatches repeat sizes heavily: full batches always,
-     *  partial flushes often). Thread-safe; the returned reference
-     *  stays valid while the batch holds its LUT. */
-    const CachedBatch &batchCircuitFor(const Superbatch &batch);
-
-    /** Run a lowered circuit under `pin` on a fresh backend of the
-     *  configured kind. */
+    /** Lower `circuit` and run it under `pin` on a fresh backend of
+     *  the configured kind. */
     std::vector<tfhe::LweCiphertext>
-    runLowered(const circuit::LoweredCircuit &lowered,
+    runCircuit(const circuit::Circuit &circuit,
                const std::vector<tfhe::LweCiphertext> &inputs,
                const KeyPin &pin) const;
 
-    /** Execute one assembled superbatch — as a one-level circuit —
-     *  through the configured execution backend; returns one output
-     *  per input, in order. */
+    /** Run one assembled superbatch as a one-level circuit (each input
+     *  bootstrapped through the batch's LUT); returns one output per
+     *  input, in order. */
     std::vector<tfhe::LweCiphertext>
     executeBatch(const Superbatch &batch,
-                 const std::vector<tfhe::LweCiphertext> &inputs);
-
-    /** Lower and run one submitted circuit. */
-    std::vector<tfhe::LweCiphertext> executeCircuit(CircuitJob &job);
+                 const std::vector<tfhe::LweCiphertext> &inputs) const;
 
     const ServiceConfig config_;
     const ServiceClock::time_point start_;
 
     KeyPin ownKeys_; //!< the public constructors' keys, lane 0
-
-    mutable std::mutex programMu_; //!< LutTable::programs, diskCache_
-    std::unique_ptr<compiler::ProgramDiskCache> diskCache_;
 
     mutable std::mutex mu_;
     std::condition_variable spaceCv_;    //!< submitters await capacity

@@ -37,6 +37,13 @@ throwUnknownTenant(const TenantId &tenant)
                             tenant + "\"");
 }
 
+[[noreturn]] void
+throwUnknownLut(const TenantId &tenant, LutId lut)
+{
+    throw std::out_of_range("MultiTenantService: tenant \"" + tenant +
+                            "\" has no LUT id " + std::to_string(lut));
+}
+
 void
 validateQuota(const TenantQuota &quota)
 {
@@ -222,6 +229,14 @@ MultiTenantService::admit(Tenant &t, double cost, bool block)
     return true;
 }
 
+void
+MultiTenantService::refund(Tenant &t, double cost)
+{
+    std::lock_guard<std::mutex> lk(admitMu_);
+    if (t.ratePerSec > 0) // a bucket without a rate drew nothing
+        t.tokens = std::min(t.burst, t.tokens + cost);
+}
+
 std::pair<BootstrapService::KeyPin, LutId>
 MultiTenantService::pin(Tenant &t, std::optional<LutId> lut)
 {
@@ -231,11 +246,8 @@ MultiTenantService::pin(Tenant &t, std::optional<LutId> lut)
     Enrollment &e = *t.enrollment;
     LutId id = 0;
     if (lut.has_value()) {
-        if (*lut >= e.serviceLuts.size()) {
-            throw std::out_of_range("MultiTenantService: tenant \"" +
-                                    t.name + "\" has no LUT id " +
-                                    std::to_string(*lut));
-        }
+        if (*lut >= e.serviceLuts.size())
+            throwUnknownLut(t.name, *lut);
         id = e.serviceLuts[*lut];
     }
     return {{e.keys, e.fp, t.enrollment}, id};
@@ -271,6 +283,13 @@ MultiTenantService::enqueue(
     std::optional<ServiceClock::time_point> deadline, bool block)
 {
     auto &t = find(tenant);
+    {
+        // An unknown LUT id draws no token. Tenant LUT ids only grow
+        // and survive rotation, so pin() below resolves this one.
+        std::lock_guard<std::mutex> lk(t.enrollMu);
+        if (lut >= t.luts.size())
+            throwUnknownLut(t.name, lut);
+    }
     if (!admit(t, 1.0, block))
         return std::nullopt;
     auto [keys, id] = pin(t, lut);
@@ -278,8 +297,14 @@ MultiTenantService::enqueue(
                                    deadline, block);
     // Only a forwarded request is "submitted"; a saturation bounce is
     // throttling like an empty bucket, and must not skew the
-    // per-tenant accounting the SLO and fairness gates read.
-    (future.has_value() ? t.submitted : t.throttled)->inc();
+    // per-tenant accounting the SLO and fairness gates read. A bounce
+    // returns its token: the tenant was charged for nothing.
+    if (future.has_value()) {
+        t.submitted->inc();
+    } else {
+        refund(t, 1.0);
+        t.throttled->inc();
+    }
     return future;
 }
 

@@ -85,9 +85,9 @@ class MultiTenantService
 
     /** Submit one bootstrap, blocking first on the tenant's token
      *  bucket, then on its lane's backpressure. Throws
-     *  std::out_of_range for an unknown tenant or LUT id, and
-     *  std::logic_error when the service is (or, while this call
-     *  waits, gets) shut down. */
+     *  std::out_of_range for an unknown tenant or LUT id (before
+     *  drawing a token), and std::logic_error when the service is
+     *  (or, while this call waits, gets) shut down. */
     std::future<tfhe::LweCiphertext>
     submit(const TenantId &tenant, tfhe::LweCiphertext ct, LutId lut,
            std::optional<ServiceClock::time_point> deadline =
@@ -95,7 +95,8 @@ class MultiTenantService
 
     /** Fail-fast submission: std::nullopt when the tenant's bucket is
      *  empty or its lane is saturated — both counted as throttled,
-     *  and only a forwarded request counts as submitted. */
+     *  and only a forwarded request counts as submitted. A request
+     *  the saturated lane refuses gives its token back. */
     std::optional<std::future<tfhe::LweCiphertext>>
     trySubmit(const TenantId &tenant, tfhe::LweCiphertext ct,
               LutId lut,
@@ -198,6 +199,10 @@ class MultiTenantService
      *  full and drives the balance negative — refill clamps tokens to
      *  burst, so waiting for the full cost would never terminate. */
     bool admit(Tenant &t, double cost, bool block);
+
+    /** Give back `cost` tokens admit() drew for a request the service
+     *  then refused (capped at the bucket depth). */
+    void refund(Tenant &t, double cost);
 
     /** The tenant's current keys, pinned, and — for a single-LUT
      *  request — the service id of its LUT `lut` under the same

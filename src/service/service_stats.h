@@ -39,11 +39,6 @@ struct ServiceStats
     std::uint64_t circuitsFailed = 0;    //!< circuit promises failed
     std::uint64_t circuitBootstraps = 0; //!< bootstraps retired in circuits
 
-    // --- program disk cache (all 0 without programCacheDir) -----------
-    std::uint64_t programCacheHits = 0;    //!< programs loaded from disk
-    std::uint64_t programCacheMisses = 0;  //!< no file yet: compiled
-    std::uint64_t programCacheRejects = 0; //!< unusable file: recompiled
-
     // --- instantaneous state ------------------------------------------
     std::uint64_t pending = 0;     //!< accepted, not yet in a batch
     std::uint64_t outstanding = 0; //!< accepted, not yet completed

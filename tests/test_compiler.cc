@@ -102,7 +102,7 @@ TEST(IsaDeathTest, DecodeRejectsInvalidOpcodeByte)
 
 TEST(Program, FramedSerializeRoundTrip)
 {
-    Program prog("cacheable");
+    Program prog("framed");
     prog.add({Opcode::DmaLoadLwe, 0, 16, 123});
     prog.add({Opcode::XpuBlindRotate, 0, 16, 500});
     prog.add({Opcode::VpuKeySwitch, 1, 16, 0});
@@ -114,7 +114,7 @@ TEST(Program, FramedSerializeRoundTrip)
 
     std::string error;
     const auto back =
-        Program::tryDeserializeFramed("cacheable", words, &error);
+        Program::tryDeserializeFramed("framed", words, &error);
     ASSERT_TRUE(back.has_value()) << error;
     ASSERT_EQ(back->size(), prog.size());
     for (std::size_t i = 0; i < prog.size(); ++i)
@@ -313,7 +313,7 @@ TEST_F(SchedulerFixture, GroupInterleavedMatchesRoundRobinOnCanonical)
     ASSERT_EQ(gi.size(), rr.size());
     for (std::size_t i = 0; i < rr.size(); ++i)
         EXPECT_EQ(gi.at(i), rr.at(i)) << i;
-    EXPECT_EQ(gi.serialize(), rr.serialize());
+    EXPECT_EQ(gi.serializeFramed(), rr.serializeFramed());
 }
 
 TEST_F(SchedulerFixture, GroupInterleavedEmitsPhaseAlignedRounds)

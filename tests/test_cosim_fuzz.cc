@@ -5,11 +5,11 @@
  * against the cycle model, both monolithic and split across a random
  * number of accelerators; its one-thread log must equal the sharded
  * merge, and its 4-thread run must reproduce the one-thread outputs
- * and log (CosimFuzz). Then mutate compiled Programs as a corrupted
- * cache file or a hostile client could (ProgramFuzz): whatever the
- * verifier rejects, both backends and a live RemoteServer reject with
- * a typed error; whatever it accepts passes the lockstep co-simulation
- * against the tfhe::batchBootstrap reference.
+ * and log (CosimFuzz). Then mutate compiled Programs as a hostile
+ * client could (ProgramFuzz): whatever the verifier rejects, both
+ * backends and a live RemoteServer reject with a typed error; whatever
+ * it accepts passes the lockstep co-simulation against the
+ * tfhe::batchBootstrap reference.
  * The seed comes from MORPHLING_FUZZ_SEED when set and is
  * echoed in the log either way, so any CI failure reproduces locally
  * with one env var.

@@ -3,15 +3,13 @@
  * Tests of the concurrent bootstrap service: flush-on-timeout under
  * light load, deadline-driven flushes, backpressure (fail-fast and
  * drain), per-client result ordering, full-batch assembly, shutdown
- * semantics and typed misuse errors, and the program disk cache. All
- * run under the TSan label (ctest -L tsan).
+ * semantics and typed misuse errors, and batches lowered against their
+ * own LUT. All run under the TSan label (ctest -L tsan).
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
@@ -22,10 +20,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "common/logging.h"
 #include "common/rng.h"
-#include "compiler/program_cache.h"
-#include "compiler/sw_scheduler.h"
 #include "service/bootstrap_service.h"
 #include "tfhe/encoding.h"
 
@@ -242,10 +237,6 @@ TEST_F(ServiceFixture, FullBatchesAssembleWithoutTimer)
     EXPECT_EQ(stats.timerFlushes, 0u);
     EXPECT_EQ(stats.occupancy.mean(), 4.0);
     EXPECT_EQ(stats.meanOccupancy(config.superbatchSize), 1.0);
-    // No programCacheDir: the cache counters stay 0.
-    EXPECT_EQ(stats.programCacheHits + stats.programCacheMisses +
-                  stats.programCacheRejects,
-              0u);
 }
 
 TEST(ServiceKeyLifetime, ServesAfterTheSourceKeysAreDestroyed)
@@ -384,28 +375,34 @@ TEST_F(ServiceFixture, CosimBackendServesCorrectResults)
     }
 }
 
-TEST_F(ServiceFixture, ProgramCacheCompilesEachSizeOnce)
+TEST_F(ServiceFixture, EveryBatchLowersAgainstItsOwnLut)
 {
-    // Two full batches of the same size reuse one compiled Program; a
-    // timer-flushed partial batch compiles its own. (Observable only
-    // indirectly — correct results across mixed batch sizes.)
+    // Each batch is lowered where it runs, against its own LUT. The
+    // requests alternate between two LUTs, 6 and 5 of them over
+    // batches of 4, so each LUT ships a full batch and a partial one;
+    // a batch lowered against the other table would decrypt wrong.
     ServiceConfig config;
     config.superbatchSize = 4;
     config.maxWait = 20ms;
     config.numWorkers = 2;
     BootstrapService service(keys(), config);
-    const LutId lut = service.registerLut(tfhe::makePaddedLut(
-        kSpace, [](std::uint32_t m) { return m; }));
+    const LutId luts[2] = {
+        service.registerLut(tfhe::makePaddedLut(
+            kSpace, [](std::uint32_t m) { return m; })),
+        service.registerLut(tfhe::makePaddedLut(
+            kSpace, [](std::uint32_t m) { return (m + 1) % kSpace; }))};
 
     std::vector<std::future<LweCiphertext>> futures;
-    for (std::uint32_t i = 0; i < 11; ++i) // 2 full + 1 partial of 3
-        futures.push_back(service.submit(encrypt(i % kSpace), lut));
+    for (std::uint32_t i = 0; i < 11; ++i)
+        futures.push_back(service.submit(encrypt(i % kSpace), luts[i % 2]));
     for (std::uint32_t i = 0; i < 11; ++i) {
         expectReady(futures[i]);
-        EXPECT_EQ(decrypt(futures[i].get()), i % kSpace) << i;
+        EXPECT_EQ(decrypt(futures[i].get()), (i % kSpace + i % 2) % kSpace)
+            << i;
     }
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.completed, 11u);
+    EXPECT_GE(stats.superbatches, 4u);
 }
 
 TEST_F(ServiceFixture, GroupParallelBatchEndToEnd)
@@ -537,129 +534,6 @@ TEST_F(ServiceFixture, RejectsUnusableLutsAndUnknownLutIds)
     expectReady(future);
     EXPECT_EQ(decrypt(future.get()), 2u);
     EXPECT_EQ(service.stats().accepted, 1u);
-}
-
-TEST_F(ServiceFixture, ProgramDiskCacheSurvivesRestartAndCorruption)
-{
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "morphling_test_prog_cache";
-    fs::remove_all(dir);
-
-    // Only full batches ship, so every run compiles or loads exactly one
-    // batch shape (4) and the cache counters below are exact.
-    ServiceConfig config;
-    config.superbatchSize = 4;
-    config.numWorkers = 1;
-    config.maxWait = 10s;
-    config.programCacheDir = dir.string();
-
-    const auto run_once = [&] {
-        BootstrapService service(keys(), config);
-        const LutId lut = service.registerLut(
-            tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
-                return (m + 2) % kSpace;
-            }));
-        std::vector<std::future<LweCiphertext>> futures;
-        for (std::uint32_t m = 0; m < 4; ++m)
-            futures.push_back(service.submit(encrypt(m), lut));
-        for (std::uint32_t m = 0; m < 4; ++m) {
-            expectReady(futures[m]);
-            EXPECT_EQ(decrypt(futures[m].get()), (m + 2) % kSpace) << m;
-        }
-        return service.stats();
-    };
-
-    // Cold start: compiles and persists the batch shape.
-    const ServiceStats cold = run_once();
-    EXPECT_EQ(cold.programCacheMisses, 1u);
-    EXPECT_EQ(cold.programCacheHits, 0u);
-    EXPECT_EQ(cold.programCacheRejects, 0u);
-    std::size_t cached = 0;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        if (entry.path().extension() == ".mprog")
-            ++cached;
-    }
-    ASSERT_GE(cached, 1u) << "no compiled program was persisted";
-
-    // Warm start: loads the persisted program.
-    const ServiceStats warm = run_once();
-    EXPECT_EQ(warm.programCacheHits, 1u);
-    EXPECT_EQ(warm.programCacheMisses, 0u);
-    EXPECT_EQ(warm.programCacheRejects, 0u);
-
-    // Corrupt every cached entry; the service must fall back to
-    // compilation and still produce correct results.
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        std::ofstream os(entry.path(),
-                         std::ios::binary | std::ios::trunc);
-        os << "not a program";
-    }
-    const ServiceStats corrupt = run_once();
-    EXPECT_EQ(corrupt.programCacheRejects, 1u);
-    EXPECT_EQ(corrupt.programCacheHits, 0u);
-
-    fs::remove_all(dir);
-}
-
-TEST_F(ServiceFixture, UnverifiedCachedProgramIsRejectedAndRecompiled)
-{
-    // A cached file that decodes but does not verify (a 1-LWE batch
-    // without its VPU.MS) used to abort the first submit; it must
-    // count as a reject and be recompiled.
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "morphling_test_unverified_cache";
-    fs::remove_all(dir);
-    const auto &params = keys().params;
-    const auto key = compiler::ProgramCacheKey::forBatch(
-        params, compiler::SchedulerConfig{}, 1);
-    const auto batch = compiler::SwScheduler(params).scheduleBootstrapBatch(1);
-    compiler::Program broken(batch.name());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch.at(i).op != compiler::Opcode::VpuModSwitch)
-            broken.add(batch.at(i));
-    }
-    {
-        compiler::ProgramDiskCache cache(dir.string());
-        ASSERT_TRUE(cache.store(key, broken));
-        std::string why;
-        EXPECT_FALSE(cache.load(key, params, &why).has_value());
-        EXPECT_EQ(cache.rejects(), 1u);
-        EXPECT_NE(why.find("instruction 1 (DMA.LD_BSK"), std::string::npos)
-            << why;
-    }
-
-    ServiceConfig config;
-    config.superbatchSize = 1;
-    config.numWorkers = 1;
-    config.programCacheDir = dir.string();
-    {
-        BootstrapService service(keys(), config);
-        const LutId lut = service.registerLut(
-            tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
-                return (m + 1) % kSpace;
-            }));
-        const std::size_t warnings = warnCount();
-        auto future = service.submit(encrypt(2), lut);
-        expectReady(future);
-        EXPECT_EQ(decrypt(future.get()), 3u);
-        // The service's own stats show the reject, and the reason was
-        // reported once.
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.programCacheRejects, 1u);
-        EXPECT_EQ(stats.programCacheHits, 0u);
-        EXPECT_EQ(stats.programCacheMisses, 0u);
-        EXPECT_EQ(warnCount(), warnings + 1);
-    }
-
-    // The recompiled program replaced the broken entry.
-    compiler::ProgramDiskCache cache(dir.string());
-    const auto reloaded = cache.load(key, params);
-    ASSERT_TRUE(reloaded.has_value());
-    EXPECT_EQ(reloaded->instructions(), batch.instructions());
-    EXPECT_EQ(cache.rejects(), 0u);
-    fs::remove_all(dir);
 }
 
 } // namespace

@@ -11,9 +11,11 @@
  *  - fairness under adversarial load: a flooding tenant exhausts its
  *    own token bucket and cannot push a trickle tenant past its SLO;
  *  - admission control: trySubmit bounces on an empty bucket, submit
- *    blocks until refill, and a circuit costing more than the bucket
+ *    blocks until refill, a circuit costing more than the bucket
  *    depth is admitted against a full bucket (negative balance)
- *    instead of blocking forever;
+ *    instead of blocking forever, and a request refused for a wrong
+ *    input count, an unknown LUT id or a saturated lane costs no
+ *    token;
  *  - key rotation: re-adding a tenant with different keys applies to
  *    every later submission, while requests already queued finish
  *    under the keys they pinned — with no drain — and the old LUT ids
@@ -319,6 +321,80 @@ TEST_F(TenantFixture, RejectedCircuitCostsItsTenantNothing)
     ASSERT_EQ(f1->wait_for(60s), std::future_status::ready);
     ASSERT_EQ(f2->wait_for(60s), std::future_status::ready);
     EXPECT_EQ(tfhe::decryptPadded(keysA(), f2->get(), kSpace), 2u);
+    const TenantStats stats = front.stats("capped");
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.throttled, 1u);
+}
+
+TEST_F(TenantFixture, UnknownLutIdCostsItsTenantNothing)
+{
+    telemetry::MetricsRegistry metrics;
+    MultiTenantConfig config;
+    config.service = smallService();
+    config.metrics = &metrics;
+    MultiTenantService front(config);
+
+    // One token per 100 s and a bucket of two: had the two submissions
+    // naming an unknown LUT id below drawn a token each, neither
+    // fail-fast submission after them would be admitted.
+    TenantQuota quota;
+    quota.ratePerSec = 0.01;
+    quota.burst = 2;
+    front.addTenant("capped", evalA(), quota);
+    const LutId lut = front.registerLut("capped", plusOneLut());
+
+    EXPECT_THROW((void)front.submit("capped", encryptA(0), lut + 1),
+                 std::out_of_range);
+    EXPECT_THROW((void)front.trySubmit("capped", encryptA(0), lut + 1),
+                 std::out_of_range);
+    EXPECT_EQ(front.stats("capped").submitted, 0u);
+    EXPECT_EQ(front.stats("capped").throttled, 0u);
+
+    auto f1 = front.trySubmit("capped", encryptA(0), lut);
+    auto f2 = front.trySubmit("capped", encryptA(1), lut);
+    ASSERT_TRUE(f1.has_value());
+    ASSERT_TRUE(f2.has_value());
+    EXPECT_FALSE(front.trySubmit("capped", encryptA(2), lut).has_value());
+    ASSERT_EQ(f1->wait_for(60s), std::future_status::ready);
+    ASSERT_EQ(f2->wait_for(60s), std::future_status::ready);
+    EXPECT_EQ(tfhe::decryptPadded(keysA(), f2->get(), kSpace), 2u);
+    const TenantStats stats = front.stats("capped");
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.throttled, 1u);
+}
+
+TEST_F(TenantFixture, LaneBouncedRequestCostsItsTenantNothing)
+{
+    telemetry::MetricsRegistry metrics;
+    MultiTenantConfig config;
+    config.service = smallService();
+    // One request fills the lane, and it stays queued until flush().
+    config.service.maxOutstanding = 1;
+    config.service.maxWait = 10s;
+    config.metrics = &metrics;
+    MultiTenantService front(config);
+
+    // One token per 100 s and a bucket of two: had the bounced
+    // submission below kept its token, the one after the lane frees
+    // up would find the bucket empty.
+    TenantQuota quota;
+    quota.ratePerSec = 0.01;
+    quota.burst = 2;
+    front.addTenant("capped", evalA(), quota);
+    const LutId lut = front.registerLut("capped", plusOneLut());
+
+    auto f1 = front.trySubmit("capped", encryptA(0), lut);
+    ASSERT_TRUE(f1.has_value());
+    EXPECT_FALSE(front.trySubmit("capped", encryptA(1), lut).has_value());
+    front.flush();
+    ASSERT_EQ(f1->wait_for(60s), std::future_status::ready);
+    EXPECT_EQ(tfhe::decryptPadded(keysA(), f1->get(), kSpace), 1u);
+
+    auto f2 = front.trySubmit("capped", encryptA(2), lut);
+    ASSERT_TRUE(f2.has_value());
+    front.flush();
+    ASSERT_EQ(f2->wait_for(60s), std::future_status::ready);
+    EXPECT_EQ(tfhe::decryptPadded(keysA(), f2->get(), kSpace), 3u);
     const TenantStats stats = front.stats("capped");
     EXPECT_EQ(stats.submitted, 2u);
     EXPECT_EQ(stats.throttled, 1u);
