@@ -348,8 +348,10 @@ void
 runChunkBlindRotate(benchmark::State &state, FftDispatchTier tier,
                     bool batched)
 {
-    // One set-I chunk's XPU.BR on one thread: iteration-major through
-    // blindRotateBatch, or (serial) one blindRotate per ciphertext.
+    // One set-I chunk's XPU.BR on one thread: one blindRotateBatch,
+    // whose every tile takes BSK_i before any takes BSK_{i+1} (the
+    // chunk reads the BSK once), or (serial) one blindRotate per
+    // ciphertext, which reads it 16 times.
     forceFftDispatchTier(tier);
     const auto &keys = keysFor("I");
     Rng rng(14);
@@ -398,7 +400,7 @@ runLaneTileCmux(benchmark::State &state, FftDispatchTier tier)
     const unsigned w = kernels.width;
     BootstrapWorkspace ws;
     ws.ensure(params.glweDimension, params.polyDegree, params.bskLevels,
-              params.bskBaseBits, 1, w);
+              params.bskBaseBits, 1, w, w);
     Rng rng(15);
     for (auto &a : ws.laneAcc)
         a = rng.nextU32();

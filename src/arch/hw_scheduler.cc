@@ -1,7 +1,7 @@
 #include "hw_scheduler.h"
 
 #include "common/logging.h"
-#include "sim/trace.h"
+#include "telemetry/sim_bridge.h"
 
 namespace morphling::arch {
 
@@ -101,7 +101,8 @@ HwScheduler::releaseBarrier()
 {
     barrierArrivals_ = 0;
     ++statSet_.scalar("barriers", "stage barriers crossed");
-    DTRACE(eq_, "sched", "barrier released for all groups");
+    MORPHLING_SIM_INSTANT("log.sched", "barrier released for all groups",
+                          eq_.now());
     for (unsigned g = 0; g < groups_.size(); ++g) {
         auto &gs = groups_[g];
         panic_if(!gs.waitingAtBarrier, "barrier release without arrival");
@@ -132,7 +133,10 @@ HwScheduler::step(unsigned g, Chain &chain)
         return;
     }
     const Chain::Slot &slot = chain.instrs[chain.pc++];
-    DTRACE(eq_, "sched", "g", g, " issue ", slot.inst.toString());
+    MORPHLING_SIM_INSTANT(
+        "log.sched",
+        ::morphling::detail::concat("g", g, " issue ", slot.inst.toString()),
+        eq_.now());
     dispatch(g, chain, slot);
 }
 

@@ -1,7 +1,6 @@
 #include "vpu.h"
 
 #include "common/logging.h"
-#include "sim/trace.h"
 #include "telemetry/sim_bridge.h"
 
 namespace morphling::arch {
@@ -72,9 +71,6 @@ VpuModel::submit(unsigned lane_group, compiler::Opcode op, unsigned count,
         static_cast<double>(cycles);
     ++stats_.scalar("tasks", "instructions executed");
 
-    DTRACE(eq_, "vpu", compiler::opcodeName(op), " x", count,
-           " on lane-group ", lane_group, ": ", cycles,
-           " cycles, done @", done);
     if (on_done)
         eq_.schedule(done, std::move(on_done));
     return done;

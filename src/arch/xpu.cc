@@ -2,7 +2,6 @@
 
 #include "common/bits.h"
 #include "common/logging.h"
-#include "sim/trace.h"
 #include "telemetry/sim_bridge.h"
 
 namespace morphling::arch {
@@ -106,9 +105,12 @@ XpuComplex::tryStartWave()
         waveIterations_ = std::max(waveIterations_, job.iterations);
     ++wavesStarted_;
     ++stats_.scalar("waves", "waves started");
-    DTRACE(eq_, "xpu", "wave ", wavesStarted_, " starts with ",
-           wave_.size(), " stream set(s), ", waveIterations_,
-           " iterations");
+    MORPHLING_SIM_INSTANT(
+        "log.xpu",
+        ::morphling::detail::concat("wave ", wavesStarted_, " starts with ",
+                                    wave_.size(), " stream set(s), ",
+                                    waveIterations_, " iterations"),
+        eq_.now());
     stats_.histogram("wave_jobs", "jobs per wave")
         .sample(static_cast<double>(wave_.size()));
 
@@ -235,7 +237,10 @@ XpuComplex::finishIteration()
         std::vector<Job> done;
         done.swap(wave_);
         waveActive_ = false;
-        DTRACE(eq_, "xpu", "wave complete (", done.size(), " job(s))");
+        MORPHLING_SIM_INSTANT("log.xpu",
+                              ::morphling::detail::concat(
+                                  "wave complete (", done.size(), " job(s))"),
+                              eq_.now());
         for (auto &job : done) {
             stats_.scalar("ciphertexts", "ciphertexts blind-rotated") +=
                 job.count;
@@ -254,8 +259,6 @@ XpuComplex::finishIteration()
     } else {
         waitingForBsk_ = true;
         stallStart_ = eq_.now();
-        DTRACE(eq_, "xpu", "stall: BSK_", waveIter_,
-               " not yet in Private-A2");
     }
 }
 

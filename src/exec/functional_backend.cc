@@ -79,12 +79,12 @@ FunctionalBackend::execute(std::size_t index, Group &group,
         break;
       }
       case Opcode::XpuBlindRotate:
-        // The whole chunk in one call: each full tile of W
-        // ciphertexts takes all n CMux rounds in one lane-resident
-        // pass (each BSK_i coefficient serving W lanes, as a streamed
-        // BSK_i serves a VPE row), the rest iteration-major. The
-        // chunk's one DMA.LD_BSK is the accelerator's reuse; the CPU
-        // order does not change it.
+        // The whole chunk in one call, iteration-major: every
+        // ciphertext takes BSK_i before any takes BSK_{i+1}, so the
+        // CPU reads each BSK_i once per chunk, as the chunk's one
+        // DMA.LD_BSK streams it. Full tiles of W ciphertexts stay
+        // lane-resident (each BSK_i coefficient serving W lanes, as a
+        // streamed BSK_i serves a VPE row); the rest run row-lane.
         group.accs.resize(inst.count);
         tfhe::blindRotateBatch(bsk_, testPoly_, group.switched.data(),
                                group.accs.data(), inst.count, ws);

@@ -331,15 +331,23 @@ MultiTenantService::submitCircuit(
     std::vector<tfhe::LweCiphertext> inputs)
 {
     auto &t = find(tenant);
-    // A rejected circuit draws no tokens and counts as no submission.
+    // A rejected circuit draws no tokens and counts as no submission:
+    // a wrong input count throws before admission, and a throw after it
+    // (a shut-down service) returns the tokens.
     BootstrapService::validateCircuitInputs(circuit, inputs.size());
-    const auto cost = std::max<std::uint64_t>(
-        1, circuit.bootstrapCount());
-    admit(t, static_cast<double>(cost), /*block=*/true);
-    auto keys = pin(t, std::nullopt).first;
-    t.submitted->inc();
-    return service_.enqueueCircuit(t.lane, std::move(keys),
-                                   std::move(circuit), std::move(inputs));
+    const auto cost = static_cast<double>(
+        std::max<std::uint64_t>(1, circuit.bootstrapCount()));
+    admit(t, cost, /*block=*/true);
+    try {
+        auto future = service_.enqueueCircuit(
+            t.lane, pin(t, std::nullopt).first, std::move(circuit),
+            std::move(inputs));
+        t.submitted->inc();
+        return future;
+    } catch (...) {
+        refund(t, cost);
+        throw;
+    }
 }
 
 TenantStats

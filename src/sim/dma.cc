@@ -1,7 +1,6 @@
 #include "dma.h"
 
 #include "common/logging.h"
-#include "sim/trace.h"
 #include "telemetry/sim_bridge.h"
 
 namespace morphling::sim {
@@ -29,8 +28,6 @@ DmaEngine::load(std::uint64_t bytes, EventQueue::Callback on_done)
 {
     ++outstanding_;
     totalBytes_ += bytes;
-    DTRACE(eq_, "dma", name_, " load ", bytes, " B (",
-           outstanding_, " outstanding)");
     stats_.scalar("bytes", "bytes loaded from HBM") +=
         static_cast<double>(bytes);
     ++stats_.scalar("loads", "load operations issued");
@@ -97,8 +94,11 @@ MulticastDma::request(unsigned consumer, std::uint64_t tag,
             ++stats_.scalar("joins",
                             "requests merged into an in-flight read");
             f.waiters.push_back(std::move(on_done));
-            DTRACE(eq_, "dma", name_, " tag ", tag, " join by consumer ",
-                   consumer);
+            MORPHLING_SIM_INSTANT(
+                "log.dma",
+                ::morphling::detail::concat(name_, " tag ", tag,
+                                            " join by consumer ", consumer),
+                eq_.now());
             return;
         }
     }
@@ -109,8 +109,12 @@ MulticastDma::request(unsigned consumer, std::uint64_t tag,
             ++residencyHits_;
             ++stats_.scalar("residency_hits",
                             "requests served from resident slices");
-            DTRACE(eq_, "dma", name_, " tag ", tag,
-                   " residency hit by consumer ", consumer);
+            MORPHLING_SIM_INSTANT(
+                "log.dma",
+                ::morphling::detail::concat(name_, " tag ", tag,
+                                            " residency hit by consumer ",
+                                            consumer),
+                eq_.now());
             if (on_done)
                 eq_.schedule(eq_.now(), std::move(on_done));
             return;
@@ -124,8 +128,11 @@ MulticastDma::request(unsigned consumer, std::uint64_t tag,
     ++stats_.scalar("fetches", "fresh HBM reads issued");
     stats_.scalar("fetched_bytes", "bytes actually read from HBM") +=
         static_cast<double>(bytes);
-    DTRACE(eq_, "dma", name_, " tag ", tag, " fetch ", bytes,
-           " B by consumer ", consumer);
+    MORPHLING_SIM_INSTANT(
+        "log.dma",
+        ::morphling::detail::concat(name_, " tag ", tag, " fetch ", bytes,
+                                    " B by consumer ", consumer),
+        eq_.now());
     inflight_.push_back(Inflight{tag, {}});
     inflight_.back().waiters.push_back(std::move(on_done));
     hbm_.accessStriped(

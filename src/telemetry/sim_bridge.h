@@ -3,8 +3,12 @@
  * Bridge from the cycle simulator to the telemetry trace: while a
  * SimTraceRecorder is installed, the sim/arch component models
  * (XpuComplex busy/stall, VpuModel tasks, Hbm channel transfers,
- * DmaEngine loads, NoC link transfers, DTRACE log lines) report their
- * busy/stall intervals and transactions here in *simulated ticks*.
+ * DmaEngine loads, NoC link transfers) report their busy/stall
+ * intervals and transactions here in *simulated ticks*, and their
+ * point events (an XPU wave starting or completing, the hardware
+ * scheduler issuing an instruction or releasing a barrier, a multicast
+ * DMA join, residency hit or fetch) as instants on the "log.xpu",
+ * "log.sched" and "log.dma" tracks.
  * The Chrome exporter (chrome_trace.h) then renders them as
  * virtual-time tracks in the same trace file as the wall-clock CPU
  * spans, so a simulated Morphling pipeline and the real service path
@@ -15,9 +19,10 @@
  * do it). Nothing records while no recorder is installed, and with
  * MORPHLING_TELEMETRY=OFF the component hooks compile to nothing.
  *
- * Thread safety: recording is mutex-guarded (the simulator itself is
- * single-threaded; the guard exists for the DTRACE bridge, which the
- * service worker threads may drive through sim::Trace).
+ * Thread safety: recording is mutex-guarded. One simulation is
+ * single-threaded, but several may record at once: ShardedBackend runs
+ * its private-memory shards on their own threads, and service workers
+ * run kCosim backends side by side.
  */
 
 #ifndef MORPHLING_TELEMETRY_SIM_BRIDGE_H
@@ -46,7 +51,7 @@ class SimTraceRecorder
         std::uint64_t bytes = 0; //!< payload size, 0 when n/a
     };
 
-    /** One point event (the DTRACE bridge). */
+    /** One point event on a "log.<component>" track. */
     struct Instant
     {
         std::string track;

@@ -83,108 +83,6 @@ namespace {
 // in params.h has at most 48; a larger key rotates row-lane.
 constexpr unsigned kMaxLaneKeyPolys = 128;
 
-/**
- * Rotate one full tile of W = kernels.width accumulators tile-major:
- * interleave them into ws.laneAcc, run all n CMux rounds there through
- * the lane kernel, then de-interleave them back. A lane whose a~_i is 0
- * runs its round too: the centred digits of 0 are 0, so the round adds
- * exactly 0 and the accumulator is unchanged.
- */
-void
-rotateLaneTile(const BootstrapKey &bsk,
-               const std::vector<std::uint32_t> *switched,
-               GlweCiphertext *accs, const detail::BatchKernels &kernels,
-               BootstrapWorkspace &ws)
-{
-    const unsigned lanes = kernels.width;
-    const unsigned poly_degree = accs[0].polyDegree();
-    const unsigned two_n = 2 * poly_degree;
-    const unsigned cols = accs[0].dimension() + 1;
-    const FourierGgsw &first = bsk.entry(0);
-    const unsigned rows = cols * first.levels();
-    ws.ensure(cols - 1, poly_degree, first.levels(), first.baseBits(), 1,
-              lanes);
-
-    Torus32 *acc = ws.laneAcc.data();
-    for (unsigned c = 0; c < cols; ++c)
-        for (unsigned w = 0; w < lanes; ++w) {
-            const Torus32 *src = accs[w].component(c).data();
-            Torus32 *dst = acc + std::size_t{c} * poly_degree * lanes + w;
-            for (unsigned j = 0; j < poly_degree; ++j)
-                dst[j * lanes] = src[j];
-        }
-
-    const detail::NegacyclicView &view =
-        NegacyclicFft::forDegree(poly_degree).view();
-    const double *key_re[kMaxLaneKeyPolys];
-    const double *key_im[kMaxLaneKeyPolys];
-    unsigned powers[detail::kMaxFftLanes];
-    for (unsigned i = 0; i < bsk.size(); ++i) {
-        const FourierGgsw &bsk_i = bsk.entry(i);
-        panic_if(bsk_i.numRows() != rows || bsk_i.numCols() != cols,
-                 "GGSW/GLWE shape mismatch");
-        for (unsigned r = 0; r < rows; ++r)
-            for (unsigned c = 0; c < cols; ++c) {
-                key_re[r * cols + c] = bsk_i.at(r, c).reData();
-                key_im[r * cols + c] = bsk_i.at(r, c).imData();
-            }
-        for (unsigned w = 0; w < lanes; ++w)
-            powers[w] = switched[w][i] % two_n;
-        MORPHLING_SPAN_FINE("tfhe", "cmux");
-        kernels.laneTileCmux(view, ws.plan, cols, powers, key_re, key_im,
-                             acc, ws.laneDigits.data(),
-                             ws.digitPlanes.data(), ws.accPlanes.data());
-    }
-
-    for (unsigned c = 0; c < cols; ++c)
-        for (unsigned w = 0; w < lanes; ++w) {
-            const Torus32 *src =
-                acc + std::size_t{c} * poly_degree * lanes + w;
-            Torus32 *dst = accs[w].component(c).data();
-            for (unsigned j = 0; j < poly_degree; ++j)
-                dst[j] = src[j * lanes];
-        }
-}
-
-/**
- * Rotate `count` accumulators iteration-major through row-lane tiles:
- * for each i, every accumulator whose a~_i is nonzero takes its CMux
- * against BSK_i (cmuxRotateTileInPlace, up to W per call) before
- * BSK_{i+1} is touched.
- */
-void
-rotateRowLanes(const BootstrapKey &bsk,
-               const std::vector<std::uint32_t> *switched,
-               GlweCiphertext *accs, unsigned count,
-               BootstrapWorkspace &ws)
-{
-    const unsigned two_n = 2 * accs[0].polyDegree();
-    // At most kMaxFftLanes: the tile never exceeds the lane width.
-    const unsigned tile = std::min(count, blindRotateTile());
-    GlweCiphertext *members[detail::kMaxFftLanes];
-    unsigned powers[detail::kMaxFftLanes];
-    const auto runTile = [&](const FourierGgsw &bsk_i, unsigned filled) {
-        MORPHLING_SPAN_FINE("tfhe", "cmux");
-        cmuxRotateTileInPlace(bsk_i, members, powers, filled, ws);
-    };
-    for (unsigned i = 0; i < bsk.size(); ++i) {
-        unsigned filled = 0;
-        for (unsigned j = 0; j < count; ++j) {
-            const unsigned a_tilde = switched[j][i] % two_n;
-            if (a_tilde == 0)
-                continue; // X^0 rotation: CMux output equals its input.
-            members[filled] = &accs[j];
-            powers[filled] = a_tilde;
-            if (++filled == tile) {
-                runTile(bsk.entry(i), filled);
-                filled = 0;
-            }
-        }
-        if (filled > 0)
-            runTile(bsk.entry(i), filled);
-    }
-}
-
 } // namespace
 
 void
@@ -196,7 +94,10 @@ blindRotateBatch(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
     const unsigned n = bsk.size();
     const unsigned poly_degree = test_poly.degree();
     const unsigned two_n = 2 * poly_degree;
-    const unsigned k = bsk.entry(0).numCols() - 1;
+    const FourierGgsw &first = bsk.entry(0);
+    const unsigned cols = first.numCols();
+    const unsigned rows = first.numRows();
+    const unsigned k = cols - 1;
 
     // ACC_0 = X^(-b~) * (0,..,0,TP). Negative powers fold into
     // [0, 2N) because X^(2N) = 1; the test polynomial is rotated
@@ -213,21 +114,92 @@ blindRotateBatch(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
         test_poly.mulByXPowerInto((two_n - b_tilde) % two_n, acc.body());
     }
 
-    // Full tiles of W ciphertexts stay lane-resident, one tile at a
-    // time; the rest (fewer than W, or all of them on the scalar tier
-    // or where the lane kernel does not fit) rotate row-lane.
+    // The call's full tiles of W ciphertexts stay lane-resident in
+    // ws.laneAcc for all n rounds; the rest (fewer than W, or all of
+    // them on the scalar tier or where the lane kernel does not fit)
+    // rotate row-lane in tiles of up to W.
     const detail::BatchKernels &kernels = detail::activeBatchKernels();
     const unsigned lanes = kernels.width;
-    const bool lane_tiles =
-        lanes > 1 && poly_degree >= 8 &&
-        bsk.entry(0).numRows() * (k + 1) <= kMaxLaneKeyPolys;
-    unsigned done = 0;
-    if (lane_tiles)
-        for (; done + lanes <= count; done += lanes)
-            rotateLaneTile(bsk, switched + done, accs + done, kernels, ws);
-    if (done < count)
-        rotateRowLanes(bsk, switched + done, accs + done, count - done,
-                       ws);
+    const bool lane_tiles = lanes > 1 && poly_degree >= 8 &&
+                            rows * cols <= kMaxLaneKeyPolys;
+    const unsigned resident = lane_tiles ? count - count % lanes : 0;
+    const unsigned tile = std::min(count - resident, lanes);
+    ws.ensure(k, poly_degree, first.levels(), first.baseBits(),
+              std::max(tile, 1u), resident > 0 ? lanes : 0, resident);
+
+    // Coefficient 0 of component c of resident ciphertext t: plane c of
+    // tile t / W, lane t mod W; coefficient j lies j*W words on.
+    const auto laneOf = [&](unsigned t, unsigned c) {
+        return ws.laneAcc.data() +
+               (std::size_t{t / lanes} * cols + c) * poly_degree * lanes +
+               t % lanes;
+    };
+    for (unsigned t = 0; t < resident; ++t)
+        for (unsigned c = 0; c < cols; ++c) {
+            const Torus32 *src = accs[t].component(c).data();
+            Torus32 *dst = laneOf(t, c);
+            for (unsigned j = 0; j < poly_degree; ++j)
+                dst[j * lanes] = src[j];
+        }
+
+    // Every ciphertext takes BSK_i before any takes BSK_{i+1}. A lane
+    // whose a~_i is 0 runs its round too: the centred digits of 0 are
+    // 0, so the round adds exactly 0. A row-lane ciphertext whose a~_i
+    // is 0 skips it: the X^0 CMux output equals its input.
+    const detail::NegacyclicView &view =
+        NegacyclicFft::forDegree(poly_degree).view();
+    const double *key_re[kMaxLaneKeyPolys];
+    const double *key_im[kMaxLaneKeyPolys];
+    unsigned powers[detail::kMaxFftLanes];
+    GlweCiphertext *members[detail::kMaxFftLanes];
+    for (unsigned i = 0; i < n; ++i) {
+        const FourierGgsw &bsk_i = bsk.entry(i);
+        if (resident > 0) {
+            panic_if(bsk_i.numRows() != rows || bsk_i.numCols() != cols,
+                     "GGSW/GLWE shape mismatch");
+            for (unsigned r = 0; r < rows; ++r)
+                for (unsigned c = 0; c < cols; ++c) {
+                    key_re[r * cols + c] = bsk_i.at(r, c).reData();
+                    key_im[r * cols + c] = bsk_i.at(r, c).imData();
+                }
+        }
+        for (unsigned t = 0; t < resident; t += lanes) {
+            for (unsigned w = 0; w < lanes; ++w)
+                powers[w] = switched[t + w][i] % two_n;
+            MORPHLING_SPAN_FINE("tfhe", "cmux");
+            kernels.laneTileCmux(view, ws.plan, cols, powers, key_re,
+                                 key_im, laneOf(t, 0),
+                                 ws.laneDigits.data(),
+                                 ws.digitPlanes.data(),
+                                 ws.accPlanes.data());
+        }
+
+        unsigned filled = 0;
+        const auto runRowTile = [&] {
+            MORPHLING_SPAN_FINE("tfhe", "cmux");
+            cmuxRotateTileInPlace(bsk_i, members, powers, filled, ws);
+            filled = 0;
+        };
+        for (unsigned j = resident; j < count; ++j) {
+            const unsigned a_tilde = switched[j][i] % two_n;
+            if (a_tilde == 0)
+                continue;
+            members[filled] = &accs[j];
+            powers[filled] = a_tilde;
+            if (++filled == tile)
+                runRowTile();
+        }
+        if (filled > 0)
+            runRowTile();
+    }
+
+    for (unsigned t = 0; t < resident; ++t)
+        for (unsigned c = 0; c < cols; ++c) {
+            const Torus32 *src = laneOf(t, c);
+            Torus32 *dst = accs[t].component(c).data();
+            for (unsigned j = 0; j < poly_degree; ++j)
+                dst[j] = src[j * lanes];
+        }
 }
 
 void

@@ -92,18 +92,20 @@ unsigned blindRotateTile();
  * W lanes of a tile: the CPU form of the transform-domain reuse across
  * a VPE row.
  *
- * Each full tile runs tile-major: its W accumulators are interleaved
- * into the workspace once, take all n CMux rounds there
- * (BatchKernels::laneTileCmux, no transpose in any round) and are
- * de-interleaved once. A lane whose a~_i is 0 runs that round as an
- * exact identity. The count mod W ciphertexts left over (count 1
- * included), and every ciphertext on the scalar tier, run
- * iteration-major through row-lane tiles (cmuxRotateTileInPlace): for
- * each i, every one of them whose a~_i is nonzero takes its CMux against
- * BSK_i before BSK_{i+1} is touched. Outputs are byte-equal to `count`
- * blindRotate calls on every SIMD tier. `ws` grows to one tile's lane
- * buffers plus the row-lane depth of the leftover tile, never to the
- * batch, and keeps its single-ciphertext shape for count == 1;
+ * One loop over the key: every ciphertext of the call takes its CMux
+ * against BSK_i before any takes BSK_{i+1}, so the call reads each
+ * BSK_i once, as the Program's one DMA.LD_BSK per XPU.BR chunk states.
+ * The full tiles are lane-resident: their accumulators are interleaved
+ * into the workspace once, each round runs BatchKernels::laneTileCmux on
+ * tile after tile (no transpose in any round), and they are
+ * de-interleaved once after round n-1. A lane whose a~_i is 0 runs that
+ * round as an exact identity. The count mod W ciphertexts left over
+ * (count 1 included), and every ciphertext on the scalar tier, then take
+ * the same BSK_i through row-lane tiles (cmuxRotateTileInPlace), each one
+ * whose a~_i is nonzero. Outputs are byte-equal to `count` blindRotate
+ * calls on every SIMD tier. `ws` grows to the call's full tiles of
+ * accumulators, one tile of round scratch and the row-lane depth of the
+ * leftover tile, and keeps its single-ciphertext shape for count == 1;
  * allocation-free when warm.
  */
 void blindRotateBatch(const BootstrapKey &bsk,

@@ -17,14 +17,15 @@
  * output is bit-identical to the scalar tier's (asserted in
  * tests/test_workspace.cc).
  *
- * Two layouts feed those lanes in a blind rotation. A full tile of W
- * ciphertexts is lane-resident (laneTileCmux): the tile's W
- * accumulators stay interleaved in the workspace for all n CMux
- * rounds, and lane w carries ciphertext w from its accumulator, through
- * its digit rows, spectra and MAC, back to its accumulator, so nothing
- * is transposed. A shorter tile, a lone bootstrap among them, runs
- * row-lane: its (k+1)*l_b digit rows fill the lanes of forwardW, the
- * spectra are transposed out for the MAC (mulAdd), and the k+1
+ * Two layouts feed those lanes in a blind rotation, and both take
+ * BSK_i in the same round. A full tile of W ciphertexts is
+ * lane-resident (laneTileCmux): every full tile of the call keeps its W
+ * accumulators interleaved in the workspace for all n CMux rounds, and
+ * lane w carries ciphertext w from its accumulator, through its digit
+ * rows, spectra and MAC, back to its accumulator, so nothing is
+ * transposed. The shorter leftover tile, a lone bootstrap among them,
+ * runs row-lane: its (k+1)*l_b digit rows fill the lanes of forwardW,
+ * the spectra are transposed out for the MAC (mulAdd), and the k+1
  * accumulators are transposed back in for inverseW.
  *
  * The same tables carry the integer loops around the transforms: the

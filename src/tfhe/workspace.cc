@@ -7,7 +7,8 @@ namespace morphling::tfhe {
 void
 BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
                            unsigned levels, unsigned base_bits,
-                           unsigned depth, unsigned lanes)
+                           unsigned depth, unsigned lanes,
+                           unsigned resident)
 {
     if (plan.baseBits != base_bits || plan.levels != levels)
         plan = makeGadgetPlan(base_bits, levels);
@@ -15,11 +16,13 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
     const bool same_ring =
         glweDim_ == glwe_dim && polyDegree_ == poly_degree;
     const bool same_shape = same_ring && levels_ == levels;
-    if (same_shape && depth <= depth_ && lanes <= lanes_)
+    if (same_shape && depth <= depth_ && lanes <= lanes_ &&
+        resident <= resident_)
         return;
     if (same_shape) {
         depth = std::max(depth, depth_);
         lanes = std::max(lanes, lanes_);
+        resident = std::max(resident, resident_);
     }
 
     // One digit polynomial per GGSW row and tile slot: the row-lane
@@ -50,9 +53,10 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
         diff = GlweCiphertext(glwe_dim, poly_degree);
 
     // A lane tile's polynomial is N*lanes interleaved coefficients, and
-    // its spectrum N/2*lanes complex doubles.
+    // its spectrum N/2*lanes complex doubles; the resident accumulators
+    // are (k+1) polynomials per ciphertext.
     const std::size_t lane_poly = std::size_t{poly_degree} * lanes;
-    laneAcc.resize((glwe_dim + 1) * lane_poly);
+    laneAcc.resize((glwe_dim + 1) * std::size_t{poly_degree} * resident);
     laneDigits.resize(row_count * lane_poly);
     digitPlanes.resize(row_count * lane_poly);
     accPlanes.resize((glwe_dim + 1) * lane_poly);
@@ -75,6 +79,7 @@ BootstrapWorkspace::ensure(unsigned glwe_dim, unsigned poly_degree,
     levels_ = levels;
     depth_ = depth;
     lanes_ = lanes;
+    resident_ = resident;
 }
 
 BootstrapWorkspace &

@@ -12,11 +12,13 @@
  *
  * BootstrapWorkspace owns every intermediate buffer of the pipeline.
  * ensure() (re)shapes them for one parameter geometry and the tiles
- * blindRotateBatch runs: a full tile of W ciphertexts, one per SIMD
- * lane, keeps its accumulators and all its scratch in the
- * lane-interleaved buffers for every CMux round, and a shorter tile (or
- * any tile on the scalar tier) uses the row-lane buffers at its depth.
- * ensure() is a no-op when the shapes already cover the request, so a
+ * blindRotateBatch runs: every full tile of W ciphertexts in the call,
+ * one per SIMD lane, keeps its accumulators in the lane-interleaved
+ * laneAcc from the first CMux round to the last, while each round's
+ * lane scratch is one tile, reused by tile after tile; the leftover
+ * tile (and every tile on the scalar tier) uses the row-lane buffers at
+ * its depth. ensure() is a no-op when the shapes already cover the
+ * request, so a
  * warmed-up bootstrap or batched rotation through the workspace entry
  * points performs zero heap allocations (asserted by
  * tests/test_workspace.cc). A workspace is
@@ -58,15 +60,16 @@ class BootstrapWorkspace
      * (Re)shape the external-product scratch for GLWE dimension k, ring
      * degree N and the given gadget: the row-lane buffers for `depth`
      * ciphertexts per CMux call (a short tile of blindRotateBatch; 1
-     * for every single-ciphertext entry point), and the interleaved
-     * buffers for a lane-resident tile of `lanes` ciphertexts (0:
-     * none). For a fixed geometry both only grow, so the call is a
-     * no-op (and allocation-free) once the buffers cover them; a new
-     * geometry reshapes to exactly `depth` and `lanes`.
+     * for every single-ciphertext entry point), one round's interleaved
+     * scratch for a tile of `lanes` ciphertexts, and laneAcc for
+     * `resident` lane-resident ciphertexts (whole tiles; 0: none). For
+     * a fixed geometry all three only grow, so the call is a no-op (and
+     * allocation-free) once the buffers cover them; a new geometry
+     * reshapes to exactly `depth`, `lanes` and `resident`.
      */
     void ensure(unsigned glwe_dim, unsigned poly_degree, unsigned levels,
                 unsigned base_bits, unsigned depth = 1,
-                unsigned lanes = 0);
+                unsigned lanes = 0, unsigned resident = 0);
 
     /** The calling thread's workspace. Entry points that take no
      *  explicit workspace route through this instance. */
@@ -84,10 +87,12 @@ class BootstrapWorkspace
     GlweCiphertext diff;               //!< X^a * ACC - ACC (reference CMux)
 
     // Lane-resident tile buffers (BatchKernels::laneTileCmux): lane w
-    // of every vector holds ciphertext w of the tile, coefficient j of
-    // a polynomial at [j*lanes + w]. Each plane is a real block then an
-    // imaginary block of lanes*N/2 doubles per polynomial.
-    AlignedVector<Torus32> laneAcc;        //!< k+1 accumulator components
+    // of every vector holds ciphertext w of a tile, coefficient j of a
+    // polynomial at [j*lanes + w]. laneAcc holds the resident tiles one
+    // after another; the rest is one tile's round scratch. Each plane is
+    // a real block then an imaginary block of lanes*N/2 doubles per
+    // polynomial.
+    AlignedVector<Torus32> laneAcc; //!< (k+1) components per tile
     AlignedVector<std::int32_t> laneDigits; //!< (k+1)*l_b digit rows
     AlignedVector<double> digitPlanes; //!< (k+1)*l_b digit spectra
     AlignedVector<double> accPlanes;   //!< k+1 accumulator spectra
@@ -115,6 +120,7 @@ class BootstrapWorkspace
     unsigned levels_ = 0;
     unsigned depth_ = 0;
     unsigned lanes_ = 0;
+    unsigned resident_ = 0;
 };
 
 } // namespace morphling::tfhe

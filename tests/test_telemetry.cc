@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/accelerator.h"
 #include "common/rng.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/metrics.h"
@@ -453,6 +454,31 @@ TEST(SimBridge, DropsBeyondMaxEvents)
     EXPECT_EQ(rec.intervals().size() + rec.instants().size(), 3u);
     EXPECT_EQ(rec.droppedEvents(), 2u);
 }
+
+#if MORPHLING_TELEMETRY_ENABLED
+
+TEST(SimBridge, SimulationEmitsComponentTraces)
+{
+    SimTraceRecorder rec;
+    rec.install();
+    arch::Accelerator acc(arch::ArchConfig::morphlingDefault(),
+                          tfhe::paramsSetI());
+    acc.runBootstrapBatch(32);
+    rec.uninstall();
+
+    const auto has = [&](const std::string &track,
+                         const std::string &prefix) {
+        for (const auto &in : rec.instants())
+            if (in.track == track && in.name.rfind(prefix, 0) == 0)
+                return true;
+        return false;
+    };
+    EXPECT_TRUE(has("log.xpu", "wave "));
+    EXPECT_TRUE(has("log.sched", "g0 issue DMA.LD_LWE"));
+    EXPECT_TRUE(has("log.sched", "g0 issue XPU.BR"));
+}
+
+#endif // MORPHLING_TELEMETRY_ENABLED
 
 // ---------------------------------------------------------------------
 // Chrome trace exporter

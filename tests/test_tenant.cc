@@ -414,6 +414,9 @@ TEST_F(TenantFixture, ShutdownWakesAdmittersWithLogicError)
     quota.burst = 1;
     front.addTenant("slow", evalA(), quota);
     const LutId lut = front.registerLut("slow", plusOneLut());
+    // An unthrottled tenant's circuit after shutdown: the service
+    // refuses it, so it counts as no submission.
+    front.addTenant("open", evalA());
     auto first = front.submit("slow", encryptA(0), lut);
     auto blocked = std::async(std::launch::async, [&] {
         return front.submit("slow", encryptA(1), lut);
@@ -425,6 +428,16 @@ TEST_F(TenantFixture, ShutdownWakesAdmittersWithLogicError)
     EXPECT_EQ(tfhe::decryptPadded(keysA(), first.get(), kSpace), 1u);
 
     EXPECT_THROW(front.addTenant("late", evalA()), std::logic_error);
+    circuit::Circuit c;
+    const circuit::Wire x = c.bitInput();
+    const circuit::Wire y = c.bitInput();
+    c.markOutput(c.gate(tfhe::BoolGate::Nand, x, y));
+    std::vector<LweCiphertext> inputs;
+    inputs.push_back(tfhe::encryptBit(keysA(), true, rng));
+    inputs.push_back(tfhe::encryptBit(keysA(), false, rng));
+    EXPECT_THROW((void)front.submitCircuit("open", c, std::move(inputs)),
+                 std::logic_error);
+    EXPECT_EQ(front.stats("open").submitted, 0u);
 }
 
 TEST_F(TenantFixture, OversizedCircuitAdmitsAgainstSmallBucket)

@@ -670,7 +670,8 @@ TEST(Alignment, WorkspaceScratchBuffersAreAligned)
     BootstrapWorkspace ws;
     ws.ensure(/*glwe_dim=*/2, /*poly_degree=*/512, /*levels=*/3,
               /*base_bits=*/6, /*depth=*/1,
-              /*lanes=*/tfhe::detail::kMaxFftLanes);
+              /*lanes=*/tfhe::detail::kMaxFftLanes,
+              /*resident=*/tfhe::detail::kMaxFftLanes);
     for (const auto &fp : ws.digitsF) {
         EXPECT_TRUE(isSimdAligned(fp.reData()));
         EXPECT_TRUE(isSimdAligned(fp.imData()));
@@ -1178,7 +1179,7 @@ TEST(BlindRotateBatch, ByteEqualToCmuxLoopOnEveryTier)
     }
 }
 
-TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
+TEST(BlindRotateBatch, WorkspaceHoldsTheCallsFullTilesOnly)
 {
     const auto &params = paramsTest();
     Rng rng(0x711E);
@@ -1210,13 +1211,15 @@ TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
         EXPECT_TRUE(ws.accPlanes.empty());
 
         // A 16-ciphertext rotation is whole tiles only (W divides 16),
-        // zero masks included: it grows the lane buffers to one W-lane
-        // tile, not to the batch, and the row-lane buffers keep their
-        // depth of 1. On the scalar tier (W = 1) every tile is row-lane
-        // and the lane buffers stay empty.
+        // zero masks included: laneAcc grows to all 16 lane-resident
+        // accumulators (16/W tiles), the round scratch to one W-lane
+        // tile, and the row-lane buffers keep their depth of 1. On the
+        // scalar tier (W = 1) every tile is row-lane and the lane
+        // buffers stay empty.
         std::vector<GlweCiphertext> accs(switched.size());
+        const std::size_t resident = lanes > 0 ? 16 : 0;
         const auto expectLaneBuffers = [&] {
-            EXPECT_EQ(ws.laneAcc.size(), cols * n * lanes) << tier_name;
+            EXPECT_EQ(ws.laneAcc.size(), resident * cols * n) << tier_name;
             EXPECT_EQ(ws.laneDigits.size(), rows * n * lanes) << tier_name;
             EXPECT_EQ(ws.digitPlanes.size(), 2 * rows * lanes * n / 2)
                 << tier_name;
@@ -1229,9 +1232,10 @@ TEST(BlindRotateBatch, WorkspaceGrowsToOneTileOnly)
         EXPECT_EQ(ws.accF.size(), cols) << tier_name;
         expectLaneBuffers();
 
-        // 19 leaves 3 ciphertexts after the full tiles, which rotate
-        // row-lane in tiles of 3: the row-lane depth grows to 3 and the
-        // lane buffers stay one tile.
+        // 19 leaves 3 ciphertexts after the full tiles (4 tiles on AVX2,
+        // 2 on AVX-512), which rotate row-lane in one tile of 3: the
+        // row-lane depth grows to 3, laneAcc still holds 16 ciphertexts
+        // and the round scratch one tile.
         blindRotateBatch(bsk, tp, switched.data(), accs.data(), 19, ws);
         const std::size_t depth = w > 1 ? 3 : 1;
         EXPECT_EQ(ws.digits.size(), depth * rows) << tier_name;
